@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .cache import (
     CacheFormatError,
@@ -322,12 +321,7 @@ def cmd_verify(args) -> int:
         return 2
 
     try:
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(_run_relation, t, engine) for t in tuples]
-                reports = [f.result() for f in futures]
-        else:
-            reports = [_run_relation(t, engine) for t in tuples]
+        reports = [_run_relation(t, engine) for t in tuples]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -405,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_ver.add_argument("--out", default=None, help="write the report to this file")
     p_ver.add_argument("--cache", default=None, help="cache file to load and update")
-    p_ver.add_argument("--jobs", type=int, default=1, help="parallel parameter tuples")
     p_ver.add_argument("--force", action="store_true",
                        help="allow ranges beyond the desk-scale defaults")
     p_ver.set_defaults(func=cmd_verify)

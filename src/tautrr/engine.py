@@ -16,6 +16,9 @@ Conventions:
     recursion and returns exactly 0 on mismatch.
   * Unstable (g, n) is an error for the public entry points; internal
     recursion treats unstable configurations as contributing 0.
+  * Inner recursion derives the split genus from the dimension gate: in a
+    genus split only one g1 can satisfy the left factor's dimension
+    constraint, so that g1 is computed and no other is tried.
 """
 
 from __future__ import annotations
@@ -155,11 +158,9 @@ class CorrelatorEngine:
         """Total-function variant: 0 for unstable spaces or negative levels."""
         g = int(g)
         levels = tuple(int(x) for x in levels)
-        if g < 0 or any(x < 0 for x in levels):
+        if any(x < 0 for x in levels):
             return ZERO
-        if not is_stable(g, len(levels)):
-            return ZERO
-        return self._psi(g, tuple(sorted(levels)))
+        return self._corr(g, levels)
 
     # ------------------------------------------------------------------
     # cache plumbing (file I/O lives in tautrr.cache)
@@ -186,6 +187,24 @@ class CorrelatorEngine:
     # internals
     # ------------------------------------------------------------------
 
+    def _corr(self, g: int, levels: tuple[int, ...]) -> Fraction:
+        """Total function for inner recursion: levels are nonnegative ints in
+        any order; 0 for negative genus or unstable (g, n)."""
+        if g < 0 or 2 * g - 2 + len(levels) <= 0:
+            return ZERO
+        return self._psi(g, tuple(sorted(levels)))
+
+    def _store(self, key: CorrelatorKey, val: Fraction) -> Fraction:
+        """Memoize a fresh value, revalidating any quarantined copy of it."""
+        old = self._stale.pop(key, None)
+        if old is not None and old != val:
+            warnings.warn(
+                f"stale cache entry for {key} disagreed with recomputation; "
+                "using the fresh value"
+            )
+        self._memo[key] = val
+        return val
+
     def _psi(self, g: int, d: tuple[int, ...]) -> Fraction:
         # d is sorted ascending; gate before looking anything up
         n = len(d)
@@ -200,16 +219,7 @@ class CorrelatorEngine:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-            val = self._psi_compute(g, d)
-            if key in self._stale:
-                old = self._stale.pop(key)
-                if old != val:
-                    warnings.warn(
-                        f"stale cache entry for {key} disagreed with recomputation; "
-                        "using the fresh value"
-                    )
-            self._memo[key] = val
-            return val
+            return self._store(key, self._psi_compute(g, d))
 
     def _psi_compute(self, g: int, d: tuple[int, ...]) -> Fraction:
         n = len(d)
@@ -242,13 +252,17 @@ class CorrelatorEngine:
                 acc += ca_cb * self._psi(g - 1, tuple(sorted(rest + (a, b))))
             for mask in range(1 << m):
                 left = tuple(rest[i] for i in range(m) if mask >> i & 1)
-                right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
-                for g1 in range(0, g + 1):
-                    f1 = self.correlator(g1, (a,) + left)
-                    if f1:
-                        f2 = self.correlator(g - g1, (b,) + right)
-                        if f2:
-                            acc += ca_cb * f1 * f2
+                # the left factor's dimension constraint fixes its genus
+                num = a + sum(left) - len(left) + 2
+                g1 = num // 3
+                if num % 3 or not 0 <= g1 <= g:
+                    continue
+                f1 = self._corr(g1, (a,) + left)
+                if f1:
+                    right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
+                    f2 = self._corr(g - g1, (b,) + right)
+                    if f2:
+                        acc += ca_cb * f1 * f2
         total += acc / 2
         return total / odd_double_factorial(k)
 
@@ -278,15 +292,7 @@ class CorrelatorEngine:
                         sign = -sign
                 kept = tuple(bi for i, bi in enumerate(rest) if not mask >> i & 1)
                 val += sign * self._psi_kappa(g, tuple(sorted(d + (level,))), kept)
-            if key in self._stale:
-                old = self._stale.pop(key)
-                if old != val:
-                    warnings.warn(
-                        f"stale cache entry for {key} disagreed with recomputation; "
-                        "using the fresh value"
-                    )
-            self._memo[key] = val
-            return val
+            return self._store(key, val)
 
 
 _DEFAULT_ENGINE = CorrelatorEngine()

@@ -106,18 +106,21 @@ def _expand(fields) -> list[tuple[tuple[int, ...], Fraction]]:
 def _psi_point(r: int, s: int, g: int, m: int,
                w: tuple[int, ...], v: tuple[int, ...],
                engine: CorrelatorEngine) -> Fraction:
-    corr = engine.correlator
+    corr = engine._corr
     total = ZERO
+    shift = sum(w) - len(w) + 2
     for k in range(0, m + 1):
-        sign = -1 if k % 2 else 1
-        left = (k,) + w
-        right = (m - k,) + v
-        for g1 in range(0, g + 1):
-            f1 = corr(g1, left)
-            if f1:
-                f2 = corr(g - g1, right)
-                if f2:
-                    total += sign * f1 * f2
+        # the left factor's dimension constraint fixes its genus
+        num = k + shift
+        g1 = num // 3
+        if num % 3 or not 0 <= g1 <= g:
+            continue
+        f1 = corr(g1, (k,) + w)
+        if f1:
+            f2 = corr(g - g1, (m - k,) + v)
+            if f2:
+                sign = -1 if k % 2 else 1
+                total += sign * f1 * f2
     if r == 0:
         total += corr(g, (m + 2,) + v)
     if r == 1:

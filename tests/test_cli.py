@@ -186,19 +186,6 @@ def test_warm_rerun_reports_identical(capsys, tmp_path):
     assert a == b
 
 
-def test_jobs_flag_is_deterministic(capsys, tmp_path):
-    r1 = tmp_path / "seq.json"
-    r2 = tmp_path / "par.json"
-    run(capsys, "verify", "fqq", "--g", "1..3", "--format", "json", "--out", str(r1))
-    run(capsys, "verify", "fqq", "--g", "1..3", "--jobs", "4",
-        "--format", "json", "--out", str(r2))
-    a = json.loads(r1.read_text())
-    b = json.loads(r2.read_text())
-    for report in a + b:
-        report.pop("millis")
-    assert a == b
-
-
 def test_env_var_cache(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "env-cache.txt"
     monkeypatch.setenv("TAUTRR_CACHE", str(cache))

@@ -1,5 +1,6 @@
 """Vanishing, symmetry and string-reduction identities at the origin."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -182,3 +183,45 @@ def test_sreduce_validation(engine):
         sreduce_check(1, 0, 1, 0, [], [], engine)
     with pytest.raises(ValueError, match="r - 1"):
         sreduce_check(1, 0, 1, 1, [tau(0)], [], engine)
+
+
+def _reference_point(r, s, g, m, w, v, engine):
+    """The form at coordinate slots with every split genus g1 in 0..g tried,
+    each factor through the public total-function correlator."""
+    corr = engine.correlator
+    total = Fraction(0)
+    for k in range(0, m + 1):
+        sign = -1 if k % 2 else 1
+        for g1 in range(0, g + 1):
+            total += sign * corr(g1, (k,) + w) * corr(g - g1, (m - k,) + v)
+    if r == 0:
+        total += corr(g, (m + 2,) + v)
+    if r == 1:
+        total -= corr(g, (w[0] + m + 1,) + v)
+    if s == 0:
+        total += (-1) ** m * corr(g, (m + 2,) + w)
+    if s == 1:
+        total += (-1) ** (m + 1) * corr(g, w + (v[0] + m + 1,))
+    return total
+
+
+def test_derived_split_genus_matches_all_genus_reference(engine):
+    slot_sets = [w for r in range(0, 4)
+                 for w in itertools.combinations_with_replacement(range(0, 3), r)]
+    # all-tau_0 slots make the split-genus numerator k + sum(w) - len(w) + 2
+    # negative at small k; genus 0 with at most one slot splits off unstable
+    # left factors
+    assert min(sum(w) - len(w) + 2 for w in slot_sets) < 0
+    assert (0, 0, 0) in slot_sets and () in slot_sets and (0,) in slot_sets
+    nonzero = 0
+    for g in range(0, 4):
+        for m in range(0, 3 * g + 4):
+            for w in slot_sets:
+                for v in slot_sets:
+                    r, s = len(w), len(v)
+                    expected = _reference_point(r, s, g, m, w, v, engine)
+                    value = psi_eval(r, s, g, m, [tau(x) for x in w],
+                                     [tau(x) for x in v], engine)
+                    assert value == expected, (g, m, w, v)
+                    nonzero += expected != 0
+    assert nonzero > 0
