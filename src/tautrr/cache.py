@@ -7,14 +7,21 @@ File format (line oriented, text):
 
 one entry per line, keys sorted, empty field for an empty exponent or
 kappa list.  Values with denominator 1 are written as a bare integer.
-Save followed by load is the identity on entries, bit-exactly.
+Save followed by load is the identity on entries, bit-exactly.  A save
+writes a sibling temp file and renames it over the target, so a crash
+never leaves a cut-off file behind.  Loading rejects, naming the line,
+any key the engine cannot produce: negative genus, a negative psi
+exponent, a non-positive kappa index, an unstable (g, n), or exponents
+and kappa indices that do not sum to the dimension 3g - 3 + n.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 from .engine import CorrelatorEngine, CorrelatorKey
@@ -34,6 +41,13 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    # fast path for exactly what format_rational writes: -?digits[/digits]
+    num, slash, den = text.partition("/")
+    if text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit():
+        if not slash:
+            return Fraction(int(num))
+        if den.isdigit():
+            return Fraction(int(num), int(den))
     text = text.strip()
     if not text:
         raise ValueError("empty rational")
@@ -56,26 +70,62 @@ class CacheStore:
 
 
 def _format_key(key: CorrelatorKey) -> str:
-    d = ",".join(str(x) for x in key.psi_exps)
-    b = ",".join(str(x) for x in key.kappa_parts)
+    d = ",".join(map(str, key.psi_exps))
+    b = ",".join(map(str, key.kappa_parts))
     return f"{key.genus};{d};{b}"
 
 
+#: the dataclass order of CorrelatorKey, as one tuple comparison per pair
+#: instead of the generated, slower ``__lt__``
+_key_order = attrgetter("genus", "psi_exps", "kappa_parts")
+
+
 def _parse_int_list(text: str, lineno: int, what: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
+    if not text or text.isspace():
         return ()
     try:
-        return tuple(int(piece) for piece in text.split(","))
+        return tuple(sorted(map(int, text.split(","))))
     except ValueError:
-        raise CacheFormatError(f"line {lineno}: bad {what} list {text!r}") from None
+        raise CacheFormatError(f"line {lineno}: bad {what} list {text.strip()!r}") from None
+
+
+def _key_problem(genus: int, d: tuple[int, ...], b: tuple[int, ...]) -> str | None:
+    """Why the engine could never store this key (d and b sorted), or None."""
+    n = len(d)
+    if genus < 0:
+        return "negative genus"
+    if d and d[0] < 0:
+        return "negative psi exponent"
+    if b and b[0] <= 0:
+        return "non-positive kappa index"
+    if 2 * genus - 2 + n <= 0:
+        return "unstable (g, n)"
+    if sum(d) + sum(b) != 3 * genus - 3 + n:
+        return "degrees do not sum to the dimension 3g - 3 + n"
+    return None
 
 
 def cache_save(store: CacheStore, path) -> None:
+    entries = store.entries
     lines = [f"{CACHE_MAGIC} {store.version}"]
-    for key in sorted(store.entries):
-        lines.append(f"{_format_key(key)};{format_rational(store.entries[key])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines += [f"{_format_key(key)};{format_rational(entries[key])}"
+              for key in sorted(entries, key=_key_order)]
+    text = "\n".join(lines) + "\n"
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a device or a pipe (say /dev/null) is written through, not replaced
+        Path(target).write_text(text, encoding="utf-8")
+        return
+    tmp = Path(f"{target}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
 
 
 def cache_load(path) -> CacheStore:
@@ -107,7 +157,11 @@ def cache_load(path) -> CacheStore:
             value = parse_rational(pieces[3])
         except (ValueError, ZeroDivisionError):
             raise CacheFormatError(f"line {lineno}: bad value {pieces[3]!r}") from None
-        entries[CorrelatorKey.make(genus, d, b)] = value
+        problem = _key_problem(genus, d, b)
+        if problem:
+            raise CacheFormatError(f"line {lineno}: impossible key {line.rsplit(';', 1)[0]!r}: "
+                                   f"{problem}")
+        entries[CorrelatorKey(genus, d, b)] = value
     return CacheStore(entries, version)
 
 

@@ -258,15 +258,44 @@ def _build_param_tuples(args) -> list[tuple]:
     return tuples
 
 
-def cmd_integral(args) -> int:
+def _write_error(path, exc: OSError) -> int:
+    print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
+
+
+def _run_cached(body, args) -> int:
+    """Run ``body(args, engine)`` on an engine warmed from the ``--cache`` file.
+
+    The file (``--cache`` or ``$TAUTRR_CACHE``) is loaded first, if it
+    exists.  After the body it is written back only when that changes it:
+    the file did not exist, it was loaded quarantined (version mismatch),
+    or the engine now holds an entry the file did not.  A usage error
+    (exit 2) writes nothing.
+    """
     engine = CorrelatorEngine()
-    cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
-    if cache_path and os.path.exists(cache_path):
+    path = args.cache or os.environ.get(CACHE_ENV_VAR)
+    loaded = None
+    if path and os.path.exists(path):
         try:
-            load_engine_cache(engine, cache_path)
-        except CacheFormatError as exc:
-            print(f"error: cache {cache_path}: {exc}", file=sys.stderr)
+            loaded = load_engine_cache(engine, path)
+        except (OSError, ValueError) as exc:
+            print(f"error: cache {path}: {exc}", file=sys.stderr)
             return 1
+    code = body(args, engine)
+    if path and code != 2 and (loaded is None or not loaded.trusted
+                               or len(engine.entries()) > len(loaded.entries)):
+        try:
+            save_engine_cache(engine, path)
+        except OSError as exc:
+            return _write_error(path, exc)
+    return code
+
+
+def cmd_integral(args) -> int:
+    return _run_cached(_integral, args)
+
+
+def _integral(args, engine) -> int:
     try:
         d = _parse_int_list(args.d)
         b = _parse_int_list(args.kappa)
@@ -278,21 +307,14 @@ def cmd_integral(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(format_rational(value))
-    if cache_path:
-        save_engine_cache(engine, cache_path)
     return 0
 
 
 def cmd_verify(args) -> int:
-    engine = CorrelatorEngine()
-    cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
-    if cache_path and os.path.exists(cache_path):
-        try:
-            load_engine_cache(engine, cache_path)
-        except CacheFormatError as exc:
-            print(f"error: cache {cache_path}: {exc}", file=sys.stderr)
-            return 1
+    return _run_cached(_verify, args)
 
+
+def _verify(args, engine) -> int:
     try:
         tuples = _build_param_tuples(args)
     except ValueError as exc:
@@ -327,50 +349,39 @@ def cmd_verify(args) -> int:
         return 2
 
     if args.format == "json":
-        _emit(render_reports_json(reports), args.out)
+        text = render_reports_json(reports)
     elif args.format == "csv":
-        _emit(render_reports_csv(reports), args.out)
+        text = render_reports_csv(reports)
     else:
-        _emit(render_reports_text(reports), args.out)
-
-    if cache_path:
-        save_engine_cache(engine, cache_path)
+        text = render_reports_text(reports)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        return _write_error(args.out, exc)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_cache(args) -> int:
-    if args.action == "stats":
-        try:
-            store = cache_load(args.path)
-        except FileNotFoundError:
-            print(f"error: no such cache file: {args.path}", file=sys.stderr)
-            return 1
-        except CacheFormatError as exc:
-            print(f"error: {args.path}: {exc}", file=sys.stderr)
-            return 1
-        print(f"{len(store.entries)} entries, max genus {store.max_genus()}")
-        return 0
-    if args.action == "load":
-        try:
-            store = cache_load(args.path)
-        except FileNotFoundError:
-            print(f"error: no such cache file: {args.path}", file=sys.stderr)
-            return 1
-        except CacheFormatError as exc:
-            print(f"error: {args.path}: {exc}", file=sys.stderr)
-            return 1
-        print(f"loaded {len(store.entries)} entries (version {store.version})")
-        return 0
     if args.action == "save":
         try:
             cache_save(CacheStore(), args.path)
         except OSError as exc:
-            print(f"error: {args.path}: {exc}", file=sys.stderr)
-            return 1
+            return _write_error(args.path, exc)
         print(f"wrote empty cache to {args.path}")
         return 0
-    print(f"error: unknown cache action {args.action!r}", file=sys.stderr)
-    return 2
+    try:
+        store = cache_load(args.path)
+    except FileNotFoundError:
+        print(f"error: no such cache file: {args.path}", file=sys.stderr)
+        return 1
+    except CacheFormatError as exc:
+        print(f"error: {args.path}: {exc}", file=sys.stderr)
+        return 1
+    if args.action == "stats":
+        print(f"{len(store.entries)} entries, max genus {store.max_genus()}")
+    else:
+        print(f"loaded {len(store.entries)} entries (version {store.version})")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,6 +1,10 @@
 """Cache file format: round-trips, fault injection, version handling."""
 
+import os
+import stat
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +129,87 @@ def test_save_is_sorted_and_headed(tmp_path):
 
     keys = [line_key(line) for line in lines[1:]]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("text", [
+    "7", "-5/3", "2/4", " 1/24 ", "+3", "0007", "1_000", "0.5", "1e3",
+    "1/-2", "1/0", "", "٣",
+])
+def test_parse_rational_agrees_with_fraction(text):
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            parse_rational(text)
+    else:
+        got = parse_rational(text)
+        assert got == expected and type(got) is Fraction
+
+
+@pytest.mark.parametrize("line", ["-1;0;;5", "0;0,0;;1", "1;3,0;;1/24", "2;;0,3;1"])
+def test_impossible_key_is_rejected_with_line_number(tmp_path, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"#taut-rr-cache v1\n1;2,0;;1/24\n{line}\n")
+    with pytest.raises(CacheFormatError, match="line 3: impossible key"):
+        cache_load(path)
+
+
+def test_every_engine_key_passes_the_load_checks(tmp_path):
+    from tautrr.relations import build_bbt, build_fqq, verify
+
+    engine = CorrelatorEngine()
+    for g in range(1, 4):
+        verify(build_bbt(g, 0), "bbt", {"g": g, "r": 0}, engine)
+        verify(build_fqq(g, 1), "fqq", {"g": g, "r": 1}, engine)
+    engine.psi_kappa_integral(2, [], [1, 2])
+    path = tmp_path / "sweep.txt"
+    saved = save_engine_cache(engine, path)
+    assert any(key.kappa_parts for key in saved.entries)
+    loaded = cache_load(path)
+    assert loaded.entries == saved.entries
+    # the save order is the dataclass order of the keys
+    assert list(loaded.entries) == sorted(loaded.entries)
+
+
+def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "cache.txt"
+    cache_save(CacheStore({CorrelatorKey.make(1, [1]): Fraction(1, 24)}), path)
+    before = path.read_bytes()
+
+    def write_half_then_fail(self, data, encoding=None, errors=None, newline=None):
+        with open(self, "w", encoding=encoding) as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    bigger = CacheStore({CorrelatorKey.make(1, [1]): Fraction(1, 24),
+                         CorrelatorKey.make(2, [4]): Fraction(1, 1152)})
+    with pytest.raises(OSError):
+        cache_save(bigger, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+
+def test_save_through_a_symlink_keeps_the_link(tmp_path):
+    target = tmp_path / "real.txt"
+    link = tmp_path / "link.txt"
+    cache_save(CacheStore(), target)
+    link.symlink_to(target)
+    store = CacheStore({CorrelatorKey.make(1, [1]): Fraction(1, 24)})
+    cache_save(store, link)
+    assert link.is_symlink()
+    assert cache_load(target).entries == store.entries
+
+
+def test_save_to_a_pipe_writes_through(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    store = CacheStore({CorrelatorKey.make(1, [1]): Fraction(1, 24)})
+    cache_save(store, fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [b"#taut-rr-cache v1\n1;1;;1/24\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)

@@ -192,3 +192,85 @@ def test_env_var_cache(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "integral", "-g", "2", "-d", "5,0")
     assert code == 0 and out.strip() == "1/1152"
     assert cache.exists()
+
+
+def test_cache_missing_file(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    for action in ("stats", "load"):
+        code, out, err = run(capsys, "cache", action, str(missing))
+        assert code == 1 and out == ""
+        assert err == f"error: no such cache file: {missing}\n"
+
+
+def _bytes_and_mtime(path):
+    return path.read_bytes(), path.stat().st_mtime_ns
+
+
+def test_trusted_hit_leaves_cache_untouched(capsys, tmp_path):
+    cache = tmp_path / "cache.txt"
+    code, _, _ = run(capsys, "integral", "-g", "2", "-d", "5,0", "--cache", str(cache))
+    assert code == 0
+    before = _bytes_and_mtime(cache)
+    code, out, _ = run(capsys, "integral", "-g", "2", "-d", "0,5", "--cache", str(cache))
+    assert code == 0 and out.strip() == "1/1152"
+    assert _bytes_and_mtime(cache) == before
+
+    code, _, _ = run(capsys, "verify", "bbt", "--g", "2", "--cache", str(cache))
+    assert code == 0
+    before = _bytes_and_mtime(cache)
+    code, _, _ = run(capsys, "verify", "bbt", "--g", "2", "--cache", str(cache))
+    assert code == 0
+    assert _bytes_and_mtime(cache) == before
+
+
+def test_miss_rewrites_cache_sorted(capsys, tmp_path):
+    from tautrr.cache import cache_load, cache_save
+
+    cache = tmp_path / "cache.txt"
+    code, _, _ = run(capsys, "integral", "-g", "3", "-d", "7", "--cache", str(cache))
+    assert code == 0
+    before = cache_load(cache).entries
+    # dilaton step from <tau_7>_3, which the first call never needed
+    code, out, _ = run(capsys, "integral", "-g", "3", "-d", "7,1", "--cache", str(cache))
+    assert code == 0 and out.strip() == "5/82944"
+    after = cache_load(cache)
+    assert len(after.entries) > len(before) and before.items() <= after.entries.items()
+    resaved = tmp_path / "resaved.txt"
+    cache_save(after, resaved)
+    assert cache.read_bytes() == resaved.read_bytes()
+
+
+def test_stale_cache_is_rewritten_with_current_header(capsys, tmp_path):
+    cache = tmp_path / "old.txt"
+    cache.write_text("#taut-rr-cache v0\n2;4;;1/1152\n")
+    with pytest.warns(UserWarning, match="revalidated"):
+        code, out, _ = run(capsys, "integral", "-g", "2", "-d", "4", "--cache", str(cache))
+    assert code == 0 and out.strip() == "1/1152"
+    lines = cache.read_text().splitlines()
+    assert lines[0] == "#taut-rr-cache v1" and "2;4;;1/1152" in lines
+
+
+def test_missing_cache_is_created(capsys, tmp_path):
+    cache = tmp_path / "new.txt"
+    code, _, _ = run(capsys, "integral", "-g", "1", "-d", "1", "--cache", str(cache))
+    assert code == 0
+    assert cache.read_text().startswith("#taut-rr-cache v1\n")
+
+
+def test_unusable_paths_end_in_one_error_line(capsys, tmp_path):
+    nowhere = tmp_path / "no-such-dir"
+    out_path = nowhere / "report.json"
+    code, _, err = run(capsys, "verify", "bbt", "--g", "2", "--r", "0",
+                       "--format", "json", "--out", str(out_path))
+    assert code == 1
+    assert err.startswith(f"error: {out_path}: ") and err.count("\n") == 1
+
+    cache = nowhere / "cache.txt"
+    code, out, err = run(capsys, "integral", "-g", "2", "-d", "5,0", "--cache", str(cache))
+    assert code == 1 and out.strip() == "1/1152"
+    assert err.startswith(f"error: {cache}: ") and err.count("\n") == 1
+    assert not nowhere.exists()
+
+    code, _, err = run(capsys, "integral", "-g", "1", "-d", "1", "--cache", str(tmp_path))
+    assert code == 1
+    assert err.startswith(f"error: cache {tmp_path}: ") and err.count("\n") == 1
