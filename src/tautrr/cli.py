@@ -377,6 +377,9 @@ def cmd_cache(args) -> int:
     except CacheFormatError as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 1
+    except (OSError, ValueError) as exc:
+        print(f"error: cache {args.path}: {exc}", file=sys.stderr)
+        return 1
     if args.action == "stats":
         print(f"{len(store.entries)} entries, max genus {store.max_genus()}")
     else:

@@ -7,7 +7,10 @@ map.  Pairing against a psi/kappa test monomial evaluates by pulling the
 test back to the stratum factors (psi classes route to the factor carrying
 their marking, each kappa index distributes to either factor) and splitting
 into a product of two correlator-engine integrals with the node exponents
-inserted.
+inserted.  The pullback is computed once per test and marking split and
+shared by every separating term of that split; the test is checked once
+per pairing, so the factor integrals take the engine's internal gated path
+(`CorrelatorEngine._psi_kappa`) instead of the public one.
 
 Canonical text grammar for rendered terms (stable across releases):
 
@@ -290,28 +293,55 @@ def pullback_test_to_separating(t: TestMonomial, s: SeparatingStratum):
     ]
 
 
+def _pullback_rows(t: TestMonomial, s: SeparatingStratum):
+    """The pullback of ``t`` to the marking split of ``s``, ready for the engine.
+
+    Returns (labels on factor 1, labels on factor 2, rows), each row
+    (factor-1 test degree, psi1, psi2, kappa1, kappa2, multiplicity) with
+    kappa parts ascending and an ``int`` multiplicity.  The rows depend on
+    ``t`` and ``s.markings1`` only, so one list serves every term of that
+    split.
+    """
+    rows = [
+        (t1.degree, t1.psi_exps, t2.psi_exps, t1.kappa_parts[::-1], t2.kappa_parts[::-1],
+         int(mult))
+        for t1, t2, mult in pullback_test_to_separating(t, s)
+    ]
+    return sorted(s.markings1), sorted(s.markings2()), rows
+
+
 def _pair_interior(term: InteriorTerm, t: TestMonomial, ambient: AmbientSpace,
                    engine: CorrelatorEngine) -> Fraction:
     merged = tuple(a + b for a, b in zip(term.psi_exps, t.psi_exps))
     return engine.psi_kappa_integral(ambient.g, merged, term.kappa_parts + t.kappa_parts)
 
 
-def _pair_separating(term: SeparatingStratum, t: TestMonomial,
+def _pair_separating(term: SeparatingStratum, pullback,
                      engine: CorrelatorEngine) -> Fraction:
-    left_labels = sorted(term.markings1)
-    right_labels = sorted(term.markings2())
-    deco1 = tuple(term.marking_exps[i - 1] for i in left_labels)
-    deco2 = tuple(term.marking_exps[i - 1] for i in right_labels)
+    # Both factors are stable (checked on construction) and the test was
+    # checked by pair_with_test, so the factor integrals take the engine's
+    # internal path with sorted exponents and kappa parts.
+    g1, g2 = term.g1, term.g2
+    if g1 < 0 or g2 < 0:
+        raise ValueError("genus must be nonnegative")
+    left_labels, right_labels, rows = pullback
+    deco1 = [term.marking_exps[i - 1] for i in left_labels]
+    deco2 = [term.marking_exps[i - 1] for i in right_labels]
     a, b = term.node_exps
+    # factor 1's dimension gate, taken before its exponent tuple is built
+    degree1 = 3 * g1 - 2 + len(deco1) - sum(deco1) - a
     total = ZERO
-    for t1, t2, mult in pullback_test_to_separating(t, term):
-        d1 = tuple(x + y for x, y in zip(deco1, t1.psi_exps)) + (a,)
-        f1 = engine.psi_kappa_integral(term.g1, d1, t1.kappa_parts)
+    for test_degree1, psi1, psi2, k1, k2, mult in rows:
+        if test_degree1 != degree1:
+            continue
+        d1 = sorted([x + y for x, y in zip(deco1, psi1)] + [a])
+        f1 = engine._psi_kappa(g1, tuple(d1), k1)
         if not f1:
             continue
-        d2 = tuple(x + y for x, y in zip(deco2, t2.psi_exps)) + (b,)
-        f2 = engine.psi_kappa_integral(term.g2, d2, t2.kappa_parts)
-        total += mult * f1 * f2
+        d2 = sorted([x + y for x, y in zip(deco2, psi2)] + [b])
+        f2 = engine._psi_kappa(g2, tuple(d2), k2)
+        if f2:
+            total += mult * f1 * f2
     return total
 
 
@@ -328,22 +358,34 @@ def pair_with_test(expr: ClassExpr, t: TestMonomial,
     """Exact pairing of a class expression against a test monomial.
 
     Returns 0 whenever the degrees are not complementary (the trivial
-    pairing); the value is linear in the expression.
+    pairing); the value is linear in the expression.  A test with a
+    negative psi exponent or a kappa index below 1 raises ``ValueError``.
     """
     engine = engine or default_engine()
     if len(t.psi_exps) != expr.ambient.n:
         raise ValueError("marking referenced by the test is absent from the ambient space")
     if expr.degree + t.degree != expr.ambient.dim:
         return ZERO
+    # coerce and check the test once, as the public engine call would per integral
+    t = TestMonomial(tuple(map(int, t.psi_exps)), tuple(map(int, t.kappa_parts)))
+    if any(x < 0 for x in t.psi_exps):
+        raise ValueError("negative descendent level")
+    if any(x <= 0 for x in t.kappa_parts):
+        raise ValueError("kappa index must be positive")
+    pullbacks = {}  # markings1 -> _pullback_rows of t
     total = ZERO
     for coeff, term in expr.terms:
         if isinstance(term, InteriorTerm):
             value = _pair_interior(term, t, expr.ambient, engine)
         elif isinstance(term, SeparatingStratum):
-            value = _pair_separating(term, t, engine)
+            pullback = pullbacks.get(term.markings1)
+            if pullback is None:
+                pullback = pullbacks[term.markings1] = _pullback_rows(t, term)
+            value = _pair_separating(term, pullback, engine)
         else:
             value = _pair_nonseparating(term, t, engine)
-        total += coeff * value
+        if value:
+            total += coeff * value
     return total
 
 

@@ -202,6 +202,22 @@ def test_cache_missing_file(capsys, tmp_path):
         assert err == f"error: no such cache file: {missing}\n"
 
 
+def test_cache_directory_is_one_error_line(capsys, tmp_path):
+    for action in ("stats", "load"):
+        code, out, err = run(capsys, "cache", action, str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cache {tmp_path}: ") and err.count("\n") == 1
+
+
+def test_cache_undecodable_file_is_one_error_line(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    for action in ("stats", "load"):
+        code, out, err = run(capsys, "cache", action, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cache {bad}: ") and err.count("\n") == 1
+
+
 def _bytes_and_mtime(path):
     return path.read_bytes(), path.stat().st_mtime_ns
 

@@ -204,3 +204,117 @@ def test_render_grammar():
     expr = ClassExpr.make(AmbientSpace(2, 1), 4, [(Fraction(-1, 2), InteriorTerm((4,)))])
     assert expr.render() == "-1/2 * psi_1^4"
     assert ClassExpr.zero(AmbientSpace(2, 1), 4).render() == "0"
+
+
+def _reference_pair(expr, t, engine):
+    """Term-by-term pairing: the full pullback of the test for every
+    separating term, every factor integral through the public call."""
+    if expr.degree + t.degree != expr.ambient.dim:
+        return Fraction(0)
+    total = Fraction(0)
+    for coeff, term in expr.terms:
+        if isinstance(term, InteriorTerm):
+            merged = tuple(x + y for x, y in zip(term.psi_exps, t.psi_exps))
+            value = engine.psi_kappa_integral(
+                expr.ambient.g, merged, term.kappa_parts + t.kappa_parts)
+        elif isinstance(term, SeparatingStratum):
+            deco1 = [term.marking_exps[i - 1] for i in sorted(term.markings1)]
+            deco2 = [term.marking_exps[i - 1] for i in sorted(term.markings2())]
+            a, b = term.node_exps
+            value = Fraction(0)
+            for t1, t2, mult in pullback_test_to_separating(t, term):
+                d1 = [x + y for x, y in zip(deco1, t1.psi_exps)] + [a]
+                f1 = engine.psi_kappa_integral(term.g1, d1, t1.kappa_parts)
+                d2 = [x + y for x, y in zip(deco2, t2.psi_exps)] + [b]
+                f2 = engine.psi_kappa_integral(term.g2, d2, t2.kappa_parts) if f1 else 0
+                value += mult * f1 * f2
+        else:
+            d = tuple(x + y for x, y in zip(term.marking_exps, t.psi_exps)) + term.node_exps
+            value = engine.psi_kappa_integral(term.source_g, d, t.kappa_parts)
+        total += coeff * value
+    return total
+
+
+def _parity_expressions():
+    from tautrr.relations import build_bbt, build_fqq, build_variation, build_vpe
+
+    for g in range(1, 5):
+        for r in range(0, 4):
+            yield build_bbt(g, r)
+    for g in range(1, 4):
+        for r in range(0, 3):
+            yield build_fqq(g, r)
+    for g in range(0, 3):
+        for n1, n2 in ((2, 2), (2, 3)):
+            for r in range(0, 3):
+                yield build_variation(g, n1, n2, r)
+    for g in range(1, 3):
+        for r in (1, 3):
+            yield build_vpe(g, r)
+    # a stratum next to its swapped twin and an interior term: two marking
+    # splits ({1} and {2}) in one call
+    s = SeparatingStratum(1, 2, frozenset({1}), (1, 0), (0, 1))
+    yield ClassExpr.make(AmbientSpace(3, 2), 3, [
+        (Fraction(2, 3), s), (-5, s.swapped()),
+        (7, SeparatingStratum(2, 1, frozenset({1}), (0, 2), (0, 0))),
+        (1, InteriorTerm((1, 1), (1,))),
+    ])
+
+
+def test_pairing_matches_term_by_term_reference():
+    engine, reference = CorrelatorEngine(), CorrelatorEngine()
+    repeated_kappa = nonzero = 0
+    for expr in _parity_expressions():
+        complement = expr.ambient.dim - expr.degree
+        if complement < 0:
+            continue
+        separating = ClassExpr(expr.ambient, expr.degree, tuple(
+            (c, term) for c, term in expr.terms if isinstance(term, SeparatingStratum)))
+        for t in enumerate_tests(expr.ambient, complement):
+            repeated_kappa += len(set(t.kappa_parts)) < len(t.kappa_parts)
+            for e in (expr, separating):
+                value = pair_with_test(e, t, engine)
+                assert value == _reference_pair(e, t, reference), (e.render(), t)
+                nonzero += value != 0
+    assert repeated_kappa > 0 and nonzero > 0
+    # the same integrals were computed, under the same canonical keys
+    assert engine.entries() == reference.entries()
+
+
+MALFORMED_TESTS = [
+    (TestMonomial((0,), (0, 1)), "kappa index must be positive"),
+    (TestMonomial((-1,), (2,)), "negative descendent level"),
+    (TestMonomial((2,), (-1,)), "kappa index must be positive"),
+]
+
+
+@pytest.mark.parametrize("term", [
+    SeparatingStratum(1, 1, frozenset({1}), (2, 0), (0,)),
+    InteriorTerm((0,), (3,)),
+])
+def test_pair_rejects_malformed_test(engine, term):
+    expr = ClassExpr.make(AmbientSpace(2, 1), 3, [(1, term)])
+    for t, message in MALFORMED_TESTS:
+        with pytest.raises(ValueError, match=message):
+            pair_with_test(expr, t, engine)
+    # the degree check comes first: a mismatched malformed test pairs to 0
+    assert pair_with_test(expr, TestMonomial((0,), (0, 2)), engine) == 0
+    assert pair_with_test(expr, TestMonomial((-1,), (0,)), engine) == 0
+
+
+def test_pair_rejects_negative_factor_genus(engine):
+    s = SeparatingStratum(-1, 3, frozenset({1, 2, 3, 4}), (0, 0), (0, 0, 0, 0))
+    expr = ClassExpr.make(AmbientSpace(2, 4), 1, [(1, s)])
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        pair_with_test(expr, TestMonomial((6, 0, 0, 0)), engine)
+
+
+def test_pair_coerces_test_exponents_once(engine):
+    # integral-valued floats pair like ints and leave only int keys behind
+    s = SeparatingStratum(1, 1, frozenset({1}), (2, 0), (0,))
+    expr = ClassExpr.make(AmbientSpace(2, 1), 3, [(1, s), (1, InteriorTerm((3,)))])
+    value = pair_with_test(expr, TestMonomial((0.0,), (1.0,)), engine)
+    assert value == pair_with_test(expr, TestMonomial((0,), (1,)), CorrelatorEngine())
+    assert value != 0
+    assert all(type(x) is int for key in engine.entries()
+               for x in key.psi_exps + key.kappa_parts)
