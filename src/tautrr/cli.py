@@ -8,6 +8,10 @@ the ``millis`` field.
 
 Exit codes: 0 if every check in the run passed, 1 on verification or data
 failure, 2 on usage errors.
+
+``verify`` sweeps come from one table, :data:`SWEEPS`: per relation the
+default ranges, the parameters held to :data:`FORCE_LIMITS` and a runner
+making one verifier call per parameter tuple.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import io
 import json
 import os
 import sys
+from typing import Callable, Iterable, NamedTuple
 
 from .cache import (
     CacheFormatError,
@@ -39,19 +44,9 @@ from .relations import (
     verify_vyt,
     verify_xi_witness,
 )
-from .universal import (
-    conjc_sweep_report,
-    conjc_threshold,
-    sreduce_sweep_report,
-    symmetry_sweep_report,
-)
+from .universal import is_stated, sweep_report
 
 CACHE_ENV_VAR = "TAUTRR_CACHE"
-
-RELATIONS = (
-    "bbt", "variation", "fqq", "vyt", "vpe", "xi-witness",
-    "conjC", "sreduce", "symmetry",
-)
 
 #: desk-scale ceilings; anything larger needs --force
 FORCE_LIMITS = {
@@ -153,109 +148,85 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_limits(args, values: dict[str, list[int]]) -> str | None:
-    for name, vals in values.items():
-        limit = FORCE_LIMITS.get(name)
-        if limit is not None and vals and max(vals) > limit:
-            if not args.force:
-                return (
-                    f"--{name} {max(vals)} exceeds the desk-scale default ({limit}); "
-                    "pass --force to unlock larger sweeps"
-                )
-            print(
-                f"warning: --{name} {max(vals)} is beyond desk scale; "
-                "expect combinatorial growth",
-                file=sys.stderr,
-            )
-    return None
+class Sweep(NamedTuple):
+    """How ``verify`` sweeps one relation, one report per parameter tuple.
+
+    ``r_values(g)`` is the default --r at genus g, or None for a
+    point-target identity, whose tuples run over --r, --s and --m and keep
+    those the identity is stated at.  ``limited`` lists the parameters held
+    to FORCE_LIMITS in the order the gate checks them; ``options`` are
+    passed to every tuple between g and r.  ``run(relation, params,
+    engine)`` makes one verifier call.
+    """
+
+    genera: range  # default --g
+    r_values: Callable[[int], Iterable[int]] | None
+    limited: tuple[str, ...]
+    run: Callable
+    options: tuple[str, ...] = ()
 
 
-def _run_relation(params, engine):
-    kind = params[0]
-    if kind == "bbt":
-        _, g, r = params
-        return verify(build_bbt(g, r), "bbt", {"g": g, "r": r}, engine)
-    if kind == "variation":
-        _, g, n1, n2, r = params
-        return verify(build_variation(g, n1, n2, r), "variation",
-                      {"g": g, "n1": n1, "n2": n2, "r": r}, engine)
-    if kind == "fqq":
-        _, g, r = params
-        return verify(build_fqq(g, r), "fqq", {"g": g, "r": r}, engine)
-    if kind == "vyt":
-        _, g, r = params
-        return verify_vyt(g, r, engine)
-    if kind == "vpe":
-        _, g, r = params
-        return verify(build_vpe(g, r), "vpe", {"g": g, "r": r}, engine)
-    if kind == "xi-witness":
-        _, g, r = params
-        return verify_xi_witness(g, r, engine)
-    if kind == "conjC":
-        _, g, r, s, m, levels = params
-        return conjc_sweep_report(g, r, s, m, levels, engine)
-    if kind == "symmetry":
-        _, g, r, s, m, levels = params
-        return symmetry_sweep_report(g, r, s, m, levels, engine)
-    if kind == "sreduce":
-        _, g, r, s, m, levels = params
-        return sreduce_sweep_report(g, r, s, m, levels, engine)
-    raise ValueError(f"unknown relation {kind!r}")
+# Runners name the verifiers and builders in their bodies, so these are
+# looked up as module globals at call time and a wrapper bound onto this
+# module sees every call.
+_POINT_TARGET = Sweep(range(0, 3), None, ("g", "r", "s", "levels"),
+                      lambda rel, p, e: sweep_report(rel, engine=e, **p))
+
+#: relation -> its sweep, in the order ``verify --help`` lists them
+SWEEPS = {
+    "bbt": Sweep(range(1, 6), lambda g: range(0, max(g - 1, 1)), ("g",),
+                 lambda rel, p, e: verify(build_bbt(**p), rel, p, e)),
+    "variation": Sweep(range(0, 4), lambda g: range(0, 2), ("g", "n1", "n2"),
+                       lambda rel, p, e: verify(build_variation(**p), rel, p, e),
+                       options=("n1", "n2")),
+    "fqq": Sweep(range(1, 5), lambda g: range(0, 3), ("g",),
+                 lambda rel, p, e: verify(build_fqq(**p), rel, p, e)),
+    "vyt": Sweep(range(1, 5), lambda g: range(1, max(g, 2)), ("g",),
+                 lambda rel, p, e: verify_vyt(**p, engine=e)),
+    "vpe": Sweep(range(1, 4), lambda g: (1, 3), ("g",),
+                 lambda rel, p, e: verify(build_vpe(**p), rel, p, e)),
+    "xi-witness": Sweep(range(2, 6), lambda g: range(0, g - 1), ("g",),
+                        lambda rel, p, e: verify_xi_witness(**p, engine=e)),
+    "conjC": _POINT_TARGET,
+    "sreduce": _POINT_TARGET,
+    "symmetry": _POINT_TARGET,
+}
 
 
-def _build_param_tuples(args) -> list[tuple]:
-    relation = args.relation
-    gs = parse_range(args.g) if args.g else None
-    rs = parse_range(args.r) if args.r else None
-    ss = parse_range(args.s) if args.s else None
-    ms = parse_range(args.m) if args.m else None
-    levels = parse_range(args.levels) if args.levels else None
-
-    tuples: list[tuple] = []
-    if relation == "bbt":
-        for g in gs or range(1, 6):
-            for r in rs if rs is not None else range(0, max(g - 1, 1)):
-                tuples.append(("bbt", g, r))
-    elif relation == "variation":
-        for g in gs or range(0, 4):
-            for r in rs if rs is not None else range(0, 2):
-                tuples.append(("variation", g, args.n1, args.n2, r))
-    elif relation == "fqq":
-        for g in gs or range(1, 5):
-            for r in rs if rs is not None else range(0, 3):
-                tuples.append(("fqq", g, r))
-    elif relation == "vyt":
-        for g in gs or range(1, 5):
-            for r in rs if rs is not None else range(1, max(g, 2)):
-                tuples.append(("vyt", g, r))
-    elif relation == "vpe":
-        for g in gs or range(1, 4):
-            for r in rs if rs is not None else (1, 3):
-                tuples.append(("vpe", g, r))
-    elif relation == "xi-witness":
-        for g in gs or range(2, 6):
-            for r in rs if rs is not None else range(0, g - 1):
-                tuples.append(("xi-witness", g, r))
-    else:
-        lv = levels or list(range(0, 4))
-        for g in gs or range(0, 3):
-            r_range = rs if rs is not None else range(0, 3)
-            s_range = ss if ss is not None else range(0, 3)
-            for r in r_range:
-                if relation == "sreduce" and r < 1:
-                    continue
-                for s in s_range:
-                    lo = max(0, conjc_threshold(g, r, s))
-                    if relation in ("sreduce", "symmetry"):
-                        lo = 1 if relation == "sreduce" else 0
-                    m_range = ms if ms is not None else range(lo, 3 * g + 4)
-                    for m in m_range:
-                        if relation == "conjC" and m < conjc_threshold(g, r, s):
-                            continue
-                        if relation == "sreduce" and m < 1:
-                            continue
-                        tuples.append((relation, g, r, s, m, tuple(lv)))
+def _param_tuples(args, sweep: Sweep) -> list[dict]:
+    gs, rs, ss, ms, levels = [parse_range(text) if text else None
+                              for text in (args.g, args.r, args.s, args.m, args.levels)]
+    options = {name: getattr(args, name) for name in sweep.options}
+    levels = tuple(levels or range(0, 4))
+    tuples = []
+    for g in gs or sweep.genera:
+        if sweep.r_values is not None:
+            tuples += [{"g": g, **options, "r": r}
+                       for r in (rs if rs is not None else sweep.r_values(g))]
+            continue
+        for r in rs if rs is not None else range(0, 3):
+            for s in ss if ss is not None else range(0, 3):
+                for m in ms if ms is not None else range(0, 3 * g + 4):
+                    if is_stated(args.relation, g, r, s, m):
+                        tuples.append({"g": g, "r": r, "s": s, "m": m, "levels": levels})
+    if not tuples:
+        raise ValueError("empty parameter range")
     return tuples
+
+
+def _check_limits(args, sweep: Sweep, tuples: list[dict]) -> None:
+    """Raise at the first parameter beyond FORCE_LIMITS; with --force, warn
+    about each of them instead."""
+    for name in sweep.limited:
+        # levels is the one parameter that holds a list of values
+        top = max(max(p[name]) if name == "levels" else p[name] for p in tuples)
+        limit = FORCE_LIMITS[name]
+        if top > limit and not args.force:
+            raise ValueError(f"--{name} {top} exceeds the desk-scale default ({limit}); "
+                             "pass --force to unlock larger sweeps")
+        if top > limit:
+            print(f"warning: --{name} {top} is beyond desk scale; "
+                  "expect combinatorial growth", file=sys.stderr)
 
 
 def _write_error(path, exc: OSError) -> int:
@@ -315,45 +286,16 @@ def cmd_verify(args) -> int:
 
 
 def _verify(args, engine) -> int:
+    sweep = SWEEPS[args.relation]
     try:
-        tuples = _build_param_tuples(args)
+        tuples = _param_tuples(args, sweep)
+        _check_limits(args, sweep, tuples)
+        reports = [sweep.run(args.relation, p, engine) for p in tuples]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not tuples:
-        print("error: empty parameter range", file=sys.stderr)
-        return 2
-
-    ranges: dict[str, list[int]] = {}
-    for t in tuples:
-        if t[0] in ("conjC", "sreduce", "symmetry"):
-            ranges.setdefault("g", []).append(t[1])
-            ranges.setdefault("r", []).append(t[2])
-            ranges.setdefault("s", []).append(t[3])
-            ranges.setdefault("levels", []).extend(t[5])
-        elif t[0] == "variation":
-            ranges.setdefault("g", []).append(t[1])
-            ranges.setdefault("n1", []).append(t[2])
-            ranges.setdefault("n2", []).append(t[3])
-        else:
-            ranges.setdefault("g", []).append(t[1])
-    message = _check_limits(args, ranges)
-    if message:
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-
-    try:
-        reports = [_run_relation(t, engine) for t in tuples]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.format == "json":
-        text = render_reports_json(reports)
-    elif args.format == "csv":
-        text = render_reports_csv(reports)
-    else:
-        text = render_reports_text(reports)
+    text = {"json": render_reports_json, "csv": render_reports_csv,
+            "text": render_reports_text}[args.format](reports)
     try:
         _emit(text, args.out)
     except OSError as exc:
@@ -402,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.set_defaults(func=cmd_integral)
 
     p_ver = sub.add_parser("verify", help="run a relation sweep and report")
-    p_ver.add_argument("relation", choices=RELATIONS)
+    p_ver.add_argument("relation", choices=list(SWEEPS))
     p_ver.add_argument("--g", default=None, help="genus range, e.g. 2..5")
     p_ver.add_argument("--r", default=None, help="r range")
     p_ver.add_argument("--s", default=None, help="s range")

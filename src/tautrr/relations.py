@@ -52,10 +52,21 @@ class VerificationReport:
         return [(label, value) for label, value in self.pairings if value != 0]
 
 
-def _interior_psi_power(ambient: AmbientSpace, marking: int, power: int) -> InteriorTerm:
-    exps = [0] * ambient.n
-    exps[marking - 1] = power
-    return InteriorTerm(tuple(exps))
+def _boundary_sum(ambient: AmbientSpace, genera, node_total: int, markings1,
+                  coeff=lambda g2, sign: sign) -> list:
+    """The alternating boundary sum as (coefficient, stratum) terms.
+
+    Over g1 in ``genera`` and node exponents a + b = ``node_total``, in that
+    order: coeff(g2, (-1)^a) times the separating stratum of genera
+    (g1, g2 = ambient genus - g1) with ``markings1`` on the first factor
+    and no marking decorations.
+    """
+    zeros = (0,) * ambient.n
+    return [
+        (coeff(ambient.g - g1, (-1) ** a),
+         SeparatingStratum(g1, ambient.g - g1, markings1, (a, node_total - a), zeros))
+        for g1 in genera for a in range(node_total + 1)
+    ]
 
 
 def build_bbt(g: int, r: int) -> ClassExpr:
@@ -70,18 +81,9 @@ def build_bbt(g: int, r: int) -> ClassExpr:
         raise ValueError("need g >= 1 and r >= 0")
     ambient = AmbientSpace(g, 1)
     degree = 2 * g + r
-    terms: list[tuple[Fraction, object]] = [
-        (Fraction(1), _interior_psi_power(ambient, 1, degree))
-    ]
-    for g1 in range(1, g):
-        g2 = g - g1
-        for a in range(0, 2 * g + r):
-            b = 2 * g - 1 + r - a
-            coeff = -Fraction(g2, g) * (-1) ** a
-            terms.append(
-                (coeff, SeparatingStratum(g1, g2, frozenset({1}), (a, b), (0,)))
-            )
-    return ClassExpr.make(ambient, degree, terms)
+    boundary = _boundary_sum(ambient, range(1, g), degree - 1, frozenset({1}),
+                             lambda g2, sign: -Fraction(g2, g) * sign)
+    return ClassExpr.make(ambient, degree, [(1, InteriorTerm((degree,)))] + boundary)
 
 
 def build_variation(g: int, n1: int, n2: int, r: int) -> ClassExpr:
@@ -94,18 +96,8 @@ def build_variation(g: int, n1: int, n2: int, r: int) -> ClassExpr:
         raise ValueError("need g >= 0 and r >= 0")
     ambient = AmbientSpace(g, n1 + n2)
     node_total = 2 * g + n1 + n2 - 3 + r
-    degree = node_total + 1
-    first = frozenset(range(1, n1 + 1))
-    zeros = (0,) * (n1 + n2)
-    terms = []
-    for g1 in range(0, g + 1):
-        g2 = g - g1
-        for a in range(0, node_total + 1):
-            b = node_total - a
-            terms.append(
-                (Fraction((-1) ** a), SeparatingStratum(g1, g2, first, (a, b), zeros))
-            )
-    return ClassExpr.make(ambient, degree, terms)
+    return ClassExpr.make(ambient, node_total + 1, _boundary_sum(
+        ambient, range(0, g + 1), node_total, frozenset(range(1, n1 + 1))))
 
 
 def build_fqq(g: int, r: int) -> ClassExpr:
@@ -118,18 +110,9 @@ def build_fqq(g: int, r: int) -> ClassExpr:
         raise ValueError("need g >= 1 and r >= 0")
     ambient = AmbientSpace(g, 2)
     degree = 2 * g + r
-    terms: list[tuple[Fraction, object]] = [
-        (Fraction(-1), _interior_psi_power(ambient, 1, degree)),
-        (Fraction((-1) ** r), _interior_psi_power(ambient, 2, degree)),
-    ]
-    for g1 in range(1, g):
-        g2 = g - g1
-        for a in range(0, 2 * g + r):
-            b = 2 * g - 1 + r - a
-            terms.append(
-                (Fraction((-1) ** a), SeparatingStratum(g1, g2, frozenset({1}), (a, b), (0, 0)))
-            )
-    return ClassExpr.make(ambient, degree, terms)
+    interior = [(-1, InteriorTerm((degree, 0))), ((-1) ** r, InteriorTerm((0, degree)))]
+    return ClassExpr.make(ambient, degree, interior + _boundary_sum(
+        ambient, range(1, g), degree - 1, frozenset({1})))
 
 
 def build_xi(g: int, r: int) -> ClassExpr:
@@ -154,16 +137,9 @@ def build_vpe(g: int, r: int) -> ClassExpr:
         raise ValueError("vpe stated for odd r only")
     ambient = AmbientSpace(g + 1, 0)
     degree = 2 * g + r
-    terms: list[tuple[Fraction, object]] = [
-        (Fraction(1), InteriorTerm((), (degree,)))
-    ]
-    for g1 in range(1, g + 1):
-        g2 = g + 1 - g1
-        for a in range(0, 2 * g + r):
-            b = 2 * g - 1 + r - a
-            coeff = Fraction((-1) ** a, 2)
-            terms.append((coeff, SeparatingStratum(g1, g2, frozenset(), (a, b), ())))
-    return ClassExpr.make(ambient, degree, terms)
+    boundary = _boundary_sum(ambient, range(1, g + 1), degree - 1, frozenset(),
+                             lambda g2, sign: Fraction(sign, 2))
+    return ClassExpr.make(ambient, degree, [(1, InteriorTerm((), (degree,)))] + boundary)
 
 
 def verify(expr: ClassExpr, relation: str = "expr", params: dict | None = None,

@@ -82,6 +82,12 @@ class InteriorTerm:
     psi_exps: tuple[int, ...]
     kappa_parts: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        if any(e < 0 for e in self.psi_exps):
+            raise ValueError("negative decoration exponent")
+        if any(b < 1 for b in self.kappa_parts):
+            raise ValueError("kappa index must be positive")
+
     @property
     def degree(self) -> int:
         return sum(self.psi_exps) + sum(self.kappa_parts)
@@ -109,6 +115,8 @@ class SeparatingStratum:
     def __post_init__(self):
         if min(self.node_exps) < 0 or any(e < 0 for e in self.marking_exps):
             raise ValueError("negative decoration exponent")
+        if self.g1 < 0 or self.g2 < 0:
+            raise ValueError("genus must be nonnegative")
         n = len(self.marking_exps)
         if not all(1 <= i <= n for i in self.markings1):
             raise ValueError("marking label outside the ambient marking set")
@@ -157,6 +165,8 @@ class NonSeparatingPushforward:
     def __post_init__(self):
         if min(self.node_exps) < 0 or any(e < 0 for e in self.marking_exps):
             raise ValueError("negative decoration exponent")
+        if self.source_g < 0:
+            raise ValueError("genus must be nonnegative")
         if not is_stable(self.source_g, len(self.marking_exps) + 2):
             raise ValueError("unstable gluing source")
 
@@ -318,12 +328,10 @@ def _pair_interior(term: InteriorTerm, t: TestMonomial, ambient: AmbientSpace,
 
 def _pair_separating(term: SeparatingStratum, pullback,
                      engine: CorrelatorEngine) -> Fraction:
-    # Both factors are stable (checked on construction) and the test was
-    # checked by pair_with_test, so the factor integrals take the engine's
-    # internal path with sorted exponents and kappa parts.
+    # Both factors are stable of nonnegative genus (checked on construction)
+    # and the test was checked by pair_with_test, so the factor integrals
+    # take the engine's internal path with sorted exponents and kappa parts.
     g1, g2 = term.g1, term.g2
-    if g1 < 0 or g2 < 0:
-        raise ValueError("genus must be nonnegative")
     left_labels, right_labels, rows = pullback
     deco1 = [term.marking_exps[i - 1] for i in left_labels]
     deco2 = [term.marking_exps[i - 1] for i in right_labels]

@@ -12,6 +12,11 @@ Vector fields are finite rational combinations of coordinate fields
 construction, and the form is multilinear in every slot.  Unstable or
 dimension-violating correlators contribute 0 silently, since the genus
 splittings legitimately range over them.
+
+Each identity of the form (above-threshold vanishing ``conjC``, slot-swap
+``symmetry``, string-field reduction ``sreduce``) is one residual function,
+exactly 0 where the identity holds; the single checks and the one grid
+driver :func:`sweep_report` evaluate the same residuals.
 """
 
 from __future__ import annotations
@@ -67,9 +72,6 @@ class VectorFieldPt:
 def tau(n: int) -> VectorFieldPt:
     """The coordinate field at descendent level n (zero field for n < 0)."""
     return VectorFieldPt.make([(n, Fraction(1))])
-
-
-ZERO_FIELD = VectorFieldPt(())
 
 
 def tau_shift(w: VectorFieldPt, k: int) -> VectorFieldPt:
@@ -165,13 +167,51 @@ def render_slots(W, V) -> str:
     return f"[{left} | {right}]"
 
 
+def _conjc_residual(r, s, g, m, W, V, engine):
+    """The form itself, which vanishes at or above the conjecture threshold."""
+    return psi_eval(r, s, g, m, W, V, engine)
+
+
+def _symmetry_residual(r, s, g, m, W, V, engine):
+    """The form minus (-1)^m times its slot-swapped mirror."""
+    return psi_eval(r, s, g, m, W, V, engine) - (-1) ** m * psi_eval(s, r, g, m, V, W, engine)
+
+
+def _sreduce_residual(r, s, g, m, W, V, engine):
+    """String-field reduction with the string field in the last slot of W:
+    the form minus (-(the form at m - 1 without that slot) plus one
+    down-shift term per remaining slot)."""
+    rest = W[:-1]
+    lhs = psi_eval(r, s, g, m, W, V, engine)
+    rhs = -psi_eval(r - 1, s, g, m - 1, rest, V, engine)
+    for i in range(len(rest)):
+        shifted = rest[:i] + [tau_shift(rest[i], -1)] + rest[i + 1:]
+        rhs += psi_eval(r - 1, s, g, m, shifted, V, engine)
+    return lhs - rhs
+
+
+#: identity -> (residual, slots it fixes at the end of W, whether it is
+#: stated at (g, r, s, m))
+IDENTITIES = {
+    "conjC": (_conjc_residual, (), lambda g, r, s, m: m >= conjc_threshold(g, r, s)),
+    "sreduce": (_sreduce_residual, (string_field_at_origin(),),
+                lambda g, r, s, m: r >= 1 and m >= 1),
+    "symmetry": (_symmetry_residual, (), lambda g, r, s, m: True),
+}
+
+
+def is_stated(relation: str, g: int, r: int, s: int, m: int) -> bool:
+    """Whether the point-target identity ``relation`` is stated at (g, r, s, m)."""
+    return IDENTITIES[relation][2](g, r, s, m)
+
+
 def verify_conjC(g: int, r: int, s: int, m: int, W, V,
                  engine: CorrelatorEngine | None = None) -> VerificationReport:
     """Check the above-threshold vanishing for one slot assignment."""
     if m < conjc_threshold(g, r, s):
         raise ValueError("below conjecture threshold")
     start = time.perf_counter()
-    value = psi_eval(r, s, g, m, W, V, engine)
+    value = _conjc_residual(r, s, g, m, W, V, engine)
     report = VerificationReport(
         "conjC",
         {"g": g, "r": r, "s": s, "m": m, "slots": render_slots(W, V)},
@@ -185,9 +225,7 @@ def verify_conjC(g: int, r: int, s: int, m: int, W, V,
 def symmetry_check(r: int, s: int, g: int, m: int, W, V,
                    engine: CorrelatorEngine | None = None) -> bool:
     """Exact slot-swap symmetry: the form equals (-1)^m its mirror."""
-    lhs = psi_eval(r, s, g, m, W, V, engine)
-    rhs = (-1) ** m * psi_eval(s, r, g, m, V, W, engine)
-    return lhs == rhs
+    return _symmetry_residual(r, s, g, m, W, V, engine) == 0
 
 
 def sreduce_check(r: int, s: int, g: int, m: int, W, V,
@@ -204,80 +242,26 @@ def sreduce_check(r: int, s: int, g: int, m: int, W, V,
         raise ValueError("need m >= 1")
     if len(W) != r - 1:
         raise ValueError("expected r - 1 fields in W")
-    lhs = psi_eval(r, s, g, m, W + [string_field_at_origin()], V, engine)
-    rhs = -psi_eval(r - 1, s, g, m - 1, W, V, engine)
-    for i in range(len(W)):
-        shifted = W[:i] + [tau_shift(W[i], -1)] + W[i + 1:]
-        rhs += psi_eval(r - 1, s, g, m, shifted, V, engine)
-    return lhs == rhs
+    return _sreduce_residual(r, s, g, m, W + [string_field_at_origin()], V, engine) == 0
 
 
-# ----------------------------------------------------------------------
-# sweep reports (one report per parameter tuple; each slot assignment is
-# one labelled entry)
-# ----------------------------------------------------------------------
+def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,
+                 engine: CorrelatorEngine | None = None) -> VerificationReport:
+    """One report of a point-target identity at a tuple where it is stated
+    (see :func:`is_stated`).
 
-
-def _slot_tuples(count: int, levels) -> list[tuple[int, ...]]:
-    return list(itertools.combinations_with_replacement(levels, count))
-
-
-def conjc_sweep_report(g: int, r: int, s: int, m: int, levels,
-                       engine: CorrelatorEngine | None = None) -> VerificationReport:
-    """Vanishing check over every coordinate-field multiset with levels in
-    the given range, reported as one entry per slot assignment."""
-    engine = engine or default_engine()
+    Every multiset of coordinate fields with levels in ``levels`` fills the
+    free slots; each assignment is one entry recording the residual, and
+    the report passes iff every residual is 0.
+    """
+    residual, fixed, _ = IDENTITIES[relation]
     start = time.perf_counter()
-    report = VerificationReport("conjC", {"g": g, "r": r, "s": s, "m": m})
-    if m < conjc_threshold(g, r, s):
-        raise ValueError("below conjecture threshold")
-    for wlv in _slot_tuples(r, levels):
-        W = [tau(x) for x in wlv]
-        for vlv in _slot_tuples(s, levels):
+    report = VerificationReport(relation, {"g": g, "r": r, "s": s, "m": m})
+    for wlv in itertools.combinations_with_replacement(levels, r - len(fixed)):
+        W = [tau(x) for x in wlv] + list(fixed)
+        for vlv in itertools.combinations_with_replacement(levels, s):
             V = [tau(x) for x in vlv]
-            value = psi_eval(r, s, g, m, W, V, engine)
-            report.pairings.append((render_slots(W, V), value))
-    report.passed = all(value == 0 for _, value in report.pairings)
-    report.millis = int((time.perf_counter() - start) * 1000)
-    return report
-
-
-def symmetry_sweep_report(g: int, r: int, s: int, m: int, levels,
-                          engine: CorrelatorEngine | None = None) -> VerificationReport:
-    """Slot-swap symmetry over the same grid; entries record lhs - rhs."""
-    engine = engine or default_engine()
-    start = time.perf_counter()
-    report = VerificationReport("symmetry", {"g": g, "r": r, "s": s, "m": m})
-    for wlv in _slot_tuples(r, levels):
-        W = [tau(x) for x in wlv]
-        for vlv in _slot_tuples(s, levels):
-            V = [tau(x) for x in vlv]
-            diff = psi_eval(r, s, g, m, W, V, engine) \
-                - (-1) ** m * psi_eval(s, r, g, m, V, W, engine)
-            report.pairings.append((render_slots(W, V), diff))
-    report.passed = all(value == 0 for _, value in report.pairings)
-    report.millis = int((time.perf_counter() - start) * 1000)
-    return report
-
-
-def sreduce_sweep_report(g: int, r: int, s: int, m: int, levels,
-                         engine: CorrelatorEngine | None = None) -> VerificationReport:
-    """String-field reduction over the grid; entries record lhs - rhs."""
-    engine = engine or default_engine()
-    if r < 1 or m < 1:
-        raise ValueError("need r >= 1 and m >= 1")
-    start = time.perf_counter()
-    report = VerificationReport("sreduce", {"g": g, "r": r, "s": s, "m": m})
-    for wlv in _slot_tuples(r - 1, levels):
-        W = [tau(x) for x in wlv]
-        for vlv in _slot_tuples(s, levels):
-            V = [tau(x) for x in vlv]
-            lhs = psi_eval(r, s, g, m, W + [string_field_at_origin()], V, engine)
-            rhs = -psi_eval(r - 1, s, g, m - 1, W, V, engine)
-            for i in range(len(W)):
-                shifted = W[:i] + [tau_shift(W[i], -1)] + W[i + 1:]
-                rhs += psi_eval(r - 1, s, g, m, shifted, V, engine)
-            report.pairings.append((render_slots(W + [string_field_at_origin()], V), lhs - rhs))
+            report.pairings.append((render_slots(W, V), residual(r, s, g, m, W, V, engine)))
     report.passed = all(value == 0 for _, value in report.pairings)
     report.millis = int((time.perf_counter() - start) * 1000)
     return report

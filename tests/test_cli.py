@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, report schema, cache flows."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -290,3 +292,145 @@ def test_unusable_paths_end_in_one_error_line(capsys, tmp_path):
     code, _, err = run(capsys, "integral", "-g", "1", "-d", "1", "--cache", str(tmp_path))
     assert code == 1
     assert err.startswith(f"error: cache {tmp_path}: ") and err.count("\n") == 1
+
+
+def _normalized(text):
+    """Report text with the wall-clock ``millis`` zeroed in json, csv and text."""
+    text = re.sub(r'"millis": \d+', '"millis": 0', text)
+    text = re.sub(r", \d+ ms\)", ", 0 ms)", text)
+    return re.sub(r",\d+$", ",0", text, flags=re.M)
+
+
+# sha256 of the normalized stdout of `tautrr verify RELATION --format FORMAT`
+DEFAULT_SWEEP_DIGESTS = {
+    ("bbt", "json"): "65e20dd79ca03bb8a5e9c38f219cd63b12207bc84efb5b073eea11c009e05ef4",
+    ("bbt", "csv"): "dc78ae660afe92c39b096f77992cd0251ad91f29631943f6c8976023e365520a",
+    ("bbt", "text"): "bc20123c9f73a1ef8a9f7b752c64cce10b5a71f3ac6b5c751e80c1e2e0e391dd",
+    ("variation", "json"): "2de66955adf7c0d0977a5aada715225c54152ce252a177457286283b3ee3ac11",
+    ("variation", "csv"): "3c5081aa0013036ec4372967fb78cf2da828627c479c288e0e78e5bfb1d80b9c",
+    ("variation", "text"): "eca0809f7f879d03984919ac6f64475ad44a8ba6787e079c452b1b2b77f6dc25",
+    ("fqq", "json"): "9d4e5792e21ad4d0d6d3934d2047db65ee9056cbff2ae0f7bdef73bc8e06c624",
+    ("fqq", "csv"): "fa05e0d2814a23626d668aa8c320ea31d3cbcb5ae9eb53eaa4d0724f43932561",
+    ("fqq", "text"): "2b426121c42bbc548012c59f66c3faf6f3181d5836050c30ca2d13376d829525",
+    ("vyt", "json"): "5a5333fa188fbd66b6358d5e693957fa6ba11d5ef75892dddf68c97134ed8048",
+    ("vyt", "csv"): "446b1da9eb66c7c4c538563fc16124f92e095fecc4471256e7da883c47f35f34",
+    ("vyt", "text"): "7d4fdc35c7a033b29792f3e7fc1c0d5b8b3747392f93714201eebcf3e28faf01",
+    ("vpe", "json"): "91a260969b073dfcddaacaa9f33c6f43eabe3ffa5904221341d7a92b3ba90cfe",
+    ("vpe", "csv"): "684024dd20b3d3f191761e111049fa5bb5d76d7f966f457bdce8a22be55a7cbe",
+    ("vpe", "text"): "0512ef7493d370e6c58d6fb8389acc692b7db7600b1c7e59f75429b030f8711c",
+    ("xi-witness", "json"): "394950a3da79ffaf31388d2e87303a33f315686a26f704d97d306aff6be75f5d",
+    ("xi-witness", "csv"): "eee0f6403f7a6eedbfb796497acfa2803019134f4410969a129567059e2da25b",
+    ("xi-witness", "text"): "50161a5c71013cfba728755a0f88990ea2a03bb14f9b38e1601d3ef839edd1a5",
+    ("conjC", "json"): "1222edf2353964362317f878fc25d2fba668afbac3d40f72f43bd4db72c0a960",
+    ("conjC", "csv"): "04f8c9ff70a75996f6fd9c107294bf80bc5ef575bdd3350ffb4e5e162e2e8987",
+    ("conjC", "text"): "00242b7311d3b9a8c153336ebeadc71b7dbc0f93b14dc8d426d0dd4d577765ba",
+    ("sreduce", "json"): "8fbe325cabe89b7c21cd015f0d34d55ec3d055ba063ec97988e758d294fee1db",
+    ("sreduce", "csv"): "4b946d9f3289a9df3cf6698b504c109b666c3a1e915b4ae1d4b596814fd99c0d",
+    ("sreduce", "text"): "7f3464d4403ec745b87553a59407fe4607bd6488b3535b55a90626de1220a50d",
+    ("symmetry", "json"): "bd1213d6b7566d5fbdeccf63189a469e16486ca1c0a80b214846e4dec27f1549",
+    ("symmetry", "csv"): "e91ac3a150474bdad09b394d43ddb610d2e70ff8e2bc7a3e7230eafb0df304d4",
+    ("symmetry", "text"): "616289dac993a83ee7e1965a1be285515d72b7254a4f702ed5de8d2b6a232ce6",
+}
+
+# explicit point-target ranges: m below the conjC threshold is dropped, so is
+# every sreduce tuple with r = 0 or m = 0
+EXPLICIT_SWEEP_DIGESTS = {
+    ("conjC", "--g", "2", "--r", "1", "--s", "0..1", "--m", "0..9"):
+        "0522b99a890b520aa3d0a5ef8975d15a1a7c1e7da7980d6b844a3ee88e2f9868",
+    ("sreduce", "--r", "0..2", "--m", "0..3"):
+        "2940740b3177d7bf3d4930fe3671ce4edd7ebb178f254ad5d80754db57b19c37",
+    ("symmetry", "--m", "0..3"):
+        "a09c807ac2a12c6b1005922ea5697c7290d3bf6049efce626e8e4c5c7b70f1f6",
+}
+
+SWEEP_DIGESTS = {
+    **{(rel, "--format", fmt): digest for (rel, fmt), digest in DEFAULT_SWEEP_DIGESTS.items()},
+    **EXPLICIT_SWEEP_DIGESTS,
+}
+
+
+@pytest.mark.parametrize("argv", list(SWEEP_DIGESTS), ids=" ".join)
+def test_verify_sweep_report_digest(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(_normalized(out).encode("utf-8")).hexdigest() == SWEEP_DIGESTS[argv]
+
+
+GATE = "exceeds the desk-scale default"
+BEYOND = "is beyond desk scale; expect combinatorial growth"
+
+# argv of `tautrr verify` -> (exit code, exact stderr)
+VERIFY_ERRORS = [
+    (("bbt", "--g", "7"),
+     2, f"error: --g 7 {GATE} (6); pass --force to unlock larger sweeps\n"),
+    (("conjC", "--levels", "0..9"),
+     2, f"error: --levels 9 {GATE} (8); pass --force to unlock larger sweeps\n"),
+    (("variation", "--n1", "5"),
+     2, f"error: --n1 5 {GATE} (4); pass --force to unlock larger sweeps\n"),
+    # the first offending parameter is named, in the relation's own order
+    (("variation", "--n1", "5", "--n2", "6", "--g", "8"),
+     2, f"error: --g 8 {GATE} (6); pass --force to unlock larger sweeps\n"),
+    (("conjC", "--g", "6", "--r", "7", "--s", "5", "--levels", "0..9"),
+     2, f"error: --r 7 {GATE} (6); pass --force to unlock larger sweeps\n"),
+    # limits apply to the tuples that are run, not to the ranges given
+    (("conjC", "--g", "0", "--r", "7"), 2, "error: empty parameter range\n"),
+    (("bbt", "--r", "9", "--g", "1"), 0, ""),
+    (("conjC", "--g", "0", "--r", "0", "--s", "0", "--levels", "9", "--force"),
+     0, f"warning: --levels 9 {BEYOND}\n"),
+    (("variation", "--g", "0", "--n1", "5", "--n2", "6", "--r", "0", "--force"),
+     0, f"warning: --n1 5 {BEYOND}\nwarning: --n2 6 {BEYOND}\n"),
+    (("bbt", "--g", "3..1"), 2, "error: empty range '3..1'\n"),
+    (("bbt", "--s", "foo"), 2, "error: invalid literal for int() with base 10: 'foo'\n"),
+    (("sreduce", "--r", "0"), 2, "error: empty parameter range\n"),
+    (("sreduce", "--g", "1", "--r", "1", "--m", "0"), 2, "error: empty parameter range\n"),
+    (("symmetry", "--m=-1..0"), 2, "error: r, s, g, m must be nonnegative\n"),
+    (("conjC", "--g", "0", "--m=-1..1"), 2, "error: r, s, g, m must be nonnegative\n"),
+    (("vpe", "--r", "2"), 2, "error: vpe stated for odd r only\n"),
+    (("xi-witness", "--g", "3", "--r", "5"), 2, "error: witness out of range\n"),
+    (("variation", "--n1", "1"), 2, "error: need n1 >= 2 and n2 >= 2\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,err", VERIFY_ERRORS,
+                         ids=[" ".join(argv) for argv, _, _ in VERIFY_ERRORS])
+def test_verify_usage_errors_and_warnings(capsys, argv, code, err):
+    got_code, out, got_err = run(capsys, "verify", *argv)
+    assert (got_code, got_err) == (code, err)
+    assert (out == "") == (code == 2)
+
+
+@pytest.mark.parametrize("relation,genus,builder", [
+    ("bbt", "2..3", "build_bbt"),
+    ("variation", "0..1", "build_variation"),
+    ("fqq", "1..2", "build_fqq"),
+    ("vpe", "1..2", "build_vpe"),
+    ("vyt", "1..3", None),
+    ("xi-witness", "2..4", None),
+])
+def test_verify_looks_up_verifiers_at_call_time(capsys, monkeypatch, relation, genus, builder):
+    # wrappers bound onto the cli module's globals must see every call, as
+    # the benchmark's per-tuple timers do
+    import tautrr.cli as cli
+
+    calls = {}
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    names = ("verify", "verify_vyt", "verify_xi_witness",
+             "build_bbt", "build_variation", "build_fqq", "build_vpe")
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name))
+    code, out, _ = run(capsys, "verify", relation, "--g", genus, "--format", "json")
+    assert code == 0
+    tuples = len(json.loads(out))
+    verifier = {"vyt": "verify_vyt", "xi-witness": "verify_xi_witness"}.get(relation, "verify")
+    expected = {verifier: tuples}
+    if builder:
+        expected[builder] = tuples
+    assert calls == expected

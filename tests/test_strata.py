@@ -302,11 +302,32 @@ def test_pair_rejects_malformed_test(engine, term):
     assert pair_with_test(expr, TestMonomial((-1,), (0,)), engine) == 0
 
 
-def test_pair_rejects_negative_factor_genus(engine):
-    s = SeparatingStratum(-1, 3, frozenset({1, 2, 3, 4}), (0, 0), (0, 0, 0, 0))
-    expr = ClassExpr.make(AmbientSpace(2, 4), 1, [(1, s)])
+def test_separating_stratum_rejects_negative_factor_genus():
+    # the factor has enough markings to pass the stability check and the
+    # genera add up to the (2, 4) ambient genus, so only the genus check stops it
+    for g1, g2, markings1 in ((-1, 3, {1, 2, 3, 4}), (3, -1, set())):
+        with pytest.raises(ValueError, match="genus must be nonnegative"):
+            SeparatingStratum(g1, g2, frozenset(markings1), (0, 0), (0, 0, 0, 0))
+    assert SeparatingStratum(0, 2, frozenset({1, 2}), (0, 0), (0, 0)).g1 == 0
+
+
+def test_nonseparating_pushforward_rejects_negative_source_genus():
+    # (-1, 6) passes the stability check 2g - 2 + n > 0
     with pytest.raises(ValueError, match="genus must be nonnegative"):
-        pair_with_test(expr, TestMonomial((6, 0, 0, 0)), engine)
+        NonSeparatingPushforward(-1, (0, 0), (0, 0, 0, 0))
+    assert NonSeparatingPushforward(0, (0, 0), (0,)).source_g == 0
+
+
+def test_interior_term_rejects_malformed_monomials():
+    # InteriorTerm((-1,)) would otherwise pair against psi^2 as psi^1
+    with pytest.raises(ValueError, match="negative decoration exponent"):
+        InteriorTerm((-1,))
+    with pytest.raises(ValueError, match="negative decoration exponent"):
+        InteriorTerm((0, -2), (1,))
+    for parts in ((0,), (2, -1)):
+        with pytest.raises(ValueError, match="kappa index must be positive"):
+            InteriorTerm((0,), parts)
+    assert InteriorTerm((0, 3), (1, 2)).degree == 6
 
 
 def test_pair_coerces_test_exponents_once(engine):
