@@ -33,7 +33,7 @@ from .cache import (
     load_engine_cache,
     save_engine_cache,
 )
-from .engine import CorrelatorEngine, UnstableModuliError
+from .engine import CorrelatorEngine, ImpossibleEntryError, UnstableModuliError
 from .relations import (
     VerificationReport,
     build_bbt,
@@ -199,7 +199,7 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
     options = {name: getattr(args, name) for name in sweep.options}
     levels = tuple(levels or range(0, 4))
     tuples = []
-    for g in gs or sweep.genera:
+    for g in gs if gs is not None else sweep.genera:
         if sweep.r_values is not None:
             tuples += [{"g": g, **options, "r": r}
                        for r in (rs if rs is not None else sweep.r_values(g))]
@@ -241,7 +241,8 @@ def _run_cached(body, args) -> int:
     exists.  After the body it is written back only when that changes it:
     the file did not exist, it was loaded quarantined (version mismatch),
     or the engine now holds an entry the file did not.  A usage error
-    (exit 2) writes nothing.
+    (exit 2) writes nothing, and neither does a file holding a value no
+    integral can take (exit 1).
     """
     engine = CorrelatorEngine()
     path = args.cache or os.environ.get(CACHE_ENV_VAR)
@@ -252,7 +253,11 @@ def _run_cached(body, args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cache {path}: {exc}", file=sys.stderr)
             return 1
-    code = body(args, engine)
+    try:
+        code = body(args, engine)
+    except ImpossibleEntryError as exc:
+        print(f"error: cache {path}: {exc}", file=sys.stderr)
+        return 1
     if path and code != 2 and (loaded is None or not loaded.trusted
                                or len(engine.entries()) > len(loaded.entries)):
         try:

@@ -6,8 +6,8 @@ are computed by the DVV (Virasoro/KdV) recursion with string/dilaton fast
 paths and a shared memo table.  Integrals with kappa classes reduce to
 pure psi integrals by trading one kappa index at a time for an extra
 marked point carrying one descendent; each remaining kappa index may
-merge into the new insertion, so one trade is a signed sum over subsets
-of the other indices.
+merge into the new insertion, so one trade is a signed sum over
+sub-multisets of the other indices.
 
 Conventions:
   * kappa_a is the forgetful pushforward of psi_{n+1}^{a+1}; kappa_0 never
@@ -16,6 +16,26 @@ Conventions:
     recursion and returns exactly 0 on mismatch.
   * Unstable (g, n) is an error for the public entry points; internal
     recursion treats unstable configurations as contributing 0.
+  * The recursion runs on the integers
+    I(g, d) = 8^g g! prod_i (2d_i+1)!! <tau_{d_1} ... tau_{d_n}>_g,
+    with I == 1 at both base cases <tau_0^3>_0 and <tau_1>_1:
+      string   I(g, 0 S) = sum_j (2d_j+1) I(g, S with d_j - 1)
+      dilaton  I(g, 1 S) = 3 (2g-2+|S|) I(g, S)
+      DVV      I(g, k S) = sum_j (2d_j+1) I(g, S with d_j -> k+d_j-1)
+                 + [8g sum_{a+b=k-2} I(g-1, a b S)
+                    + sum C(g, g1) I(g1, a L) I(g-g1, b R)] / 2
+    where the last sum runs over a + b = k - 2 and the splits S = L + R.
+    Equal exponents are summed once with their multiplicity, and the
+    splits run over sub-multisets L of S weighted by prod C(c_i, t_i).
+  * The bracket is even: the split terms pair off under
+    (a, L) <-> (b, R), and a term paired with itself (a == b, L == R)
+    carries an even weight, C(c, c/2) for some c > 0, or C(g, g/2) when
+    S is empty.  The halving still checks its remainder.
+  * Division happens once per key, when its value is stored in the memo
+    as a Fraction; a hit returns the stored Fraction.  A trusted entry
+    adopted from outside is turned back into I exactly when the recursion
+    first needs it, and one that is not an integer there raises
+    ImpossibleEntryError.
   * Inner recursion derives the split genus from the dimension gate: in a
     genus split only one g1 can satisfy the left factor's dimension
     constraint, so that g1 is computed and no other is tried.
@@ -23,16 +43,13 @@ Conventions:
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-#: integral of the cotangent class over the 1-pointed genus-1 space
-GENUS1_BASE = Fraction(1, 24)
 
 
 class UnstableModuliError(ValueError):
@@ -111,17 +128,56 @@ def one_point_value(g: int) -> Fraction:
     return Fraction(1, 24**g * fact)
 
 
+class ImpossibleEntryError(ArithmeticError):
+    """Raised when the recursion needs a trusted memo entry (say one loaded
+    from a cache file) that no psi integral can equal: its value times
+    8^g g! prod (2d_i+1)!! is not an integer."""
+
+
+def _submultisets(parts: tuple[int, ...]):
+    """Every split of the sorted tuple ``parts`` into sorted sub-multisets
+    ``(chosen, others, weight)``; ``weight`` counts the index subsets giving
+    that split, the product of C(c, t) over the distinct values (c copies of
+    a value, t of them chosen)."""
+    splits = [((), (), 1)]
+    for v in dict.fromkeys(parts):
+        c = parts.count(v)
+        splits = [(chosen + (v,) * t, others + (v,) * (c - t), w * comb(c, t))
+                  for chosen, others, w in splits for t in range(c + 1)]
+    return splits
+
+
+def _normalization(g: int, d: tuple[int, ...]) -> int:
+    """8^g g! prod_i (2d_i+1)!!, the factor making <tau_d>_g an integer."""
+    norm = 8**g * factorial(g)
+    for x in d:
+        norm *= odd_double_factorial(x)
+    return norm
+
+
+def _label(g: int, d: tuple[int, ...]) -> str:
+    return f"<{' '.join(f'tau_{x}' for x in d)}>_{g}"
+
+
+#: <tau_0^3>_0 and <tau_1>_1, the two correlators on spaces with
+#: 2g - 2 + n == 1; both have I == 1
+_BASE_INTS = {(0, 0, 0): 1, (1,): 1}
+_BASE_VALUES = (ONE, Fraction(1, _normalization(1, (1,))))
+
+
 class CorrelatorEngine:
     """Memoized exact evaluator for psi and psi-kappa integrals.
 
-    The memo table is shared and guarded by a reentrant lock, so
-    concurrent callers of the same key observe exactly one computation.
+    One engine is meant for one thread: the memo tables are plain dicts.
+    Values are deterministic, so an engine shared between threads still
+    returns correct values, at worst computing a key twice.
     """
 
     def __init__(self):
         self._memo: dict[CorrelatorKey, Fraction] = {}
         self._stale: dict[CorrelatorKey, Fraction] = {}
-        self._lock = threading.RLock()
+        # normalized psi values I(g, d) by sorted d (d fixes g by the gate)
+        self._ints: dict[tuple[int, ...], int] = dict(_BASE_INTS)
 
     # ------------------------------------------------------------------
     # public operations
@@ -167,21 +223,23 @@ class CorrelatorEngine:
     # ------------------------------------------------------------------
 
     def entries(self) -> dict[CorrelatorKey, Fraction]:
-        with self._lock:
-            return dict(self._memo)
+        return dict(self._memo)
 
     def adopt(self, entries: dict[CorrelatorKey, Fraction], trusted: bool = True) -> None:
         """Install externally loaded entries.
 
         Untrusted entries (e.g. from a cache file with a mismatched
         version) are quarantined and revalidated against a fresh
-        computation the first time they are needed.
+        computation the first time they are needed.  Trusted psi entries
+        are converted to normalized integers when the recursion first
+        needs them (see :class:`ImpossibleEntryError`).
         """
-        with self._lock:
-            if trusted:
-                self._memo.update(entries)
-            else:
-                self._stale.update(entries)
+        if trusted:
+            self._memo.update(entries)
+            # normalized values are re-derived from the memo on demand
+            self._ints = dict(_BASE_INTS)
+        else:
+            self._stale.update(entries)
 
     # ------------------------------------------------------------------
     # internals
@@ -210,61 +268,101 @@ class CorrelatorEngine:
         n = len(d)
         if sum(d) != 3 * g - 3 + n:
             return ZERO
-        if g == 0 and n == 3:
-            return ONE
-        if g == 1 and n == 1:
-            return GENUS1_BASE
+        if 2 * g - 2 + n == 1:
+            return _BASE_VALUES[g]
         key = CorrelatorKey(g, d, ())
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-            return self._store(key, self._psi_compute(g, d))
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        self._compute(g, d, key)
+        return self._memo[key]
 
-    def _psi_compute(self, g: int, d: tuple[int, ...]) -> Fraction:
-        n = len(d)
+    def _int(self, g: int, d: tuple[int, ...]) -> int:
+        """I(g, d) on a miss in ``_ints``: d sorted, passing the gate, (g, n)
+        stable.  A trusted memo entry is converted back exactly."""
+        key = CorrelatorKey(g, d, ())
+        hit = self._memo.get(key)
+        if hit is None:
+            return self._compute(g, d, key)
+        val, rem = divmod(hit.numerator * _normalization(g, d), hit.denominator)
+        if rem:
+            raise ImpossibleEntryError(
+                f"impossible value {hit} for {_label(g, d)}: "
+                "times 8^g g! prod (2d_i+1)!! it is not an integer"
+            )
+        self._ints[d] = val
+        return val
+
+    def _compute(self, g: int, d: tuple[int, ...], key: CorrelatorKey) -> int:
+        """Run one string, dilaton or DVV step for I(g, d) and store the value
+        both as an integer and, divided once, as a Fraction."""
+        ints = self._ints
         if d[0] == 0:
-            # string equation; (g, n-1) is stable for every non-base case
+            # string equation; (g, n-1) is stable for every non-base case.
+            # Lowering the first copy of v keeps the tuple sorted.
             rest = d[1:]
-            total = ZERO
-            for i, di in enumerate(rest):
-                if di >= 1:
-                    total += self._psi(g, tuple(sorted(rest[:i] + (di - 1,) + rest[i + 1:])))
-            return total
-        if d[0] == 1:
+            val = 0
+            for v in dict.fromkeys(rest):
+                if v:
+                    i = rest.index(v)
+                    lowered = rest[:i] + (v - 1,) + rest[i + 1:]
+                    f = ints.get(lowered) or self._int(g, lowered)
+                    val += rest.count(v) * (2 * v + 1) * f
+        elif d[0] == 1:
             # dilaton equation
             rest = d[1:]
-            return (2 * g - 2 + (n - 1)) * self._psi(g, rest)
-        # DVV recursion on the largest exponent (>= 2 here)
+            val = 3 * (2 * g - 2 + len(rest)) * (ints.get(rest) or self._int(g, rest))
+        else:
+            val = self._dvv(g, d)
+        ints[d] = val
+        self._store(key, Fraction(val, _normalization(g, d)))
+        return val
+
+    def _dvv(self, g: int, d: tuple[int, ...]) -> int:
+        """DVV step on the largest exponent k; every exponent is >= 2 here."""
+        ints = self._ints
+        get = self._int
         k = d[-1]
         rest = d[:-1]
         m = len(rest)
-        total = ZERO
-        for j, dj in enumerate(rest):
-            coeff = Fraction(odd_double_factorial(k + dj - 1), odd_double_factorial(dj - 1))
-            merged = tuple(sorted(rest[:j] + rest[j + 1:] + (k + dj - 1,)))
-            total += coeff * self._psi(g, merged)
-        acc = ZERO
-        for a in range(0, k - 1):
-            b = k - 2 - a
-            ca_cb = odd_double_factorial(a) * odd_double_factorial(b)
-            if g >= 1:
-                acc += ca_cb * self._psi(g - 1, tuple(sorted(rest + (a, b))))
-            for mask in range(1 << m):
-                left = tuple(rest[i] for i in range(m) if mask >> i & 1)
-                # the left factor's dimension constraint fixes its genus
-                num = a + sum(left) - len(left) + 2
-                g1 = num // 3
-                if num % 3 or not 0 <= g1 <= g:
-                    continue
-                f1 = self._corr(g1, (a,) + left)
-                if f1:
-                    right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
-                    f2 = self._corr(g - g1, (b,) + right)
-                    if f2:
-                        acc += ca_cb * f1 * f2
-        total += acc / 2
-        return total / odd_double_factorial(k)
+        total = 0
+        for v in dict.fromkeys(rest):
+            # k + v - 1 > k >= every other exponent, so it goes last
+            i = rest.index(v)
+            merged = rest[:i] + rest[i + 1:] + (k + v - 1,)
+            total += rest.count(v) * (2 * v + 1) * (ints.get(merged) or get(g, merged))
+        bracket = 0
+        if g >= 1:
+            lower = 0
+            for a in range(k - 1):
+                key = tuple(sorted(rest + (a, k - 2 - a)))
+                lower += ints.get(key) or get(g - 1, key)
+            bracket = 8 * g * lower
+        binom = [comb(g, g1) for g1 in range(g + 1)]
+        for left, right, weight in _submultisets(rest):
+            n_left = len(left)
+            n_right = m - n_left
+            # the left factor's dimension constraint fixes a = 3 g1 + shift
+            shift = n_left - sum(left) - 2
+            lo = max(-(shift // 3), 0 if n_left >= 2 else 1)
+            hi = min((k - 2 - shift) // 3, g)
+            acc = 0
+            for g1 in range(lo, hi + 1):
+                # every stable left factor is evaluated, even where the
+                # right one is unstable and the term is 0: the memo, and
+                # so a saved cache file, holds those keys too
+                a = 3 * g1 + shift
+                lkey = tuple(sorted(left + (a,)))
+                f1 = ints.get(lkey) or get(g1, lkey)
+                g2 = g - g1
+                if 2 * g2 - 1 + n_right > 0:
+                    rkey = tuple(sorted(right + (k - 2 - a,)))
+                    acc += binom[g1] * f1 * (ints.get(rkey) or get(g2, rkey))
+            bracket += weight * acc
+        half, odd = divmod(bracket, 2)
+        if odd:
+            raise ArithmeticError(f"odd DVV bracket for {_label(g, d)}")
+        return total + half
 
     def _psi_kappa(self, g: int, d: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
         n = len(d)
@@ -273,26 +371,18 @@ class CorrelatorEngine:
         if not b:
             return self._psi(g, d)
         key = CorrelatorKey(g, d, b)
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-            # trade the last kappa index for one extra marking; any subset S
-            # of the remaining indices may merge into the new insertion,
-            # with sign (-1)^|S|
-            beta = b[-1]
-            rest = b[:-1]
-            val = ZERO
-            for mask in range(1 << len(rest)):
-                level = beta + 1
-                sign = 1
-                for i, bi in enumerate(rest):
-                    if mask >> i & 1:
-                        level += bi
-                        sign = -sign
-                kept = tuple(bi for i, bi in enumerate(rest) if not mask >> i & 1)
-                val += sign * self._psi_kappa(g, tuple(sorted(d + (level,))), kept)
-            return self._store(key, val)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        # trade the last kappa index for one extra marking; any sub-multiset
+        # of the remaining indices may merge into the new insertion, with
+        # sign (-1)^size, once per index subset giving it
+        val = ZERO
+        for merged, kept, weight in _submultisets(b[:-1]):
+            level = b[-1] + 1 + sum(merged)
+            sign = -weight if len(merged) % 2 else weight
+            val += sign * self._psi_kappa(g, tuple(sorted(d + (level,))), kept)
+        return self._store(key, val)
 
 
 _DEFAULT_ENGINE = CorrelatorEngine()

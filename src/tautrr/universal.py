@@ -254,6 +254,8 @@ def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,
     free slots; each assignment is one entry recording the residual, and
     the report passes iff every residual is 0.
     """
+    if min(r, s, g, m) < 0:
+        raise ValueError("r, s, g, m must be nonnegative")
     residual, fixed, _ = IDENTITIES[relation]
     start = time.perf_counter()
     report = VerificationReport(relation, {"g": g, "r": r, "s": s, "m": m})

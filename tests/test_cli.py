@@ -167,6 +167,19 @@ def test_poisoned_trusted_cache_fails_verification(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_impossible_cached_value_is_one_error_line(capsys, tmp_path):
+    # 1/7 times 8 * 3 * 3 is not an integer, so no <tau_1 tau_1>_1 equals it;
+    # the dilaton step that needs it stops the run, and the file is kept
+    bad = tmp_path / "impossible.txt"
+    bad.write_text("#taut-rr-cache v1\n1;1,1;;1/7\n")
+    before = bad.read_bytes()
+    code, out, err = run(capsys, "integral", "-g", "1", "-d", "1,1,1", "--cache", str(bad))
+    assert (code, out) == (1, "")
+    assert err == (f"error: cache {bad}: impossible value 1/7 for <tau_1 tau_1>_1: "
+                   "times 8^g g! prod (2d_i+1)!! it is not an integer\n")
+    assert bad.read_bytes() == before
+
+
 def test_warm_rerun_reports_identical(capsys, tmp_path):
     cache = tmp_path / "cache.txt"
     r1 = tmp_path / "r1.json"
@@ -388,6 +401,8 @@ VERIFY_ERRORS = [
     (("vpe", "--r", "2"), 2, "error: vpe stated for odd r only\n"),
     (("xi-witness", "--g", "3", "--r", "5"), 2, "error: witness out of range\n"),
     (("variation", "--n1", "1"), 2, "error: need n1 >= 2 and n2 >= 2\n"),
+    (("bbt", "--g", ","), 2, "error: empty parameter range\n"),
+    (("conjC", "--s=-1"), 2, "error: r, s, g, m must be nonnegative\n"),
 ]
 
 

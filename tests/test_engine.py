@@ -1,4 +1,5 @@
-"""Engine checks: anchor values, closed-form oracles, linear identities."""
+"""Engine checks: anchor values, closed-form oracles, linear identities,
+reference recursions."""
 
 import random
 import threading
@@ -9,6 +10,7 @@ import pytest
 from tautrr.engine import (
     CorrelatorEngine,
     CorrelatorKey,
+    ImpossibleEntryError,
     UnstableModuliError,
     genus0_closed_form,
     is_stable,
@@ -310,3 +312,188 @@ def test_concurrent_lookups_are_consistent():
     for th in threads:
         th.join()
     assert results == [Fraction(5, 82944)] * 8
+
+
+# ----------------------------------------------------------------------
+# parity with the plain Fraction recursion
+# ----------------------------------------------------------------------
+
+
+def _odd_dfact(m):
+    """(2m+1)!!, with (-1)!! == 1."""
+    out = 1
+    for k in range(3, 2 * m + 2, 2):
+        out *= k
+    return out
+
+
+class FractionDVV:
+    """The DVV recursion written directly on Fraction values, with a genus
+    split over every index subset of the other insertions; the reference
+    for the engine's normalized-integer recursion."""
+
+    def __init__(self):
+        self.memo = {}
+
+    def corr(self, g, levels):
+        if g < 0 or 2 * g - 2 + len(levels) <= 0:
+            return Fraction(0)
+        return self.psi(g, tuple(sorted(levels)))
+
+    def psi(self, g, d):
+        n = len(d)
+        if sum(d) != 3 * g - 3 + n:
+            return Fraction(0)
+        if g == 0 and n == 3:
+            return Fraction(1)
+        if g == 1 and n == 1:
+            return Fraction(1, 24)
+        key = CorrelatorKey(g, d, ())
+        if key not in self.memo:
+            self.memo[key] = self.compute(g, d)
+        return self.memo[key]
+
+    def compute(self, g, d):
+        n = len(d)
+        if d[0] == 0:
+            rest = d[1:]
+            return sum((self.psi(g, tuple(sorted(rest[:i] + (di - 1,) + rest[i + 1:])))
+                        for i, di in enumerate(rest) if di >= 1), Fraction(0))
+        if d[0] == 1:
+            return (2 * g - 2 + (n - 1)) * self.psi(g, d[1:])
+        k = d[-1]
+        rest = d[:-1]
+        m = len(rest)
+        total = Fraction(0)
+        for j, dj in enumerate(rest):
+            coeff = Fraction(_odd_dfact(k + dj - 1), _odd_dfact(dj - 1))
+            total += coeff * self.psi(g, tuple(sorted(rest[:j] + rest[j + 1:] + (k + dj - 1,))))
+        acc = Fraction(0)
+        for a in range(0, k - 1):
+            b = k - 2 - a
+            ca_cb = _odd_dfact(a) * _odd_dfact(b)
+            if g >= 1:
+                acc += ca_cb * self.psi(g - 1, tuple(sorted(rest + (a, b))))
+            for mask in range(1 << m):
+                left = tuple(rest[i] for i in range(m) if mask >> i & 1)
+                num = a + sum(left) - len(left) + 2
+                g1 = num // 3
+                if num % 3 or not 0 <= g1 <= g:
+                    continue
+                f1 = self.corr(g1, (a,) + left)
+                if f1:
+                    right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
+                    f2 = self.corr(g - g1, (b,) + right)
+                    if f2:
+                        acc += ca_cb * f1 * f2
+        total += acc / 2
+        return total / _odd_dfact(k)
+
+
+MULTISET_KEYS = [
+    (3, (2,) * 6),
+    (3, (0, 0, 2, 2, 2, 2, 3, 3)),
+    (4, (0, 0, 2, 2, 3, 3, 6)),
+    (4, (2, 2, 2, 3, 3, 3)),
+]
+
+
+def test_integer_recursion_matches_fraction_reference():
+    engine = CorrelatorEngine()
+    reference = FractionDVV()
+    keys = [(0, d) for n in range(3, 9) for d in _genus0_multisets(n)]
+    for g in range(1, 8):
+        keys.append((g, (3 * g - 2,)))
+        keys += [(g, (a, 3 * g - 1 - a)) for a in range(0, 3 * g)]
+    keys += MULTISET_KEYS
+    for g, d in keys:
+        assert engine.psi_integral(g, d) == reference.psi(g, tuple(sorted(d))), (g, d)
+    assert engine.entries() == reference.memo
+    assert all(type(v) is Fraction for v in engine.entries().values())
+
+
+def test_adopted_entries_are_reused_not_recomputed():
+    cold = CorrelatorEngine()
+    value = cold.psi_integral(3, [4, 4])
+    warm = CorrelatorEngine()
+    warm.adopt({CorrelatorKey(3, (4, 4), ()): value})
+    # the dilaton step lands on the adopted key, which is converted back
+    # exactly instead of being computed again
+    assert warm.psi_integral(3, [4, 4, 1]) == 6 * value
+    assert set(warm.entries()) == {CorrelatorKey(3, (4, 4), ()), CorrelatorKey(3, (1, 4, 4), ())}
+
+
+def test_impossible_trusted_entry_raises_when_needed():
+    engine = CorrelatorEngine()
+    engine.adopt({CorrelatorKey(1, (1, 1), ()): Fraction(1, 7)})
+    with pytest.raises(ImpossibleEntryError, match=r"1/7 for <tau_1 tau_1>_1"):
+        engine.psi_integral(1, [1, 1, 1])
+    # the value was never used: nothing was stored on top of it
+    assert set(engine.entries()) == {CorrelatorKey(1, (1, 1), ())}
+    # deeper in a recursion, and in a kappa trade
+    engine = CorrelatorEngine()
+    engine.adopt({CorrelatorKey(2, (2, 3), ()): Fraction(1, 11)})
+    with pytest.raises(ImpossibleEntryError, match=r"<tau_2 tau_3>_2"):
+        engine.psi_integral(2, [0, 0, 2, 5])
+    with pytest.raises(ImpossibleEntryError, match=r"<tau_2 tau_3>_2"):
+        engine.psi_kappa_integral(2, [0, 2], [3])
+
+
+# ----------------------------------------------------------------------
+# kappa trade over sub-multisets
+# ----------------------------------------------------------------------
+
+
+class MaskKappaTrade:
+    """The kappa-to-marking trade as a sum over every index subset of the
+    remaining kappa indices, on top of the engine's psi integrals."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.memo = {}
+
+    def value(self, g, d, b):
+        d, b = tuple(sorted(d)), tuple(sorted(b))
+        if sum(d) + sum(b) != 3 * g - 3 + len(d):
+            return Fraction(0)
+        if not b:
+            return self.engine.psi_integral(g, d)
+        key = CorrelatorKey(g, d, b)
+        if key not in self.memo:
+            beta, rest = b[-1], b[:-1]
+            val = Fraction(0)
+            for mask in range(1 << len(rest)):
+                level = beta + 1
+                sign = 1
+                for i, bi in enumerate(rest):
+                    if mask >> i & 1:
+                        level += bi
+                        sign = -sign
+                kept = tuple(bi for i, bi in enumerate(rest) if not mask >> i & 1)
+                val += sign * self.value(g, d + (level,), kept)
+            self.memo[key] = val
+        return self.memo[key]
+
+
+# kappa_1^k on every (g <= 3, n) of dimension k, then mixed parts, with and
+# without psi insertions
+KAPPA_CASES = [
+    (g, (0,) * n, (1,) * k)
+    for k in range(1, 10) for g in range(0, 4)
+    for n in [k + 3 - 3 * g] if n >= 0 and is_stable(g, n)
+] + [
+    (0, (0,) * 10, (1, 1, 1, 2, 2)),
+    (1, (0,) * 7, (1, 1, 1, 2, 2)),
+    (2, (0, 0, 0, 0), (1, 1, 1, 2, 2)),
+    (2, (2, 1, 0), (1, 1, 1, 2)),
+    (3, (3, 0), (1, 1, 2, 2, 2)),
+    (3, (), (2, 2, 1, 1, 1)),
+]
+
+
+def test_kappa_trade_matches_mask_loop():
+    engine = CorrelatorEngine()
+    reference = MaskKappaTrade(CorrelatorEngine())
+    for g, d, b in KAPPA_CASES:
+        assert engine.psi_kappa_integral(g, d, b) == reference.value(g, d, b), (g, d, b)
+    assert {k: v for k, v in engine.entries().items() if k.kappa_parts} == reference.memo
