@@ -21,7 +21,6 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 from pathlib import Path
 
 from .engine import CorrelatorEngine, CorrelatorKey
@@ -75,11 +74,6 @@ def _format_key(key: CorrelatorKey) -> str:
     return f"{key.genus};{d};{b}"
 
 
-#: the dataclass order of CorrelatorKey, as one tuple comparison per pair
-#: instead of the generated, slower ``__lt__``
-_key_order = attrgetter("genus", "psi_exps", "kappa_parts")
-
-
 def _parse_int_list(text: str, lineno: int, what: str) -> tuple[int, ...]:
     if not text or text.isspace():
         return ()
@@ -109,7 +103,7 @@ def cache_save(store: CacheStore, path) -> None:
     entries = store.entries
     lines = [f"{CACHE_MAGIC} {store.version}"]
     lines += [f"{_format_key(key)};{format_rational(entries[key])}"
-              for key in sorted(entries, key=_key_order)]
+              for key in sorted(entries)]
     text = "\n".join(lines) + "\n"
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):

@@ -39,14 +39,18 @@ Conventions:
   * Inner recursion derives the split genus from the dimension gate: in a
     genus split only one g1 can satisfy the left factor's dimension
     constraint, so that g1 is computed and no other is tried.
+  * Memo keys are CorrelatorKey named tuples (genus, sorted psi exponents,
+    sorted kappa parts).  A plain tuple of the same three fields hashes and
+    compares equal, so lookups use one and a key is built only when a value
+    is stored; hashing, equality and the sort of a cache save run in C.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,9 +68,14 @@ def moduli_dim(g: int, n: int) -> int:
     return 3 * g - 3 + n
 
 
-@dataclass(frozen=True, order=True)
-class CorrelatorKey:
-    """Canonical (order-independent) key for a memoized integral."""
+class CorrelatorKey(NamedTuple):
+    """Canonical (order-independent) key for a memoized integral.
+
+    A named tuple, so hashing, equality and ordering are the tuple's own
+    (in C), and the plain tuple ``(genus, psi_exps, kappa_parts)`` finds
+    the same memo entry; the engine looks keys up as plain tuples and
+    builds a CorrelatorKey only for a value it stores.
+    """
 
     genus: int
     psi_exps: tuple[int, ...]
@@ -270,20 +279,18 @@ class CorrelatorEngine:
             return ZERO
         if 2 * g - 2 + n == 1:
             return _BASE_VALUES[g]
-        key = CorrelatorKey(g, d, ())
-        hit = self._memo.get(key)
+        hit = self._memo.get((g, d, ()))
         if hit is not None:
             return hit
-        self._compute(g, d, key)
-        return self._memo[key]
+        self._compute(g, d)
+        return self._memo[(g, d, ())]
 
     def _int(self, g: int, d: tuple[int, ...]) -> int:
         """I(g, d) on a miss in ``_ints``: d sorted, passing the gate, (g, n)
         stable.  A trusted memo entry is converted back exactly."""
-        key = CorrelatorKey(g, d, ())
-        hit = self._memo.get(key)
+        hit = self._memo.get((g, d, ()))
         if hit is None:
-            return self._compute(g, d, key)
+            return self._compute(g, d)
         val, rem = divmod(hit.numerator * _normalization(g, d), hit.denominator)
         if rem:
             raise ImpossibleEntryError(
@@ -293,7 +300,7 @@ class CorrelatorEngine:
         self._ints[d] = val
         return val
 
-    def _compute(self, g: int, d: tuple[int, ...], key: CorrelatorKey) -> int:
+    def _compute(self, g: int, d: tuple[int, ...]) -> int:
         """Run one string, dilaton or DVV step for I(g, d) and store the value
         both as an integer and, divided once, as a Fraction."""
         ints = self._ints
@@ -315,7 +322,7 @@ class CorrelatorEngine:
         else:
             val = self._dvv(g, d)
         ints[d] = val
-        self._store(key, Fraction(val, _normalization(g, d)))
+        self._store(CorrelatorKey(g, d, ()), Fraction(val, _normalization(g, d)))
         return val
 
     def _dvv(self, g: int, d: tuple[int, ...]) -> int:
@@ -370,8 +377,7 @@ class CorrelatorEngine:
             return ZERO
         if not b:
             return self._psi(g, d)
-        key = CorrelatorKey(g, d, b)
-        hit = self._memo.get(key)
+        hit = self._memo.get((g, d, b))
         if hit is not None:
             return hit
         # trade the last kappa index for one extra marking; any sub-multiset
@@ -382,7 +388,7 @@ class CorrelatorEngine:
             level = b[-1] + 1 + sum(merged)
             sign = -weight if len(merged) % 2 else weight
             val += sign * self._psi_kappa(g, tuple(sorted(d + (level,))), kept)
-        return self._store(key, val)
+        return self._store(CorrelatorKey(g, d, b), val)
 
 
 _DEFAULT_ENGINE = CorrelatorEngine()

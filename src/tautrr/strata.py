@@ -7,10 +7,18 @@ map.  Pairing against a psi/kappa test monomial evaluates by pulling the
 test back to the stratum factors (psi classes route to the factor carrying
 their marking, each kappa index distributes to either factor) and splitting
 into a product of two correlator-engine integrals with the node exponents
-inserted.  The pullback is computed once per test and marking split and
-shared by every separating term of that split; the test is checked once
-per pairing, so the factor integrals take the engine's internal gated path
-(`CorrelatorEngine._psi_kappa`) instead of the public one.
+inserted.
+
+Each expression builds one pairing plan, on first use: its separating
+strata grouped by marking split, then by factor 1 (genus and marking
+decorations), then by node exponent a.  The pullback of a test is computed
+once per marking split.  For each pullback row and group, factor 1's
+dimension gate solves for a, so the factor-1 integral is taken once and
+only the strata with that a are visited.  Products are summed as integer
+numerators per denominator and divided once per pairing.  The test is
+checked once per pairing, so the factor integrals take the engine's
+internal gated path (`CorrelatorEngine._psi_kappa`) instead of the public
+one.
 
 Canonical text grammar for rendered terms (stable across releases):
 
@@ -25,9 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .cache import format_rational
-from .engine import CorrelatorEngine, default_engine, is_stable, moduli_dim
+from .engine import CorrelatorEngine, _submultisets, default_engine, is_stable, moduli_dim
 
 ZERO = Fraction(0)
 
@@ -214,6 +224,11 @@ class ClassExpr:
     def zero(cls, ambient: AmbientSpace, degree: int) -> "ClassExpr":
         return cls(ambient, degree, ())
 
+    @cached_property
+    def _plan(self):
+        """The pairing plan, built on first use (see :func:`_pairing_plan`)."""
+        return _pairing_plan(self)
+
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -275,6 +290,24 @@ def enumerate_tests(ambient: AmbientSpace, degree: int) -> list[TestMonomial]:
 # ----------------------------------------------------------------------
 
 
+def _pullback_rows(t: TestMonomial, left, right):
+    """The pullback of ``t`` to a marking split, ready for the engine.
+
+    ``left`` and ``right`` are the ascending marking labels on the two
+    factors.  Each kappa index restricts to (kappa on factor 1) + (kappa
+    on factor 2), so the kappa multiset splits over its sub-multisets, each
+    split counted once per index subset giving it.  Returns rows
+    (factor-1 test degree, psi1, psi2, kappa1, kappa2, multiplicity) with
+    kappa parts ascending and an ``int`` multiplicity; they depend on ``t``
+    and the split only, so one list serves every term of that split.
+    """
+    psi1 = tuple(t.psi_exps[i - 1] for i in left)
+    psi2 = tuple(t.psi_exps[i - 1] for i in right)
+    degree = sum(psi1)
+    return [(degree + sum(k1), psi1, psi2, k1, k2, weight)
+            for k2, k1, weight in _submultisets(tuple(sorted(t.kappa_parts)))]
+
+
 def pullback_test_to_separating(t: TestMonomial, s: SeparatingStratum):
     """Expand the restriction of a test monomial to a one-node stratum.
 
@@ -284,73 +317,49 @@ def pullback_test_to_separating(t: TestMonomial, s: SeparatingStratum):
     (factor-1 monomial, factor-2 monomial, multiplicity) with factor psi
     exponents listed by ascending original marking label (node excluded).
     """
-    n = len(s.marking_exps)
-    if len(t.psi_exps) != n:
+    if len(t.psi_exps) != len(s.marking_exps):
         raise ValueError("marking referenced by the test is absent from the ambient space")
-    left_labels = sorted(s.markings1)
-    right_labels = sorted(s.markings2())
-    psi1 = tuple(t.psi_exps[i - 1] for i in left_labels)
-    psi2 = tuple(t.psi_exps[i - 1] for i in right_labels)
-    parts = t.kappa_parts
-    expansion: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for mask in range(1 << len(parts)):
-        k1 = tuple(sorted((p for i, p in enumerate(parts) if not mask >> i & 1), reverse=True))
-        k2 = tuple(sorted((p for i, p in enumerate(parts) if mask >> i & 1), reverse=True))
-        expansion[(k1, k2)] = expansion.get((k1, k2), 0) + 1
     return [
-        (TestMonomial(psi1, k1), TestMonomial(psi2, k2), Fraction(mult))
-        for (k1, k2), mult in expansion.items()
+        (TestMonomial(psi1, k1[::-1]), TestMonomial(psi2, k2[::-1]), Fraction(mult))
+        for _, psi1, psi2, k1, k2, mult
+        in _pullback_rows(t, sorted(s.markings1), sorted(s.markings2()))
     ]
 
 
-def _pullback_rows(t: TestMonomial, s: SeparatingStratum):
-    """The pullback of ``t`` to the marking split of ``s``, ready for the engine.
+def _pairing_plan(expr: ClassExpr):
+    """The terms of ``expr`` arranged for pairing; built once per expression.
 
-    Returns (labels on factor 1, labels on factor 2, rows), each row
-    (factor-1 test degree, psi1, psi2, kappa1, kappa2, multiplicity) with
-    kappa parts ascending and an ``int`` multiplicity.  The rows depend on
-    ``t`` and ``s.markings1`` only, so one list serves every term of that
-    split.
+    Returns (others, splits).  ``others`` lists the interior and gluing
+    terms as (coefficient numerator, denominator, term).  ``splits`` lists
+    one entry (labels on factor 1, labels on factor 2, groups) per marking
+    split of the separating terms.  A group gathers the strata sharing
+    factor 1 (genus g1 and its marking decorations deco1) as
+    (g1, g2, deco1, shift, strata by node exponent a), each stratum kept as
+    (coefficient numerator, denominator, factor-2 decorations, b).  Factor
+    1's dimension gate solves a = shift - (factor-1 test degree).
     """
-    rows = [
-        (t1.degree, t1.psi_exps, t2.psi_exps, t1.kappa_parts[::-1], t2.kappa_parts[::-1],
-         int(mult))
-        for t1, t2, mult in pullback_test_to_separating(t, s)
-    ]
-    return sorted(s.markings1), sorted(s.markings2()), rows
+    others = []
+    splits = {}
+    for coeff, term in expr.terms:
+        if not isinstance(term, SeparatingStratum):
+            others.append((coeff.numerator, coeff.denominator, term))
+            continue
+        left, right = sorted(term.markings1), sorted(term.markings2())
+        deco1 = tuple(term.marking_exps[i - 1] for i in left)
+        deco2 = tuple(term.marking_exps[i - 1] for i in right)
+        groups = splits.setdefault(term.markings1, (left, right, {}))[2]
+        shift = 3 * term.g1 - 2 + len(deco1) - sum(deco1)
+        by_a = groups.setdefault((term.g1, deco1), (term.g1, term.g2, deco1, shift, {}))[4]
+        a, b = term.node_exps
+        by_a.setdefault(a, []).append((coeff.numerator, coeff.denominator, deco2, b))
+    return others, [(left, right, list(groups.values()))
+                    for left, right, groups in splits.values()]
 
 
 def _pair_interior(term: InteriorTerm, t: TestMonomial, ambient: AmbientSpace,
                    engine: CorrelatorEngine) -> Fraction:
     merged = tuple(a + b for a, b in zip(term.psi_exps, t.psi_exps))
     return engine.psi_kappa_integral(ambient.g, merged, term.kappa_parts + t.kappa_parts)
-
-
-def _pair_separating(term: SeparatingStratum, pullback,
-                     engine: CorrelatorEngine) -> Fraction:
-    # Both factors are stable of nonnegative genus (checked on construction)
-    # and the test was checked by pair_with_test, so the factor integrals
-    # take the engine's internal path with sorted exponents and kappa parts.
-    g1, g2 = term.g1, term.g2
-    left_labels, right_labels, rows = pullback
-    deco1 = [term.marking_exps[i - 1] for i in left_labels]
-    deco2 = [term.marking_exps[i - 1] for i in right_labels]
-    a, b = term.node_exps
-    # factor 1's dimension gate, taken before its exponent tuple is built
-    degree1 = 3 * g1 - 2 + len(deco1) - sum(deco1) - a
-    total = ZERO
-    for test_degree1, psi1, psi2, k1, k2, mult in rows:
-        if test_degree1 != degree1:
-            continue
-        d1 = sorted([x + y for x, y in zip(deco1, psi1)] + [a])
-        f1 = engine._psi_kappa(g1, tuple(d1), k1)
-        if not f1:
-            continue
-        d2 = sorted([x + y for x, y in zip(deco2, psi2)] + [b])
-        f2 = engine._psi_kappa(g2, tuple(d2), k2)
-        if f2:
-            total += mult * f1 * f2
-    return total
 
 
 def _pair_nonseparating(term: NonSeparatingPushforward, t: TestMonomial,
@@ -380,21 +389,42 @@ def pair_with_test(expr: ClassExpr, t: TestMonomial,
         raise ValueError("negative descendent level")
     if any(x <= 0 for x in t.kappa_parts):
         raise ValueError("kappa index must be positive")
-    pullbacks = {}  # markings1 -> _pullback_rows of t
-    total = ZERO
-    for coeff, term in expr.terms:
+    others, splits = expr._plan
+    sums = {}  # denominator -> integer numerator of the terms over it
+    for num, den, term in others:
         if isinstance(term, InteriorTerm):
             value = _pair_interior(term, t, expr.ambient, engine)
-        elif isinstance(term, SeparatingStratum):
-            pullback = pullbacks.get(term.markings1)
-            if pullback is None:
-                pullback = pullbacks[term.markings1] = _pullback_rows(t, term)
-            value = _pair_separating(term, pullback, engine)
         else:
             value = _pair_nonseparating(term, t, engine)
         if value:
-            total += coeff * value
-    return total
+            d = den * value.denominator
+            sums[d] = sums.get(d, 0) + num * value.numerator
+    # Both factors are stable of nonnegative genus (checked on construction)
+    # and the test is checked above, so the factor integrals take the
+    # engine's internal path with sorted exponents and kappa parts.
+    psi_kappa = engine._psi_kappa
+    for left, right, groups in splits:
+        for degree1, psi1, psi2, k1, k2, mult in _pullback_rows(t, left, right):
+            for g1, g2, deco1, shift, by_a in groups:
+                a = shift - degree1
+                strata = by_a.get(a)
+                if strata is None:
+                    continue
+                f1 = psi_kappa(g1, tuple(sorted([x + y for x, y in zip(deco1, psi1)] + [a])),
+                               k1)
+                if not f1:
+                    continue
+                num1, den1 = mult * f1.numerator, f1.denominator
+                for num, den, deco2, b in strata:
+                    f2 = psi_kappa(g2, tuple(sorted([x + y for x, y in zip(deco2, psi2)] + [b])),
+                                   k2)
+                    if f2:
+                        d = den * den1 * f2.denominator
+                        sums[d] = sums.get(d, 0) + num * num1 * f2.numerator
+    if not sums:
+        return ZERO
+    common = lcm(*sums)
+    return Fraction(sum(num * (common // den) for den, num in sums.items()), common)
 
 
 def pair_pushforward_irreducible(expr: ClassExpr, kappa,

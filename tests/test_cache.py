@@ -1,5 +1,6 @@
 """Cache file format: round-trips, fault injection, version handling."""
 
+import hashlib
 import os
 import stat
 import threading
@@ -213,3 +214,18 @@ def test_save_to_a_pipe_writes_through(tmp_path):
     assert not reader.is_alive()
     assert received == [b"#taut-rr-cache v1\n1;1;;1/24\n"]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_saved_file_bytes_are_pinned(tmp_path):
+    # psi-only and kappa keys of several genera and lengths, saved in key
+    # order; the digest is that of the file the dataclass keys wrote
+    engine = CorrelatorEngine()
+    engine.psi_integral(4, [3, 8])
+    engine.psi_kappa_integral(2, [1, 1], [1, 2])
+    engine.psi_kappa_integral(3, [], [2, 2, 1, 1])
+    path = tmp_path / "c.txt"
+    save_engine_cache(engine, path)
+    data = path.read_bytes()
+    assert len(engine.entries()) == 44 and len(data) == 773
+    assert hashlib.sha256(data).hexdigest() == \
+        "57ee98dc2e3274975717f81c23e1f8b8228da1af6203e59f75adfe422b4447b8"

@@ -1,0 +1,122 @@
+"""Negative controls: each relation must fail where it stops holding.
+
+A pairing verifier that wrongly returned 0 would pass every relation, so
+these tests pin expressions that must fail.  The paper's expression for
+psi_1^k holds only for k >= 2g, so it must fail one step below.  A
+relation with one term's sign flipped, or one term dropped, must fail
+somewhere in its default ``tautrr verify`` sweep; the first parameter
+tuple that detects each mutation is pinned.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from tautrr.cli import SWEEPS, _param_tuples, build_parser
+from tautrr.engine import CorrelatorEngine
+from tautrr.relations import (
+    _boundary_sum,
+    build_bbt,
+    build_fqq,
+    build_variation,
+    build_vpe,
+    verify,
+)
+from tautrr.strata import AmbientSpace, ClassExpr, InteriorTerm
+
+BUILDERS = {"bbt": build_bbt, "variation": build_variation, "fqq": build_fqq,
+            "vpe": build_vpe}
+
+
+@pytest.fixture(scope="module")
+def engine():
+    return CorrelatorEngine()
+
+
+def bbt_expression(g: int, degree: int, weight=lambda g, g2: Fraction(g2, g)) -> ClassExpr:
+    """psi_1^degree minus the bbt boundary sum, for any degree; the boundary
+    terms carry -weight(g, g2) (-1)^a."""
+    ambient = AmbientSpace(g, 1)
+    boundary = _boundary_sum(ambient, range(1, g), degree - 1, frozenset({1}),
+                             lambda g2, sign: -weight(g, g2) * sign)
+    return ClassExpr.make(ambient, degree, [(1, InteriorTerm((degree,)))] + boundary)
+
+
+def default_tuples(relation: str) -> list[dict]:
+    """The parameter tuples of ``tautrr verify RELATION`` with no options."""
+    args = build_parser().parse_args(["verify", relation])
+    return _param_tuples(args, SWEEPS[relation])
+
+
+def test_hand_built_bbt_is_the_builder_expression():
+    for g in range(1, 5):
+        for r in range(0, 3):
+            assert bbt_expression(g, 2 * g + r) == build_bbt(g, r)
+
+
+@pytest.mark.parametrize("g, nonzero", [(2, 2), (3, 4), (4, 7)])
+def test_bbt_fails_one_degree_below_the_stated_range(engine, g, nonzero):
+    # k = 2g - 1, that is r = -1, which build_bbt rejects: every pairing is nonzero
+    report = verify(bbt_expression(g, 2 * g - 1), engine=engine)
+    assert not report.passed and not report.trivial
+    assert len(report.nonzero()) == len(report.pairings) == nonzero
+
+
+def _mutated(expr: ClassExpr, kind: str, index: int) -> ClassExpr:
+    terms = list(expr.terms)
+    if kind == "flip":
+        coeff, term = terms[index]
+        terms[index] = (-coeff, term)
+    else:
+        del terms[index]
+    return ClassExpr(expr.ambient, expr.degree, tuple(terms))
+
+
+# (relation, mutation, term index) -> the first default tuple whose report fails.
+# bbt at g = 1 and variation at g = 0 pair trivially (degree above the
+# dimension); the last vpe term at g = 1 pairs to 0 against the one test.
+FIRST_DETECTION = {
+    ("bbt", "flip", 0): {"g": 2, "r": 0},
+    ("bbt", "flip", -1): {"g": 3, "r": 0},
+    ("bbt", "drop", 0): {"g": 2, "r": 0},
+    ("bbt", "drop", -1): {"g": 3, "r": 0},
+    ("variation", "flip", 0): {"g": 1, "n1": 2, "n2": 2, "r": 0},
+    ("variation", "flip", -1): {"g": 1, "n1": 2, "n2": 2, "r": 0},
+    ("variation", "drop", 0): {"g": 1, "n1": 2, "n2": 2, "r": 0},
+    ("variation", "drop", -1): {"g": 1, "n1": 2, "n2": 2, "r": 0},
+    ("fqq", "flip", 0): {"g": 1, "r": 0},
+    ("fqq", "flip", -1): {"g": 1, "r": 0},
+    ("fqq", "drop", 0): {"g": 1, "r": 0},
+    ("fqq", "drop", -1): {"g": 1, "r": 0},
+    ("vpe", "flip", 0): {"g": 1, "r": 1},
+    ("vpe", "flip", -1): {"g": 2, "r": 1},
+    ("vpe", "drop", 0): {"g": 1, "r": 1},
+    ("vpe", "drop", -1): {"g": 2, "r": 1},
+}
+
+
+@pytest.mark.parametrize("relation, kind, index", list(FIRST_DETECTION))
+def test_mutation_fails_in_the_default_sweep(engine, relation, kind, index):
+    first = None
+    for params in default_tuples(relation):
+        expr = BUILDERS[relation](**params)
+        # the unmutated relation holds on every tuple of its default sweep
+        assert verify(expr, engine=engine).passed, params
+        if expr.terms and not verify(_mutated(expr, kind, index), engine=engine).passed:
+            first = first or params
+    assert first == FIRST_DETECTION[relation, kind, index]
+
+
+def test_bbt_coefficient_swap_fails_once_the_genera_differ(engine):
+    # g2/g -> g1/g changes nothing at g = 2, where g1 = g2 = 1
+    swapped = lambda g, g2: Fraction(g - g2, g)
+    passed = {(p["g"], p["r"]): verify(bbt_expression(p["g"], 2 * p["g"] + p["r"], swapped),
+                                       engine=engine).passed
+              for p in default_tuples("bbt")}
+    assert passed == {
+        (1, 0): True,
+        (2, 0): True,
+        (3, 0): False, (3, 1): False,
+        (4, 0): False, (4, 1): False, (4, 2): True,
+        (5, 0): False, (5, 1): False, (5, 2): False, (5, 3): False,
+    }

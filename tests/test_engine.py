@@ -299,6 +299,42 @@ def test_key_is_order_independent():
     assert CorrelatorKey.make(2, [1, 0], [2, 1]) == CorrelatorKey.make(2, [0, 1], [1, 2])
 
 
+def test_key_contract():
+    # the repr, order, equality and immutability the key had as a frozen,
+    # ordered dataclass; it also equals the plain tuple of its fields
+    key = CorrelatorKey(2, (4,), ())
+    assert repr(key) == str(key) == "CorrelatorKey(genus=2, psi_exps=(4,), kappa_parts=())"
+    assert (key.genus, key.psi_exps, key.kappa_parts) == (2, (4,), ())
+    made = CorrelatorKey.make(2.0, [5, 0.0], (2, 1))
+    assert made == CorrelatorKey(2, (0, 5), (1, 2)) and type(made) is CorrelatorKey
+    assert hash(made) == hash(CorrelatorKey.make(2, (0, 5), [2, 1]))
+    assert all(type(x) is int for x in (made.genus,) + made.psi_exps + made.kappa_parts)
+    assert CorrelatorKey.make(2, [4]) == key != CorrelatorKey.make(2, [4], [1])
+    assert {key: 1}[(2, (4,), ())] == 1
+    with pytest.raises(AttributeError):
+        key.genus = 3
+    keys = [CorrelatorKey(2, (4,), ()), CorrelatorKey(1, (1,), ()),
+            CorrelatorKey(1, (0, 1), (1,)), CorrelatorKey(1, (0, 1), ()),
+            CorrelatorKey(0, (0, 0, 0), ()), CorrelatorKey(1, (), (1,))]
+    assert sorted(keys) == [
+        CorrelatorKey(0, (0, 0, 0), ()), CorrelatorKey(1, (), (1,)),
+        CorrelatorKey(1, (0, 1), ()), CorrelatorKey(1, (0, 1), (1,)),
+        CorrelatorKey(1, (1,), ()), CorrelatorKey(2, (4,), ()),
+    ]
+    assert CorrelatorKey(1, (1,), ()) < CorrelatorKey(2, (0,), ())
+
+
+def test_stale_entry_warning_text():
+    engine = CorrelatorEngine()
+    engine.adopt({CorrelatorKey(2, (4,), ()): Fraction(1, 9999)}, trusted=False)
+    with pytest.warns(UserWarning) as caught:
+        assert engine.psi_integral(2, [4]) == Fraction(1, 1152)
+    assert [str(w.message) for w in caught] == [
+        "stale cache entry for CorrelatorKey(genus=2, psi_exps=(4,), kappa_parts=()) "
+        "disagreed with recomputation; using the fresh value"
+    ]
+
+
 def test_concurrent_lookups_are_consistent():
     engine = CorrelatorEngine()
     results = []

@@ -1,0 +1,46 @@
+"""The names the benchmark harness wraps must exist in tautrr.
+
+``perfbench/tracer.py`` and ``perfbench/workloads.py`` wrap tautrr
+functions by name.  A wrapper around a name that no longer exists fails
+only when the benchmark runs, and a renamed function would drop out of its
+per-layer figures, so the names are checked here.  Both files are loaded
+read-only from their paths.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from tautrr import relations
+from tautrr.engine import CorrelatorEngine
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+workloads = _load("workloads")
+
+
+@pytest.mark.parametrize("module, name", list(tracer.FUNCTIONS))
+def test_traced_function_resolves(module, name):
+    assert callable(getattr(importlib.import_module(module), name))
+
+
+@pytest.mark.parametrize("method", tracer.ENGINE_METHODS)
+def test_traced_engine_method_resolves(method):
+    # the tracer replaces the method on the class itself
+    assert callable(CorrelatorEngine.__dict__[method])
+
+
+@pytest.mark.parametrize("name", workloads.Pairing.VERIFIERS + workloads.Pairing.BUILDERS)
+def test_timed_relation_function_resolves(name):
+    assert callable(getattr(relations, name))

@@ -77,6 +77,33 @@ def test_pullback_distributes_kappa():
     ]
 
 
+def _mask_pullback(t, s):
+    """Reference pullback: every subset of the kappa indices, by bit mask."""
+    psi1 = tuple(t.psi_exps[i - 1] for i in sorted(s.markings1))
+    psi2 = tuple(t.psi_exps[i - 1] for i in sorted(s.markings2()))
+    parts = t.kappa_parts
+    expansion = {}
+    for mask in range(1 << len(parts)):
+        k1 = tuple(sorted((p for i, p in enumerate(parts) if not mask >> i & 1), reverse=True))
+        k2 = tuple(sorted((p for i, p in enumerate(parts) if mask >> i & 1), reverse=True))
+        expansion[k1, k2] = expansion.get((k1, k2), 0) + 1
+    return [(TestMonomial(psi1, k1), TestMonomial(psi2, k2), Fraction(mult))
+            for (k1, k2), mult in expansion.items()]
+
+
+def test_pullback_matches_mask_loop():
+    # kappa parts descending, as enumerate_tests lists them: the same list;
+    # in any other order: the same rows
+    s = SeparatingStratum(1, 2, frozenset({1, 3}), (0, 0), (0, 0, 0))
+    for kappa in ((), (1,), (2, 1), (1, 1), (2, 1, 1), (3, 2, 2, 1, 1, 1)):
+        t = TestMonomial((2, 0, 1), kappa)
+        assert pullback_test_to_separating(t, s) == _mask_pullback(t, s), kappa
+    t = TestMonomial((2, 0, 1), (1, 2, 1, 3))
+    row_key = lambda row: (row[0].kappa_parts, row[1].kappa_parts)
+    assert sorted(pullback_test_to_separating(t, s), key=row_key) == \
+        sorted(_mask_pullback(t, s), key=row_key)
+
+
 def test_pullback_kappa_additivity_against_integrals(engine):
     # restriction of one kappa index to a genus split equals its pairing
     # computed on the two factors separately
@@ -259,6 +286,23 @@ def _parity_expressions():
         (7, SeparatingStratum(2, 1, frozenset({1}), (0, 2), (0, 0))),
         (1, InteriorTerm((1, 1), (1,))),
     ])
+    # strata that share factor 1 and the node exponent a on it share one
+    # factor-1 integral; each must still contribute: the same
+    # (markings1, g1, a) with different b, and one stratum listed twice
+    amb = AmbientSpace(3, 2)
+    twice = SeparatingStratum(1, 2, frozenset({1}), (1, 1), (0, 0))
+    yield ClassExpr.make(amb, 3, [
+        (3, SeparatingStratum(1, 2, frozenset({1}), (1, 0), (0, 1))), (-2, twice)])
+    yield ClassExpr.make(amb, 3, [(2, twice), (Fraction(-1, 4), twice)])
+    # three markings, two of them on factor 1, with marking decorations
+    yield ClassExpr.make(AmbientSpace(2, 3), 4, [
+        (5, SeparatingStratum(1, 1, frozenset({1, 3}), (1, 1), (1, 0, 0))),
+        (Fraction(-3, 2), SeparatingStratum(1, 1, frozenset({1, 3}), (1, 0), (1, 1, 0))),
+        (1, SeparatingStratum(1, 1, frozenset({1, 3}), (0, 1), (1, 0, 1))),
+    ])
+    # coefficients over different denominators whose contributions cancel
+    yield ClassExpr.make(amb, 3, [
+        (Fraction(1, 2), twice), (Fraction(1, 3), twice), (Fraction(-5, 6), twice)])
 
 
 def test_pairing_matches_term_by_term_reference():
