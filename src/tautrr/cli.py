@@ -242,7 +242,9 @@ def _run_cached(body, args) -> int:
     the file did not exist, it was loaded quarantined (version mismatch),
     or the engine now holds an entry the file did not.  A usage error
     (exit 2) writes nothing, and neither does a file holding a value no
-    integral can take (exit 1).
+    integral can take (exit 1).  A quarantined file is rewritten only once
+    every entry in it has been revalidated; otherwise it is left as it is,
+    because the rewrite would drop the entries the run never checked.
     """
     engine = CorrelatorEngine()
     path = args.cache or os.environ.get(CACHE_ENV_VAR)
@@ -258,8 +260,9 @@ def _run_cached(body, args) -> int:
     except ImpossibleEntryError as exc:
         print(f"error: cache {path}: {exc}", file=sys.stderr)
         return 1
-    if path and code != 2 and (loaded is None or not loaded.trusted
-                               or len(engine.entries()) > len(loaded.entries)):
+    if path and code != 2 and not engine.quarantined() and (
+            loaded is None or not loaded.trusted
+            or len(engine.entries()) > len(loaded.entries)):
         try:
             save_engine_cache(engine, path)
         except OSError as exc:

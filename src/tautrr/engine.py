@@ -27,10 +27,18 @@ Conventions:
     where the last sum runs over a + b = k - 2 and the splits S = L + R.
     Equal exponents are summed once with their multiplicity, and the
     splits run over sub-multisets L of S weighted by prod C(c_i, t_i).
-  * The bracket is even: the split terms pair off under
-    (a, L) <-> (b, R), and a term paired with itself (a == b, L == R)
-    carries an even weight, C(c, c/2) for some c > 0, or C(g, g/2) when
-    S is empty.  The halving still checks its remainder.
+  * The bracket's split terms pair off under the mirror
+    (a, L, g1) <-> (b, R, g - g1), and its genus g-1 terms under a <-> b,
+    so each unordered pair is visited once and counted once in place of
+    the halving: splits with (|L|, L) <= (|R|, R), and g1 < g - g1 when
+    L == R.  Only the self-paired term (a == b, L == R, g1 == g - g1) is
+    halved; it carries an even weight, C(c, c/2) for some c > 0, or
+    C(g, g/2) when S is empty, and the halving still checks its
+    remainder.  Visiting a pair once touches the same memo keys as
+    visiting both members, because neither factor of a split that meets
+    the dimension constraint is unstable: with a >= 0, a genus-0 factor
+    on at most two points would need its exponents to sum to a negative
+    number.
   * Division happens once per key, when its value is stored in the memo
     as a Fraction; a hit returns the stored Fraction.  A trusted entry
     adopted from outside is turned back into I exactly when the recursion
@@ -49,7 +57,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import NamedTuple
 
 ZERO = Fraction(0)
@@ -156,6 +164,13 @@ def _submultisets(parts: tuple[int, ...]):
     return splits
 
 
+def _sum_by_denominator(sums: dict[int, int]) -> Fraction:
+    """The sum of num/den over a ``{den: num}`` table of integers, as one
+    Fraction built once over the common denominator; 0 for an empty table."""
+    common = lcm(*sums)
+    return Fraction(sum(num * (common // den) for den, num in sums.items()), common)
+
+
 def _normalization(g: int, d: tuple[int, ...]) -> int:
     """8^g g! prod_i (2d_i+1)!!, the factor making <tau_d>_g an integer."""
     norm = 8**g * factorial(g)
@@ -250,6 +265,10 @@ class CorrelatorEngine:
         else:
             self._stale.update(entries)
 
+    def quarantined(self) -> int:
+        """How many quarantined entries have not been revalidated yet."""
+        return len(self._stale)
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -338,37 +357,50 @@ class CorrelatorEngine:
             i = rest.index(v)
             merged = rest[:i] + rest[i + 1:] + (k + v - 1,)
             total += rest.count(v) * (2 * v + 1) * (ints.get(merged) or get(g, merged))
-        bracket = 0
         if g >= 1:
+            # a and k - 2 - a give the same key: the lower half twice, then
+            # the middle term once when k is even
             lower = 0
-            for a in range(k - 1):
+            for a in range((k - 1) // 2):
                 key = tuple(sorted(rest + (a, k - 2 - a)))
                 lower += ints.get(key) or get(g - 1, key)
-            bracket = 8 * g * lower
+            lower *= 2
+            if k % 2 == 0:
+                key = tuple(sorted(rest + ((k - 2) // 2,) * 2))
+                lower += ints.get(key) or get(g - 1, key)
+            total += 4 * g * lower
         binom = [comb(g, g1) for g1 in range(g + 1)]
+        self_paired = 0
         for left, right, weight in _submultisets(rest):
+            # one split of each mirror pair (L, R) <-> (R, L)
             n_left = len(left)
-            n_right = m - n_left
-            # the left factor's dimension constraint fixes a = 3 g1 + shift
+            if (n_left, left) > (m - n_left, right):
+                continue
+            # the left factor's dimension constraint fixes a = 3 g1 + shift;
+            # every exponent is >= 2, so shift < 0 and a >= 0 forces g1 >= 1
             shift = n_left - sum(left) - 2
-            lo = max(-(shift // 3), 0 if n_left >= 2 else 1)
             hi = min((k - 2 - shift) // 3, g)
+            mirror = left == right
+            if mirror:
+                # the split is its own mirror: g1 pairs with g - g1 inside it
+                hi = min(hi, (g - 1) // 2)
             acc = 0
-            for g1 in range(lo, hi + 1):
-                # every stable left factor is evaluated, even where the
-                # right one is unstable and the term is 0: the memo, and
-                # so a saved cache file, holds those keys too
+            for g1 in range(-(shift // 3), hi + 1):
                 a = 3 * g1 + shift
                 lkey = tuple(sorted(left + (a,)))
+                rkey = tuple(sorted(right + (k - 2 - a,)))
                 f1 = ints.get(lkey) or get(g1, lkey)
-                g2 = g - g1
-                if 2 * g2 - 1 + n_right > 0:
-                    rkey = tuple(sorted(right + (k - 2 - a,)))
-                    acc += binom[g1] * f1 * (ints.get(rkey) or get(g2, rkey))
-            bracket += weight * acc
-        half, odd = divmod(bracket, 2)
+                acc += binom[g1] * f1 * (ints.get(rkey) or get(g - g1, rkey))
+            total += weight * acc
+            if mirror and g % 2 == 0:
+                # the term paired with itself: g1 == g - g1 and a == k - 2 - a,
+                # so both factors are one key
+                key = tuple(sorted(left + ((k - 2) // 2,)))
+                f = ints.get(key) or get(g // 2, key)
+                self_paired += weight * binom[g // 2] * f * f
+        half, odd = divmod(self_paired, 2)
         if odd:
-            raise ArithmeticError(f"odd DVV bracket for {_label(g, d)}")
+            raise ArithmeticError(f"odd self-paired DVV term for {_label(g, d)}")
         return total + half
 
     def _psi_kappa(self, g: int, d: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
@@ -382,13 +414,17 @@ class CorrelatorEngine:
             return hit
         # trade the last kappa index for one extra marking; any sub-multiset
         # of the remaining indices may merge into the new insertion, with
-        # sign (-1)^size, once per index subset giving it
-        val = ZERO
+        # sign (-1)^size, once per index subset giving it; the terms are
+        # summed as integer numerators per denominator and divided once
+        sums = {}
         for merged, kept, weight in _submultisets(b[:-1]):
             level = b[-1] + 1 + sum(merged)
-            sign = -weight if len(merged) % 2 else weight
-            val += sign * self._psi_kappa(g, tuple(sorted(d + (level,))), kept)
-        return self._store(CorrelatorKey(g, d, b), val)
+            term = self._psi_kappa(g, tuple(sorted(d + (level,))), kept)
+            if term:
+                den = term.denominator
+                sign = -weight if len(merged) % 2 else weight
+                sums[den] = sums.get(den, 0) + sign * term.numerator
+        return self._store(CorrelatorKey(g, d, b), _sum_by_denominator(sums))
 
 
 _DEFAULT_ENGINE = CorrelatorEngine()

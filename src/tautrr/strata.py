@@ -34,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .cache import format_rational
-from .engine import CorrelatorEngine, _submultisets, default_engine, is_stable, moduli_dim
+from .engine import (CorrelatorEngine, _submultisets, _sum_by_denominator, default_engine,
+                     is_stable, moduli_dim)
 
 ZERO = Fraction(0)
 
@@ -421,10 +421,7 @@ def pair_with_test(expr: ClassExpr, t: TestMonomial,
                     if f2:
                         d = den * den1 * f2.denominator
                         sums[d] = sums.get(d, 0) + num * num1 * f2.numerator
-    if not sums:
-        return ZERO
-    common = lcm(*sums)
-    return Fraction(sum(num * (common // den) for den, num in sums.items()), common)
+    return _sum_by_denominator(sums)
 
 
 def pair_pushforward_irreducible(expr: ClassExpr, kappa,

@@ -281,6 +281,22 @@ def test_stale_cache_is_rewritten_with_current_header(capsys, tmp_path):
     assert lines[0] == "#taut-rr-cache v1" and "2;4;;1/1152" in lines
 
 
+def test_stale_cache_with_unrevalidated_entries_is_left_as_is(capsys, tmp_path):
+    cache = tmp_path / "old.txt"
+    cache.write_text("#taut-rr-cache v0\n0;0,0,0,1;;1\n2;4;;1/1152\n")
+    before = _bytes_and_mtime(cache)
+    # <tau_1>_1 is a base case: neither entry is revalidated
+    with pytest.warns(UserWarning, match="revalidated"):
+        code, out, _ = run(capsys, "integral", "-g", "1", "-d", "1", "--cache", str(cache))
+    assert code == 0 and out.strip() == "1/24"
+    assert _bytes_and_mtime(cache) == before
+    # revalidating one entry of two still leaves the file as it is
+    with pytest.warns(UserWarning, match="revalidated"):
+        code, out, _ = run(capsys, "integral", "-g", "2", "-d", "4", "--cache", str(cache))
+    assert code == 0 and out.strip() == "1/1152"
+    assert _bytes_and_mtime(cache) == before
+
+
 def test_missing_cache_is_created(capsys, tmp_path):
     cache = tmp_path / "new.txt"
     code, _, _ = run(capsys, "integral", "-g", "1", "-d", "1", "--cache", str(cache))

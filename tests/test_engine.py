@@ -327,8 +327,10 @@ def test_key_contract():
 def test_stale_entry_warning_text():
     engine = CorrelatorEngine()
     engine.adopt({CorrelatorKey(2, (4,), ()): Fraction(1, 9999)}, trusted=False)
+    assert engine.quarantined() == 1
     with pytest.warns(UserWarning) as caught:
         assert engine.psi_integral(2, [4]) == Fraction(1, 1152)
+    assert engine.quarantined() == 0
     assert [str(w.message) for w in caught] == [
         "stale cache entry for CorrelatorKey(genus=2, psi_exps=(4,), kappa_parts=()) "
         "disagreed with recomputation; using the fresh value"
@@ -431,6 +433,15 @@ MULTISET_KEYS = [
     (3, (0, 0, 2, 2, 2, 2, 3, 3)),
     (4, (0, 0, 2, 2, 3, 3, 6)),
     (4, (2, 2, 2, 3, 3, 3)),
+    # the DVV genus split pairs (a, L, g1) with (b, R, g - g1); these keys
+    # reach the self-paired term L == R, g1 == g - g1 at g = 2, 4, 6 and 8
+    (8, (22,)),
+    (2, (2, 2, 2)),
+    (4, (2, 2, 8)),
+    (6, (2, 2, 14)),
+    (4, (2, 2, 3, 3, 4)),
+    (6, (2, 2, 3, 3, 10)),
+    (6, (2, 2, 2, 2, 12)),
 ]
 
 
