@@ -13,17 +13,27 @@ never leaves a cut-off file behind.  Loading rejects, naming the line,
 any key the engine cannot produce: negative genus, a negative psi
 exponent, a non-positive kappa index, an unstable (g, n), or exponents
 and kappa indices that do not sum to the dimension 3g - 3 + n.
+
+Every value is checked at load and decoded on first use.  A value in the
+canonical form ``-?digits[/digits]`` with a nonzero denominator (what a
+save writes, though it need not be reduced) is kept as text until the
+engine or a reader of ``CacheStore.entries`` reads it; any other value
+the loader accepts (`` 1/24 ``, ``+3``, ``0.5``) is decoded at load.  So
+a run reads only the values it uses, and ``cache stats`` none.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
-from .engine import CorrelatorEngine, CorrelatorKey
+from .engine import CorrelatorEngine, CorrelatorKey, Entries, Rational, rational_parts
 
 CACHE_MAGIC = "#taut-rr-cache"
 CACHE_VERSION = "v1"
@@ -39,14 +49,25 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _format_value(value: Rational) -> str:
+    """What format_rational writes for the value, also for canonical text
+    that is not reduced (``2/4`` gives ``1/2``, ``0007`` gives ``7``)."""
+    if type(value) is not str:
+        return format_rational(value)
+    num, den = rational_parts(value)
+    common = gcd(num, den)
+    num //= common
+    den //= common
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+#: matches the canonical form -?digits[/digits], denominator nonzero
+_is_canonical = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?").fullmatch
+
+
 def parse_rational(text: str) -> Fraction:
-    # fast path for exactly what format_rational writes: -?digits[/digits]
-    num, slash, den = text.partition("/")
-    if text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit():
-        if not slash:
-            return Fraction(int(num))
-        if den.isdigit():
-            return Fraction(int(num), int(den))
+    if _is_canonical(text):
+        return Fraction(*rational_parts(text))
     text = text.strip()
     if not text:
         raise ValueError("empty rational")
@@ -55,10 +76,19 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass
 class CacheStore:
-    """Entries plus the version string of the engine that produced them."""
+    """Entries plus the version string of the engine that produced them.
 
-    entries: dict[CorrelatorKey, Fraction] = field(default_factory=dict)
+    ``entries`` reads as ``{CorrelatorKey: Fraction}``; any mapping given
+    is held as an :class:`Entries` view, whose ``raw`` values a load or a
+    save passes on undecoded.
+    """
+
+    entries: Mapping[CorrelatorKey, Fraction] = field(default_factory=dict)
     version: str = CACHE_VERSION
+
+    def __post_init__(self):
+        if not isinstance(self.entries, Entries):
+            self.entries = Entries(dict(self.entries))
 
     @property
     def trusted(self) -> bool:
@@ -100,10 +130,10 @@ def _key_problem(genus: int, d: tuple[int, ...], b: tuple[int, ...]) -> str | No
 
 
 def cache_save(store: CacheStore, path) -> None:
-    entries = store.entries
+    values = store.entries.raw
     lines = [f"{CACHE_MAGIC} {store.version}"]
-    lines += [f"{_format_key(key)};{format_rational(entries[key])}"
-              for key in sorted(entries)]
+    lines += [f"{_format_key(key)};{_format_value(values[key])}"
+              for key in sorted(values)]
     text = "\n".join(lines) + "\n"
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
@@ -131,7 +161,7 @@ def cache_load(path) -> CacheStore:
     if not header.startswith(CACHE_MAGIC):
         raise CacheFormatError("line 1: missing cache header")
     version = header[len(CACHE_MAGIC):].strip() or "(none)"
-    entries: dict[CorrelatorKey, Fraction] = {}
+    entries: dict[CorrelatorKey, Rational] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -147,10 +177,12 @@ def cache_load(path) -> CacheStore:
             raise CacheFormatError(f"line {lineno}: bad genus {pieces[0]!r}") from None
         d = _parse_int_list(pieces[1], lineno, "exponent")
         b = _parse_int_list(pieces[2], lineno, "kappa")
-        try:
-            value = parse_rational(pieces[3])
-        except (ValueError, ZeroDivisionError):
-            raise CacheFormatError(f"line {lineno}: bad value {pieces[3]!r}") from None
+        value = pieces[3]
+        if not _is_canonical(value):
+            try:
+                value = parse_rational(value)
+            except (ValueError, ZeroDivisionError):
+                raise CacheFormatError(f"line {lineno}: bad value {value!r}") from None
         problem = _key_problem(genus, d, b)
         if problem:
             raise CacheFormatError(f"line {lineno}: impossible key {line.rsplit(';', 1)[0]!r}: "
@@ -177,5 +209,5 @@ def load_engine_cache(engine: CorrelatorEngine, path) -> CacheStore:
             f"cache version {store.version!r} does not match {CACHE_VERSION!r}; "
             "entries will be revalidated on use"
         )
-    engine.adopt(store.entries, trusted=store.trusted)
+    engine.adopt(store.entries.raw, trusted=store.trusted)
     return store

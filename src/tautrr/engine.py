@@ -41,9 +41,12 @@ Conventions:
     number.
   * Division happens once per key, when its value is stored in the memo
     as a Fraction; a hit returns the stored Fraction.  A trusted entry
-    adopted from outside is turned back into I exactly when the recursion
-    first needs it, and one that is not an integer there raises
-    ImpossibleEntryError.
+    adopted from outside (say from a cache file, whose loader has checked
+    its key and the syntax of its value) waits undecoded in a pending
+    table and is decoded on first use, on a memo miss: a psi entry
+    straight to I, raising ImpossibleEntryError unless it is a positive
+    integer there (as every I is), whether the recursion needs it or a
+    caller asked for it.
   * Inner recursion derives the split genus from the dimension gate: in a
     genus split only one g1 can satisfy the left factor's dimension
     constraint, so that g1 is computed and no other is tried.
@@ -56,6 +59,7 @@ Conventions:
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import NamedTuple
@@ -96,6 +100,44 @@ class CorrelatorKey(NamedTuple):
             tuple(sorted(int(x) for x in psi_exps)),
             tuple(sorted(int(x) for x in kappa_parts)),
         )
+
+
+#: a value as adopted: a Fraction, or text ``-?digits[/digits]`` with a
+#: nonzero denominator, not necessarily reduced (``2/4``, ``0007``)
+Rational = Fraction | str
+
+
+def rational_parts(value: Rational) -> tuple[int, int]:
+    """(numerator, denominator) of a Rational, as written: text is not
+    reduced, and its denominator is 1 when it has no slash."""
+    if type(value) is str:
+        num, _, den = value.partition("/")
+        return int(num), int(den) if den else 1
+    return value.numerator, value.denominator
+
+
+def _fraction(value: Rational) -> Fraction:
+    return Fraction(*rational_parts(value)) if type(value) is str else value
+
+
+class Entries(Mapping):
+    """A read-only ``{CorrelatorKey: Fraction}`` view of ``raw``, a dict whose
+    values are Rationals.  Text is decoded each time a value is read, so
+    the length, the keys and ``raw`` itself cost no decoding."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: dict):
+        self.raw = raw
+
+    def __getitem__(self, key) -> Fraction:
+        return _fraction(self.raw[key])
+
+    def __iter__(self):
+        return iter(self.raw)
+
+    def __len__(self) -> int:
+        return len(self.raw)
 
 
 _ODD_DFACT = [1, 3]  # _ODD_DFACT[m] == (2m+1)!!
@@ -146,9 +188,9 @@ def one_point_value(g: int) -> Fraction:
 
 
 class ImpossibleEntryError(ArithmeticError):
-    """Raised when the recursion needs a trusted memo entry (say one loaded
-    from a cache file) that no psi integral can equal: its value times
-    8^g g! prod (2d_i+1)!! is not an integer."""
+    """Raised when a trusted adopted entry (say one loaded from a cache file)
+    is first read and no psi integral can equal it: its value times
+    8^g g! prod (2d_i+1)!! is not a positive integer."""
 
 
 def _submultisets(parts: tuple[int, ...]):
@@ -199,7 +241,10 @@ class CorrelatorEngine:
 
     def __init__(self):
         self._memo: dict[CorrelatorKey, Fraction] = {}
-        self._stale: dict[CorrelatorKey, Fraction] = {}
+        # trusted adopted entries not read yet, and quarantined ones not
+        # revalidated yet
+        self._pending: dict[CorrelatorKey, Rational] = {}
+        self._stale: dict[CorrelatorKey, Rational] = {}
         # normalized psi values I(g, d) by sorted d (d fixes g by the gate)
         self._ints: dict[tuple[int, ...], int] = dict(_BASE_INTS)
 
@@ -246,24 +291,29 @@ class CorrelatorEngine:
     # cache plumbing (file I/O lives in tautrr.cache)
     # ------------------------------------------------------------------
 
-    def entries(self) -> dict[CorrelatorKey, Fraction]:
-        return dict(self._memo)
+    def entries(self) -> Entries:
+        """Every entry the engine holds, decoded or still pending."""
+        return Entries({**self._pending, **self._memo})
 
-    def adopt(self, entries: dict[CorrelatorKey, Fraction], trusted: bool = True) -> None:
-        """Install externally loaded entries.
+    def adopt(self, entries: dict[CorrelatorKey, Rational], trusted: bool = True) -> None:
+        """Install externally loaded entries, whose values may still be text.
 
+        The caller has checked the keys and the syntax of the values (the
+        cache loader does); the values are decoded on first use.  Trusted
+        entries wait in a pending table.  When one is first needed, a psi
+        entry is converted once to its normalized integer, and one that is
+        not a positive integer there raises :class:`ImpossibleEntryError`.
         Untrusted entries (e.g. from a cache file with a mismatched
         version) are quarantined and revalidated against a fresh
-        computation the first time they are needed.  Trusted psi entries
-        are converted to normalized integers when the recursion first
-        needs them (see :class:`ImpossibleEntryError`).
+        computation the first time they are needed; the two base keys,
+        which are never computed, are checked at once.
         """
         if trusted:
-            self._memo.update(entries)
-            # normalized values are re-derived from the memo on demand
-            self._ints = dict(_BASE_INTS)
+            self._pending.update(entries)
         else:
             self._stale.update(entries)
+            for g, d in ((0, (0, 0, 0)), (1, (1,))):
+                self._revalidate(CorrelatorKey(g, d, ()), _BASE_VALUES[g])
 
     def quarantined(self) -> int:
         """How many quarantined entries have not been revalidated yet."""
@@ -280,14 +330,18 @@ class CorrelatorEngine:
             return ZERO
         return self._psi(g, tuple(sorted(levels)))
 
-    def _store(self, key: CorrelatorKey, val: Fraction) -> Fraction:
-        """Memoize a fresh value, revalidating any quarantined copy of it."""
+    def _revalidate(self, key: CorrelatorKey, val: Fraction) -> None:
+        """Drop any quarantined copy of key, warning if it is not val."""
         old = self._stale.pop(key, None)
-        if old is not None and old != val:
+        if old is not None and _fraction(old) != val:
             warnings.warn(
                 f"stale cache entry for {key} disagreed with recomputation; "
                 "using the fresh value"
             )
+
+    def _store(self, key: CorrelatorKey, val: Fraction) -> Fraction:
+        """Memoize a fresh value, revalidating any quarantined copy of it."""
+        self._revalidate(key, val)
         self._memo[key] = val
         return val
 
@@ -301,22 +355,26 @@ class CorrelatorEngine:
         hit = self._memo.get((g, d, ()))
         if hit is not None:
             return hit
-        self._compute(g, d)
+        self._int(g, d)
         return self._memo[(g, d, ())]
 
     def _int(self, g: int, d: tuple[int, ...]) -> int:
-        """I(g, d) on a miss in ``_ints``: d sorted, passing the gate, (g, n)
-        stable.  A trusted memo entry is converted back exactly."""
-        hit = self._memo.get((g, d, ()))
-        if hit is None:
+        """I(g, d) on a miss in ``_ints`` (and so in the memo): d sorted,
+        passing the gate, (g, n) stable.  A pending adopted entry is
+        converted exactly, once; any other key is computed."""
+        value = self._pending.get((g, d, ()))
+        if value is None:
             return self._compute(g, d)
-        val, rem = divmod(hit.numerator * _normalization(g, d), hit.denominator)
-        if rem:
+        num, den = rational_parts(value)
+        val, rem = divmod(num * _normalization(g, d), den)
+        if rem or val <= 0:
             raise ImpossibleEntryError(
-                f"impossible value {hit} for {_label(g, d)}: "
-                "times 8^g g! prod (2d_i+1)!! it is not an integer"
+                f"impossible value {Fraction(num, den)} for {_label(g, d)}: "
+                f"times 8^g g! prod (2d_i+1)!! it is not {'an' if rem else 'a positive'} integer"
             )
+        self._pending.pop((g, d, ()), None)
         self._ints[d] = val
+        self._memo[CorrelatorKey(g, d, ())] = Fraction(num, den)
         return val
 
     def _compute(self, g: int, d: tuple[int, ...]) -> int:
@@ -412,6 +470,10 @@ class CorrelatorEngine:
         hit = self._memo.get((g, d, b))
         if hit is not None:
             return hit
+        value = self._pending.pop((g, d, b), None)
+        if value is not None:
+            value = self._memo[CorrelatorKey(g, d, b)] = _fraction(value)
+            return value
         # trade the last kappa index for one extra marking; any sub-multiset
         # of the remaining indices may merge into the new insertion, with
         # sign (-1)^size, once per index subset giving it; the terms are

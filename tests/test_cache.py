@@ -19,7 +19,7 @@ from tautrr.cache import (
     parse_rational,
     save_engine_cache,
 )
-from tautrr.engine import CorrelatorEngine, CorrelatorKey
+from tautrr.engine import CorrelatorEngine, CorrelatorKey, ImpossibleEntryError
 
 
 def test_rational_rendering():
@@ -229,3 +229,108 @@ def test_saved_file_bytes_are_pinned(tmp_path):
     assert len(engine.entries()) == 44 and len(data) == 773
     assert hashlib.sha256(data).hexdigest() == \
         "57ee98dc2e3274975717f81c23e1f8b8228da1af6203e59f75adfe422b4447b8"
+
+
+# ----------------------------------------------------------------------
+# values checked at load, decoded on first use
+# ----------------------------------------------------------------------
+
+#: one odd value per line: kappa keys, which carry no integrality check,
+#: and psi keys where the value times 8^g g! prod (2d_i+1)!! is an integer
+ODD_VALUE_LINES = [
+    "1;0;1; 1/24 ",
+    "2;;1,2;2/4",
+    "1;0,2;;+3",
+    "2;4;;0007",
+    "2;5,0;;0.5",
+    "2;1,4;;3/1",
+]
+
+
+def _eager(path):
+    """The file's entries parsed whole, every value by Fraction."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()[1:]
+    entries = {}
+    for line in lines:
+        g, d, b, value = line.strip().split(";")
+        to_list = lambda s: [int(x) for x in s.split(",")] if s else []
+        entries[CorrelatorKey.make(int(g), to_list(d), to_list(b))] = Fraction(value.strip())
+    return entries
+
+
+def _odd_cache(tmp_path):
+    engine = CorrelatorEngine()
+    engine.psi_integral(3, [2, 6])
+    engine.psi_kappa_integral(2, [1], [1, 2])
+    path = tmp_path / "odd.txt"
+    save_engine_cache(engine, path)
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write("\n".join(ODD_VALUE_LINES) + "\n")
+    return path
+
+
+def _value(engine, key):
+    return engine.psi_kappa_integral(key.genus, key.psi_exps, key.kappa_parts)
+
+
+def test_lazy_load_reads_as_an_eager_parse(tmp_path):
+    path = _odd_cache(tmp_path)
+    eager = _eager(path)
+    store = cache_load(path)
+    assert store.entries == eager
+    assert all(type(v) is Fraction for v in store.entries.values())
+    # only the canonical values are held back as text
+    decoded = {key for key, v in store.entries.raw.items() if type(v) is not str}
+    assert decoded == {(1, (0,), (1,)), (1, (0, 2), ()), (2, (0, 5), ())}
+    lazy = CorrelatorEngine()
+    load_engine_cache(lazy, path)
+    reference = CorrelatorEngine()
+    reference.adopt(eager)
+    assert lazy.entries() == reference.entries() == eager
+    for key in eager:
+        assert _value(lazy, key) == _value(reference, key) == eager[key], key
+    assert lazy.entries() == reference.entries()
+
+
+@pytest.mark.parametrize("value", ["1/0", "1/-2", "", "1/00", "-"])
+def test_bad_value_fails_at_load_naming_the_line(tmp_path, value):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"#taut-rr-cache v1\n1;2,0;;1/24\n2;4;;{value}\n")
+    with pytest.raises(CacheFormatError, match=f"line 3: bad value {value!r}"):
+        cache_load(path)
+
+
+def test_grown_file_is_saved_as_an_eager_load_would_save_it(tmp_path):
+    # the parent parsed every value at load and wrote format_rational of it
+    path = _odd_cache(tmp_path)
+    reference = CorrelatorEngine()
+    reference.adopt(_eager(path))
+    reference.psi_integral(3, [1, 2, 6])
+    expected = tmp_path / "expected.txt"
+    save_engine_cache(reference, expected)
+    engine = CorrelatorEngine()
+    load_engine_cache(engine, path)
+    engine.psi_integral(3, [1, 2, 6])
+    save_engine_cache(engine, path)
+    assert path.read_bytes() == expected.read_bytes()
+    # a load followed by a save writes the same bytes again
+    cache_save(cache_load(path), tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("value, why", [
+    ("1/9999", "not an integer"), ("0", "not a positive integer"),
+    ("-1/1152", "not a positive integer"),
+])
+def test_impossible_value_raises_on_a_direct_read(tmp_path, value, why):
+    # every <tau_d>_g passing the dimension gate times 8^g g! prod (2d_i+1)!!
+    # is a positive integer
+    path = tmp_path / "c.txt"
+    path.write_text(f"#taut-rr-cache v1\n2;4;;{value}\n")
+    engine = CorrelatorEngine()
+    load_engine_cache(engine, path)
+    with pytest.raises(ImpossibleEntryError, match=f"{value} for <tau_4>_2: .* {why}$"):
+        engine.psi_integral(2, [4])
+    # left pending, so a second read raises again
+    with pytest.raises(ImpossibleEntryError):
+        engine.psi_integral(2, [4])

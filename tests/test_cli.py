@@ -157,14 +157,28 @@ def test_cache_corrupted_file(capsys, tmp_path):
 
 def test_poisoned_trusted_cache_fails_verification(capsys, tmp_path):
     # a trusted cache with a wrong value must surface as a verification
-    # failure (exit 1), demonstrating the failure path end to end
+    # failure (exit 1), demonstrating the failure path end to end; 1/576 is
+    # a value an integral could take (I = 210, the true 1/1152 has I = 105)
     bad = tmp_path / "poison.txt"
-    bad.write_text("#taut-rr-cache v1\n2;4;;1/9999\n")
+    bad.write_text("#taut-rr-cache v1\n2;4;;1/576\n")
     code, out, _ = run(
         capsys, "verify", "bbt", "--g", "2", "--r", "0", "--cache", str(bad),
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_impossible_value_on_a_direct_hit_is_one_error_line(capsys, tmp_path):
+    # 1/9999 times 8^2 2! 9!! is not an integer; the call that asks for the
+    # key itself decodes it, so it stops the run as a recursion would
+    bad = tmp_path / "impossible.txt"
+    bad.write_text("#taut-rr-cache v1\n2;4;;1/9999\n")
+    before = _bytes_and_mtime(bad)
+    code, out, err = run(capsys, "integral", "-g", "2", "-d", "4", "--cache", str(bad))
+    assert (code, out) == (1, "")
+    assert err == (f"error: cache {bad}: impossible value 1/9999 for <tau_4>_2: "
+                   "times 8^g g! prod (2d_i+1)!! it is not an integer\n")
+    assert _bytes_and_mtime(bad) == before
 
 
 def test_impossible_cached_value_is_one_error_line(capsys, tmp_path):
@@ -295,6 +309,39 @@ def test_stale_cache_with_unrevalidated_entries_is_left_as_is(capsys, tmp_path):
         code, out, _ = run(capsys, "integral", "-g", "2", "-d", "4", "--cache", str(cache))
     assert code == 0 and out.strip() == "1/1152"
     assert _bytes_and_mtime(cache) == before
+
+
+def test_stale_cache_with_base_keys_is_rewritten(capsys, tmp_path):
+    # the engine never computes <tau_1>_1 or <tau_0^3>_0, so a quarantined
+    # base key is checked when it is adopted, and it cannot keep the file v0
+    cache = tmp_path / "old.txt"
+    cache.write_text("#taut-rr-cache v0\n1;1;;1/24\n2;4;;1/1152\n")
+    with pytest.warns(UserWarning, match="revalidated"):
+        code, out, _ = run(capsys, "integral", "-g", "2", "-d", "4", "--cache", str(cache))
+    assert code == 0 and out.strip() == "1/1152"
+    lines = cache.read_text().splitlines()
+    assert lines[0] == "#taut-rr-cache v1" and "2;4;;1/1152" in lines
+
+
+def test_integral_hit_decodes_only_what_it_reads(capsys, tmp_path, monkeypatch):
+    import tautrr.cli
+    from tautrr.engine import CorrelatorEngine
+
+    cache = tmp_path / "cache.txt"
+    code, value, _ = run(capsys, "integral", "-g", "4", "-d", "4,7", "--cache", str(cache))
+    assert code == 0
+    engines = []
+
+    def recording_engine():
+        engines.append(CorrelatorEngine())
+        return engines[-1]
+
+    monkeypatch.setattr(tautrr.cli, "CorrelatorEngine", recording_engine)
+    code, out, _ = run(capsys, "integral", "-g", "4", "-d", "7,4", "--cache", str(cache))
+    assert code == 0 and out == value
+    raw = engines[0].entries().raw
+    decoded = {key for key, v in raw.items() if type(v) is not str}
+    assert len(raw) > 20 and decoded == {(4, (4, 7), ())}
 
 
 def test_missing_cache_is_created(capsys, tmp_path):

@@ -337,6 +337,22 @@ def test_stale_entry_warning_text():
     ]
 
 
+def test_quarantined_base_keys_are_checked_on_adoption():
+    # the engine answers the two base keys without computing them, so their
+    # quarantined copies are compared when adopted, not on first use
+    engine = CorrelatorEngine()
+    with pytest.warns(UserWarning) as caught:
+        engine.adopt({CorrelatorKey(0, (0, 0, 0), ()): "1", CorrelatorKey(1, (1,), ()): "1/25",
+                      CorrelatorKey(2, (4,), ()): "1/1152"}, trusted=False)
+    assert [str(w.message) for w in caught] == [
+        "stale cache entry for CorrelatorKey(genus=1, psi_exps=(1,), kappa_parts=()) "
+        "disagreed with recomputation; using the fresh value"
+    ]
+    assert engine.quarantined() == 1
+    assert engine.psi_integral(2, [4]) == Fraction(1, 1152)
+    assert engine.quarantined() == 0
+
+
 def test_concurrent_lookups_are_consistent():
     engine = CorrelatorEngine()
     results = []

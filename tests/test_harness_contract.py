@@ -44,3 +44,29 @@ def test_traced_engine_method_resolves(method):
 @pytest.mark.parametrize("name", workloads.Pairing.VERIFIERS + workloads.Pairing.BUILDERS)
 def test_timed_relation_function_resolves(name):
     assert callable(getattr(relations, name))
+
+
+def test_cli_reads_a_cache_file_through_the_traced_name(tmp_path, capsys):
+    # tracer.py times the cache.load layer by wrapping cache_load wherever a
+    # tautrr module holds it; one integral --cache call must read through it
+    from tautrr import cache, cli
+
+    path = str(tmp_path / "cache.txt")
+    argv = ["integral", "-g", "2", "-d", "4", "--cache", path]
+    assert cli.main(argv) == 0
+    calls = []
+    original = cache.cache_load
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patches = []
+    tracer.replace_everywhere(original, counting, patches)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        for module, attr, value in patches:
+            setattr(module, attr, value)
+    assert calls == [(path,)]
+    assert capsys.readouterr().out == "1/1152\n1/1152\n"
