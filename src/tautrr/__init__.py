@@ -19,6 +19,7 @@ from .engine import (
     one_point_value,
     psi_integral,
     psi_kappa_integral,
+    two_point_value,
 )
 from .relations import (
     VerificationReport,

@@ -33,7 +33,14 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .engine import CorrelatorEngine, CorrelatorKey, Entries, Rational, rational_parts
+from .engine import (
+    CorrelatorEngine,
+    CorrelatorKey,
+    Entries,
+    Rational,
+    key_from_tuple,
+    rational_parts,
+)
 
 CACHE_MAGIC = "#taut-rr-cache"
 CACHE_VERSION = "v1"
@@ -49,11 +56,12 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _format_value(value: Rational) -> str:
-    """What format_rational writes for the value, also for canonical text
-    that is not reduced (``2/4`` gives ``1/2``, ``0007`` gives ``7``)."""
+def _format_value(entries: Entries, key: CorrelatorKey) -> str:
+    """What format_rational writes for the value of key, also for canonical
+    text that is not reduced (``2/4`` gives ``1/2``, ``0007`` gives ``7``)."""
+    value = entries.raw[key]
     if type(value) is not str:
-        return format_rational(value)
+        return format_rational(entries[key])
     num, den = rational_parts(value)
     common = gcd(num, den)
     num //= common
@@ -113,6 +121,17 @@ def _parse_int_list(text: str, lineno: int, what: str) -> tuple[int, ...]:
         raise CacheFormatError(f"line {lineno}: bad {what} list {text.strip()!r}") from None
 
 
+def _parse_key_fields(pieces: list[str], lineno: int):
+    """(genus, d, b) from the first three fields of a line, raising for the
+    first bad field in that order."""
+    try:
+        genus = int(pieces[0])
+    except ValueError:
+        raise CacheFormatError(f"line {lineno}: bad genus {pieces[0]!r}") from None
+    return (genus, _parse_int_list(pieces[1], lineno, "exponent"),
+            _parse_int_list(pieces[2], lineno, "kappa"))
+
+
 def _key_problem(genus: int, d: tuple[int, ...], b: tuple[int, ...]) -> str | None:
     """Why the engine could never store this key (d and b sorted), or None."""
     n = len(d)
@@ -130,10 +149,10 @@ def _key_problem(genus: int, d: tuple[int, ...], b: tuple[int, ...]) -> str | No
 
 
 def cache_save(store: CacheStore, path) -> None:
-    values = store.entries.raw
+    entries = store.entries
     lines = [f"{CACHE_MAGIC} {store.version}"]
-    lines += [f"{_format_key(key)};{_format_value(values[key])}"
-              for key in sorted(values)]
+    lines += [f"{_format_key(key)};{_format_value(entries, key)}"
+              for key in sorted(entries.raw)]
     text = "\n".join(lines) + "\n"
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
@@ -171,23 +190,27 @@ def cache_load(path) -> CacheStore:
             raise CacheFormatError(
                 f"line {lineno}: expected 'g;d1,...;b1,...;value', got {raw!r}"
             )
+        genus, d, b, value = pieces
         try:
-            genus = int(pieces[0])
+            # what a save writes; any other spelling (a blank list, a bad
+            # number) goes through the per-field parse, which names it
+            genus = int(genus)
+            d = tuple(sorted(map(int, d.split(",")))) if d else ()
+            b = tuple(sorted(map(int, b.split(",")))) if b else ()
         except ValueError:
-            raise CacheFormatError(f"line {lineno}: bad genus {pieces[0]!r}") from None
-        d = _parse_int_list(pieces[1], lineno, "exponent")
-        b = _parse_int_list(pieces[2], lineno, "kappa")
-        value = pieces[3]
+            genus, d, b = _parse_key_fields(pieces, lineno)
         if not _is_canonical(value):
             try:
                 value = parse_rational(value)
             except (ValueError, ZeroDivisionError):
                 raise CacheFormatError(f"line {lineno}: bad value {value!r}") from None
-        problem = _key_problem(genus, d, b)
-        if problem:
+        n = len(d)
+        # the checks of _key_problem, which is called only to name a failure
+        if genus < 0 or 2 * genus - 2 + n <= 0 or sum(d) + sum(b) != 3 * genus - 3 + n \
+                or (d and d[0] < 0) or (b and b[0] <= 0):
             raise CacheFormatError(f"line {lineno}: impossible key {line.rsplit(';', 1)[0]!r}: "
-                                   f"{problem}")
-        entries[CorrelatorKey(genus, d, b)] = value
+                                   f"{_key_problem(genus, d, b)}")
+        entries[key_from_tuple((genus, d, b))] = value
     return CacheStore(entries, version)
 
 

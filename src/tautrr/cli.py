@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -349,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("-d", default="", help="comma-separated psi exponents, e.g. 2,0")
     p_int.add_argument("--kappa", default="", help="comma-separated kappa indices")
     p_int.add_argument("--cache", default=None, help="cache file to load and update")
-    p_int.set_defaults(func=cmd_integral)
 
     p_ver = sub.add_parser("verify", help="run a relation sweep and report")
     p_ver.add_argument("relation", choices=list(SWEEPS))
@@ -365,23 +365,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--cache", default=None, help="cache file to load and update")
     p_ver.add_argument("--force", action="store_true",
                        help="allow ranges beyond the desk-scale defaults")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_cache = sub.add_parser("cache", help="inspect or initialize cache files")
     p_cache.add_argument("action", choices=("save", "load", "stats"))
     p_cache.add_argument("path")
-    p_cache.set_defaults(func=cmd_cache)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every main call uses, built on the first one; parsing
+    leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
+    # looked up at call time, so a wrapper bound onto this module sees the call
+    command = {"integral": cmd_integral, "verify": cmd_verify, "cache": cmd_cache}
+    return command[args.command](args)
 
 
 def console_main() -> None:

@@ -30,17 +30,22 @@ Conventions:
   * The bracket's split terms pair off under the mirror
     (a, L, g1) <-> (b, R, g - g1), and its genus g-1 terms under a <-> b,
     so each unordered pair is visited once and counted once in place of
-    the halving: splits with (|L|, L) <= (|R|, R), and g1 < g - g1 when
-    L == R.  Only the self-paired term (a == b, L == R, g1 == g - g1) is
-    halved; it carries an even weight, C(c, c/2) for some c > 0, or
-    C(g, g/2) when S is empty, and the halving still checks its
-    remainder.  Visiting a pair once touches the same memo keys as
-    visiting both members, because neither factor of a split that meets
-    the dimension constraint is unstable: with a >= 0, a genus-0 factor
-    on at most two points would need its exponents to sum to a negative
-    number.
-  * Division happens once per key, when its value is stored in the memo
-    as a Fraction; a hit returns the stored Fraction.  A trusted entry
+    the halving.  The splits run in mixed radix over the counts taken of
+    each distinct value, so split i mirrors split N-1-i and only the first
+    half of the list is built and visited; in it, L == R only for the
+    split that is its own mirror, where g1 < g - g1 is kept.  Only the
+    self-paired term (a == b, L == R, g1 == g - g1) is halved; it carries
+    an even weight, C(c, c/2) for some c > 0, or C(g, g/2) when S is
+    empty, and the halving still checks its remainder.  Visiting a pair
+    once touches the same memo keys as visiting both members, because
+    neither factor of a split that meets the dimension constraint is
+    unstable: with a >= 0, a genus-0 factor on at most two points would
+    need its exponents to sum to a negative number.
+  * A computed psi value is kept only as its integer I.  Division
+    happens once per key, when the value is first read: the Fraction is
+    built then and memoized, and a later hit returns it.  So a value that
+    only the recursion uses is never divided; entries() lists it as its
+    integer, which the Entries view decodes when read.  A trusted entry
     adopted from outside (say from a cache file, whose loader has checked
     its key and the syntax of its value) waits undecoded in a pending
     table and is decoded on first use, on a memo miss: a psi entry
@@ -53,7 +58,8 @@ Conventions:
   * Memo keys are CorrelatorKey named tuples (genus, sorted psi exponents,
     sorted kappa parts).  A plain tuple of the same three fields hashes and
     compares equal, so lookups use one and a key is built only when a value
-    is stored; hashing, equality and the sort of a cache save run in C.
+    is memoized or listed; hashing, equality and the sort of a cache save
+    run in C.
 """
 
 from __future__ import annotations
@@ -61,6 +67,8 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from math import comb, factorial, lcm
 from typing import NamedTuple
 
@@ -102,6 +110,11 @@ class CorrelatorKey(NamedTuple):
         )
 
 
+#: builds a CorrelatorKey from a ``(genus, psi_exps, kappa_parts)`` tuple of
+#: sorted int tuples, without the named tuple's Python-level ``__new__``
+key_from_tuple = partial(tuple.__new__, CorrelatorKey)
+
+
 #: a value as adopted: a Fraction, or text ``-?digits[/digits]`` with a
 #: nonzero denominator, not necessarily reduced (``2/4``, ``0007``)
 Rational = Fraction | str
@@ -122,8 +135,9 @@ def _fraction(value: Rational) -> Fraction:
 
 class Entries(Mapping):
     """A read-only ``{CorrelatorKey: Fraction}`` view of ``raw``, a dict whose
-    values are Rationals.  Text is decoded each time a value is read, so
-    the length, the keys and ``raw`` itself cost no decoding."""
+    values are Rationals or, from an engine, a psi key's normalized integer
+    I(g, d) (see CorrelatorEngine).  A value is decoded each time it is
+    read, so the length, the keys and ``raw`` itself cost no decoding."""
 
     __slots__ = ("raw",)
 
@@ -131,7 +145,10 @@ class Entries(Mapping):
         self.raw = raw
 
     def __getitem__(self, key) -> Fraction:
-        return _fraction(self.raw[key])
+        value = self.raw[key]
+        if type(value) is int:
+            return Fraction(value, _normalization(key[0], key[1]))
+        return _fraction(value)
 
     def __iter__(self):
         return iter(self.raw)
@@ -187,23 +204,70 @@ def one_point_value(g: int) -> Fraction:
     return Fraction(1, 24**g * fact)
 
 
+def two_point_value(g: int, a: int) -> Fraction:
+    """<tau_a tau_b>_g with b = 3g - 1 - a, from Dijkgraaf's two-point function
+
+        (w+z) sum_{g>=1} <tau_a tau_b>_g w^a z^b
+            = exp((w^3+z^3)/24) sum_{n>=0} n!/(2n+1)! (wz(w+z)/2)^n - 1.
+
+    Independent of the recursive evaluator; used as an oracle against it.
+    """
+    g, a = int(g), int(a)
+    if g < 1:
+        raise ValueError("two-point closed form needs g >= 1")
+    if not 0 <= a <= 3 * g - 1:
+        raise ValueError("descendent level must lie in 0..3g-1")
+    # p[i]: coefficient of w^i z^(3g-i) on the right, the degree-3g part of
+    # the product of the exp term's (w^3+z^3)^j / (24^j j!) and the sum's
+    # n = g - j term
+    p = [Fraction(0)] * (3 * g + 1)
+    for j in range(g + 1):
+        n = g - j
+        scale = Fraction(factorial(n), 24**j * factorial(j) * factorial(2 * n + 1) * 2**n)
+        for i in range(j + 1):
+            for k in range(n + 1):
+                p[3 * i + n + k] += scale * comb(j, i) * comb(n, k)
+    # divide by w + z: p[i] = t[i-1] + t[i], where t[a] is the coefficient
+    # of w^a z^(3g-1-a) on the left
+    t = p[0]
+    for i in range(1, a + 1):
+        t = p[i] - t
+    return t
+
+
 class ImpossibleEntryError(ArithmeticError):
     """Raised when a trusted adopted entry (say one loaded from a cache file)
     is first read and no psi integral can equal it: its value times
     8^g g! prod (2d_i+1)!! is not a positive integer."""
 
 
-def _submultisets(parts: tuple[int, ...]):
+def _submultisets(parts: tuple[int, ...], half: bool = False):
     """Every split of the sorted tuple ``parts`` into sorted sub-multisets
     ``(chosen, others, weight)``; ``weight`` counts the index subsets giving
     that split, the product of C(c, t) over the distinct values (c copies of
-    a value, t of them chosen)."""
-    splits = [((), (), 1)]
+    a value, t of them chosen).
+
+    The splits run in mixed radix over the counts t, so split i is the
+    mirror (others, chosen) of split N-1-i.  With ``half``, only the first
+    half is built: the splits whose counts are lexicographically at most
+    their mirror's, the one split that is its own mirror (every c even)
+    last.
+    """
+    # below: splits already below their mirror, which take any count of the
+    # next value; level: the split still tied with its mirror, which takes
+    # fewer than half of the copies (and falls below) or exactly half
+    below, level = ([], [((), (), 1)]) if half else ([((), (), 1)], [])
     for v in dict.fromkeys(parts):
         c = parts.count(v)
-        splits = [(chosen + (v,) * t, others + (v,) * (c - t), w * comb(c, t))
-                  for chosen, others, w in splits for t in range(c + 1)]
-    return splits
+        below = _grow(below, v, c, range(c + 1)) + _grow(level, v, c, range((c + 1) // 2))
+        level = _grow(level, v, c, (c // 2,)) if c % 2 == 0 else []
+    return below + level
+
+
+def _grow(splits, v: int, c: int, counts) -> list:
+    """Each split extended by t of the c copies of v, for each t in counts."""
+    return [(chosen + (v,) * t, others + (v,) * (c - t), w * comb(c, t))
+            for chosen, others, w in splits for t in counts]
 
 
 def _sum_by_denominator(sums: dict[int, int]) -> Fraction:
@@ -240,13 +304,18 @@ class CorrelatorEngine:
     """
 
     def __init__(self):
+        # psi values read so far and kappa values, as Fractions
         self._memo: dict[CorrelatorKey, Fraction] = {}
         # trusted adopted entries not read yet, and quarantined ones not
         # revalidated yet
         self._pending: dict[CorrelatorKey, Rational] = {}
         self._stale: dict[CorrelatorKey, Rational] = {}
-        # normalized psi values I(g, d) by sorted d (d fixes g by the gate)
+        # every computed or decoded psi value as its integer I(g, d), by
+        # sorted d (d fixes g by the gate), and the two base cases
         self._ints: dict[tuple[int, ...], int] = dict(_BASE_INTS)
+        # the same values but the base cases, by CorrelatorKey, as far as
+        # entries() has listed them
+        self._listed: dict[CorrelatorKey, int] = {}
 
     # ------------------------------------------------------------------
     # public operations
@@ -292,14 +361,23 @@ class CorrelatorEngine:
     # ------------------------------------------------------------------
 
     def entries(self) -> Entries:
-        """Every entry the engine holds, decoded or still pending."""
-        return Entries({**self._pending, **self._memo})
+        """Every entry the engine holds, decoded, computed or still pending;
+        a computed psi value not read yet is held as its integer I(g, d)."""
+        # _ints only grows, so keys are built only for the values added since
+        # the last call, the newest ones at its end
+        listed, ints = self._listed, self._ints
+        added = len(ints) - len(_BASE_INTS) - len(listed)
+        for d in reversed(list(islice(reversed(ints), added))):
+            listed[key_from_tuple(((sum(d) - len(d)) // 3 + 1, d, ()))] = ints[d]
+        return Entries({**self._pending, **listed, **self._memo})
 
     def adopt(self, entries: dict[CorrelatorKey, Rational], trusted: bool = True) -> None:
         """Install externally loaded entries, whose values may still be text.
 
         The caller has checked the keys and the syntax of the values (the
-        cache loader does); the values are decoded on first use.  Trusted
+        cache loader does); the values are decoded on first use.  Another
+        engine's entries are passed as the Entries view, not as its ``raw``
+        table, whose integers are normalized values.  Trusted
         entries wait in a pending table.  When one is first needed, a psi
         entry is converted once to its normalized integer, and one that is
         not a positive integer there raises :class:`ImpossibleEntryError`.
@@ -339,12 +417,6 @@ class CorrelatorEngine:
                 "using the fresh value"
             )
 
-    def _store(self, key: CorrelatorKey, val: Fraction) -> Fraction:
-        """Memoize a fresh value, revalidating any quarantined copy of it."""
-        self._revalidate(key, val)
-        self._memo[key] = val
-        return val
-
     def _psi(self, g: int, d: tuple[int, ...]) -> Fraction:
         # d is sorted ascending; gate before looking anything up
         n = len(d)
@@ -355,13 +427,14 @@ class CorrelatorEngine:
         hit = self._memo.get((g, d, ()))
         if hit is not None:
             return hit
-        self._int(g, d)
-        return self._memo[(g, d, ())]
+        value = Fraction(self._ints.get(d) or self._int(g, d), _normalization(g, d))
+        self._memo[key_from_tuple((g, d, ()))] = value
+        return value
 
     def _int(self, g: int, d: tuple[int, ...]) -> int:
-        """I(g, d) on a miss in ``_ints`` (and so in the memo): d sorted,
-        passing the gate, (g, n) stable.  A pending adopted entry is
-        converted exactly, once; any other key is computed."""
+        """I(g, d) on a miss in ``_ints``: d sorted, passing the gate, (g, n)
+        stable.  A pending adopted entry is converted exactly, once; any
+        other key is computed."""
         value = self._pending.get((g, d, ()))
         if value is None:
             return self._compute(g, d)
@@ -374,12 +447,11 @@ class CorrelatorEngine:
             )
         self._pending.pop((g, d, ()), None)
         self._ints[d] = val
-        self._memo[CorrelatorKey(g, d, ())] = Fraction(num, den)
         return val
 
     def _compute(self, g: int, d: tuple[int, ...]) -> int:
-        """Run one string, dilaton or DVV step for I(g, d) and store the value
-        both as an integer and, divided once, as a Fraction."""
+        """Run one string, dilaton or DVV step for I(g, d) and store the
+        integer, revalidating any quarantined copy of the key."""
         ints = self._ints
         if d[0] == 0:
             # string equation; (g, n-1) is stable for every non-base case.
@@ -399,7 +471,8 @@ class CorrelatorEngine:
         else:
             val = self._dvv(g, d)
         ints[d] = val
-        self._store(CorrelatorKey(g, d, ()), Fraction(val, _normalization(g, d)))
+        if self._stale and (g, d, ()) in self._stale:
+            self._revalidate(key_from_tuple((g, d, ())), Fraction(val, _normalization(g, d)))
         return val
 
     def _dvv(self, g: int, d: tuple[int, ...]) -> int:
@@ -408,7 +481,6 @@ class CorrelatorEngine:
         get = self._int
         k = d[-1]
         rest = d[:-1]
-        m = len(rest)
         total = 0
         for v in dict.fromkeys(rest):
             # k + v - 1 > k >= every other exponent, so it goes last
@@ -429,11 +501,9 @@ class CorrelatorEngine:
             total += 4 * g * lower
         binom = [comb(g, g1) for g1 in range(g + 1)]
         self_paired = 0
-        for left, right, weight in _submultisets(rest):
-            # one split of each mirror pair (L, R) <-> (R, L)
+        # one split of each mirror pair (L, R) <-> (R, L)
+        for left, right, weight in _submultisets(rest, half=True):
             n_left = len(left)
-            if (n_left, left) > (m - n_left, right):
-                continue
             # the left factor's dimension constraint fixes a = 3 g1 + shift;
             # every exponent is >= 2, so shift < 0 and a >= 0 forces g1 >= 1
             shift = n_left - sum(left) - 2
@@ -472,7 +542,7 @@ class CorrelatorEngine:
             return hit
         value = self._pending.pop((g, d, b), None)
         if value is not None:
-            value = self._memo[CorrelatorKey(g, d, b)] = _fraction(value)
+            value = self._memo[key_from_tuple((g, d, b))] = _fraction(value)
             return value
         # trade the last kappa index for one extra marking; any sub-multiset
         # of the remaining indices may merge into the new insertion, with
@@ -486,7 +556,11 @@ class CorrelatorEngine:
                 den = term.denominator
                 sign = -weight if len(merged) % 2 else weight
                 sums[den] = sums.get(den, 0) + sign * term.numerator
-        return self._store(CorrelatorKey(g, d, b), _sum_by_denominator(sums))
+        value = _sum_by_denominator(sums)
+        key = key_from_tuple((g, d, b))
+        self._revalidate(key, value)
+        self._memo[key] = value
+        return value
 
 
 _DEFAULT_ENGINE = CorrelatorEngine()

@@ -334,3 +334,55 @@ def test_impossible_value_raises_on_a_direct_read(tmp_path, value, why):
     # left pending, so a second read raises again
     with pytest.raises(ImpossibleEntryError):
         engine.psi_integral(2, [4])
+
+
+@pytest.mark.parametrize("line, key", [
+    ("2; ;2,1;7", (2, (), (1, 2))),
+    (" 1 ;0 , 2; ; 7 ", (1, (0, 2), ())),
+    ("+1;2,0;;7", (1, (0, 2), ())),
+    ("3;9,0,1,0;;7", (3, (0, 0, 1, 9), ())),
+    ("2;0_5,0;;7", (2, (0, 5), ())),
+])
+def test_key_spellings_load_as_the_per_field_parse_reads_them(tmp_path, line, key):
+    path = tmp_path / "odd.txt"
+    path.write_text(f"#taut-rr-cache v1\n{line}\n")
+    assert list(cache_load(path).entries.raw) == [key]
+    assert type(next(iter(cache_load(path).entries))) is CorrelatorKey
+
+
+@pytest.mark.parametrize("line, message", [
+    # each line is bad in the named field and in every field after it
+    ("x;y;z;1/0", "line 3: bad genus 'x'"),
+    ("-1;y;z;1/0", "line 3: bad exponent list 'y'"),
+    ("-1;0;0,z;1/0", "line 3: bad kappa list '0,z'"),
+    ("-1;0;0;1/0", "line 3: bad value '1/0'"),
+    ("-1;0;0;7", "line 3: impossible key '-1;0;0': negative genus"),
+    ("1;-1,2;0;7", "line 3: impossible key '1;-1,2;0': negative psi exponent"),
+    ("1;1,2;0;7", "line 3: impossible key '1;1,2;0': non-positive kappa index"),
+    ("1;;2;7", "line 3: impossible key '1;;2': unstable (g, n)"),
+    ("1;1,2;;7", "line 3: impossible key '1;1,2;': degrees do not sum to the dimension"),
+])
+def test_load_errors_keep_their_precedence(tmp_path, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"#taut-rr-cache v1\n1;2,0;;1/24\n{line}\n")
+    with pytest.raises(CacheFormatError) as caught:
+        cache_load(path)
+    assert str(caught.value).startswith(message)
+
+
+def test_stale_file_with_a_wrong_inner_value_warns_once(tmp_path):
+    # (3, (4, 4)) is reached only through the dilaton step of (3, (1, 4, 4))
+    path = tmp_path / "old.txt"
+    path.write_text("#taut-rr-cache v0\n3;4,4;;1/7\n")
+    engine = CorrelatorEngine()
+    with pytest.warns(UserWarning, match="revalidated"):
+        load_engine_cache(engine, path)
+    with pytest.warns(UserWarning) as caught:
+        value = engine.psi_integral(3, [1, 4, 4])
+        engine.psi_integral(3, [0, 1, 4, 5])
+    assert value == 6 * CorrelatorEngine().psi_integral(3, [4, 4])
+    assert [str(w.message) for w in caught] == [
+        "stale cache entry for CorrelatorKey(genus=3, psi_exps=(4, 4), kappa_parts=()) "
+        "disagreed with recomputation; using the fresh value"
+    ]
+    assert engine.quarantined() == 0

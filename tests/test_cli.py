@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from tautrr import cli
 from tautrr.cli import main, parse_range
 
 
@@ -512,3 +517,72 @@ def test_verify_looks_up_verifiers_at_call_time(capsys, monkeypatch, relation, g
     if builder:
         expected[builder] = tuples
     assert calls == expected
+
+
+# each call grows the file; (size, sha256) after it, as written by an engine
+# that divided every value when it was computed
+GROWN_FILE = [
+    (("integral", "-g", "2", "-d", "4"), 54,
+     "d3feb9a9067ea0a057e00ec7e6b9c419fb6608d42684981ab90eae3e806c93c4"),
+    (("integral", "-g", "5", "-d", "6,8"), 980,
+     "1332e9e9712bdee585748e7da553e46832af9bcd4c5bc7fd85820ff68d177a61"),
+    (("integral", "-g", "2", "-d", "1,1", "--kappa", "1,2"), 1014,
+     "eef97a4f18a5043d5f6639db16777bfa17d8512e67e02e117da02a14c8e3fa29"),
+    (("verify", "fqq", "--g", "2"), 1043,
+     "f6b91aa833e2d6102bd191e0326f869381c784d4d564cbec76066a83ccc4a035"),
+]
+
+
+def test_grown_cache_file_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    # values the recursion computed but nobody read are saved from their
+    # normalized integers, with the bytes of their reduced fractions
+    monkeypatch.delenv("TAUTRR_CACHE", raising=False)
+    cache = tmp_path / "cache.txt"
+    for argv, size, digest in GROWN_FILE:
+        code, _, _ = run(capsys, *argv, "--cache", str(cache))
+        data = cache.read_bytes()
+        assert code == 0 and len(data) == size, argv
+        assert hashlib.sha256(data).hexdigest() == digest, argv
+
+
+def test_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):
+    # successive calls on the shared parser behave as each would on a fresh one
+    monkeypatch.delenv("TAUTRR_CACHE", raising=False)
+    calls = [
+        (("integral", "-g", "2", "-d", "4"), 0),
+        (("verify", "no-such-relation"), 2),
+        (("integral", "-d", "4"), 2),
+        (("verify", "bbt", "--g", "2"), 0),
+        (("cache", "stats", str(tmp_path / "missing.txt")), 1),
+        (("integral", "-g", "1", "-d", "1", "--bogus"), 2),
+        (("cache", "purge", "x"), 2),
+        (("integral", "-g", "1", "-d", "2,0"), 0),
+    ]
+
+    def outcome(argv):
+        code, out, err = run(capsys, *argv)
+        return code, _normalized(out), err
+
+    fresh = []
+    for argv, _ in calls:
+        cli._shared_parser.cache_clear()
+        fresh.append(outcome(argv))
+    build_parser = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._shared_parser.cache_clear()
+    assert [outcome(argv) for argv, _ in calls] == fresh
+    assert len(built) == 1
+    for (code, out, err), (argv, expected) in zip(fresh, calls):
+        assert code == expected, argv
+        assert (code == 2) == (out == "" and err.startswith("usage: tautrr")), argv
+    cli._shared_parser.cache_clear()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "TAUTRR_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "tautrr", "integral", "-g", "1", "-d", "1"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1/24\n", "")

@@ -1,6 +1,8 @@
 """Engine checks: anchor values, closed-form oracles, linear identities,
 reference recursions."""
 
+import hashlib
+import itertools
 import random
 import threading
 from fractions import Fraction
@@ -16,6 +18,7 @@ from tautrr.engine import (
     is_stable,
     moduli_dim,
     one_point_value,
+    two_point_value,
 )
 
 
@@ -170,6 +173,21 @@ def test_genus0_oracle_equivalence(engine):
 def test_one_point_oracle_equivalence(engine):
     for g in range(1, 7):
         assert engine.psi_integral(g, [3 * g - 2]) == one_point_value(g), g
+
+
+def test_two_point_closed_form_values():
+    assert two_point_value(1, 0) == two_point_value(1, 1) == Fraction(1, 24)
+    assert two_point_value(2, 4) == Fraction(1, 384)
+    assert two_point_value(2, 0) == Fraction(1, 1152)
+    for g, a in [(0, 0), (1, -1), (1, 3), (2, 6)]:
+        with pytest.raises(ValueError):
+            two_point_value(g, a)
+
+
+def test_two_point_oracle_equivalence(engine):
+    for g in range(1, 11):
+        for a in range(3 * g):
+            assert engine.psi_integral(g, [a, 3 * g - 1 - a]) == two_point_value(g, a), (g, a)
 
 
 # ----------------------------------------------------------------------
@@ -560,3 +578,133 @@ def test_kappa_trade_matches_mask_loop():
     for g, d, b in KAPPA_CASES:
         assert engine.psi_kappa_integral(g, d, b) == reference.value(g, d, b), (g, d, b)
     assert {k: v for k, v in engine.entries().items() if k.kappa_parts} == reference.memo
+
+
+# ----------------------------------------------------------------------
+# computed values kept as integers until read
+# ----------------------------------------------------------------------
+
+
+def _multisets(total, n):
+    return [c for c in itertools.combinations_with_replacement(range(total + 1), n)
+            if sum(c) == total]
+
+
+def _cold_g15(engine):
+    engine.psi_integral(15, [43])
+
+
+def _ladder_g13(engine):
+    for n in range(3, 9):
+        for d in _multisets(n - 3, n):
+            engine.psi_integral(0, d)
+    for g in range(1, 14):
+        engine.psi_integral(g, [3 * g - 2])
+        for a in range(3 * g):
+            engine.psi_integral(g, [a, 3 * g - 1 - a])
+
+
+def _all_psi_g4_n5(engine):
+    for g in range(5):
+        for n in range(6):
+            if is_stable(g, n):
+                for d in _multisets(moduli_dim(g, n), n):
+                    engine.psi_integral(g, d)
+
+
+def _kappa_mix(engine):
+    for g in range(4):
+        for n in range(5):
+            if not is_stable(g, n):
+                continue
+            for k in range(1, 4):
+                for kappa_sum in range(k, moduli_dim(g, n) + 1):
+                    for b in _multisets(kappa_sum, k):
+                        if min(b) >= 1:
+                            for d in _multisets(moduli_dim(g, n) - kappa_sum, n):
+                                engine.psi_kappa_integral(g, d, b)
+
+
+# sha256 of repr() of the sorted (genus, psi_exps, kappa_parts, numerator,
+# denominator) rows of entries(), as the engine that divided every value
+# when it was computed listed them
+ENTRY_TABLES = [
+    (_cold_g15, 9223, "8a6e03f37c7e519208625918334dbdeb0140bb60830e34e6e794572464d2409f"),
+    (_ladder_g13, 5800, "44b7219a63be5c9e2b92b49fcd1a7e257aaf395c1ce8b6f6eb1f57f335805bcd"),
+    (_all_psi_g4_n5, 282, "064f81548755d69b085310c0bc3d1eaa173600527b4fef3132e6acd4cbeec2f9"),
+    (_kappa_mix, 1223, "4b7fc7cd4212ff42a91d477dfbbcd325c0d7050d6db5c69e51aea692f39d594f"),
+]
+
+BASE_KEYS = {CorrelatorKey(0, (0, 0, 0), ()), CorrelatorKey(1, (1,), ())}
+
+
+@pytest.mark.parametrize("fill, size, digest", ENTRY_TABLES,
+                         ids=[fill.__name__.strip("_") for fill, _, _ in ENTRY_TABLES])
+def test_entries_are_pinned(fill, size, digest):
+    engine = CorrelatorEngine()
+    fill(engine)
+    entries = engine.entries()
+    assert len(entries) == size
+    assert not BASE_KEYS & set(entries)
+    rows = sorted((k.genus, k.psi_exps, k.kappa_parts, v.numerator, v.denominator)
+                  for k, v in entries.items())
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+    # reading every value memoized none of them
+    assert len(engine.entries()) == size and engine.entries().raw == entries.raw
+
+
+def test_unread_values_stay_integers():
+    engine = CorrelatorEngine()
+    value = engine.psi_integral(15, [43])
+    raw = engine.entries().raw
+    read = {key: v for key, v in raw.items() if type(v) is not int}
+    assert read == {(15, (43,), ()): value}
+    assert all(v > 0 for v in raw.values())
+    # reading a computed value memoizes its Fraction, equal to the decoded one
+    listed = engine.entries()[(10, (2, 27), ())]
+    assert engine.psi_integral(10, [27, 2]) == listed == two_point_value(10, 2)
+    assert type(engine.entries().raw[(10, (2, 27), ())]) is Fraction
+
+
+def test_base_keys_never_listed():
+    engine = CorrelatorEngine()
+    assert engine.psi_integral(0, [0, 0, 0]) == 1
+    assert engine.psi_integral(1, [1]) == Fraction(1, 24)
+    assert engine.psi_kappa_integral(1, [0], [1]) == Fraction(1, 24)
+    engine.psi_integral(3, [0, 0, 1, 7])
+    assert engine.entries() and not BASE_KEYS & set(engine.entries())
+    # an adopted copy of a base key is listed as adopted, like any other entry
+    engine.adopt({CorrelatorKey(1, (1,), ()): "1/24"})
+    assert engine.entries()[(1, (1,), ())] == Fraction(1, 24)
+
+
+def test_quarantined_inner_key_warns_once():
+    # (3, (4, 4)) is reached only through the dilaton step of (3, (1, 4, 4))
+    engine = CorrelatorEngine()
+    engine.adopt({CorrelatorKey(3, (4, 4), ()): "1/7"}, trusted=False)
+    with pytest.warns(UserWarning) as caught:
+        value = engine.psi_integral(3, [1, 4, 4])
+        engine.psi_integral(3, [0, 1, 4, 5])
+    assert value == 6 * two_point_value(3, 4)
+    assert [str(w.message) for w in caught] == [
+        "stale cache entry for CorrelatorKey(genus=3, psi_exps=(4, 4), kappa_parts=()) "
+        "disagreed with recomputation; using the fresh value"
+    ]
+    assert engine.quarantined() == 0
+    assert engine.entries()[(3, (4, 4), ())] == two_point_value(3, 4)
+
+
+def test_entries_listed_in_steps_match_one_listing():
+    stepwise, once = CorrelatorEngine(), CorrelatorEngine()
+    for g in range(1, 9):
+        for engine in (stepwise, once):
+            engine.psi_integral(g, [3 * g - 2])
+            engine.psi_integral(g, [0, 2, 3 * g - 2])
+            if g == 4:
+                engine.adopt({CorrelatorKey(2, (4,), ()): "1/1152",
+                              CorrelatorKey(9, (25,), ()): str(one_point_value(9))})
+        listed = stepwise.entries()
+        assert len(listed) == len(set(listed)) == len(stepwise.entries().raw)
+    assert stepwise.entries() == once.entries()
+    assert list(stepwise.entries()) == list(once.entries())
+    assert stepwise.psi_integral(9, [25]) == one_point_value(9)
