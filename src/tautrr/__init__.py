@@ -42,13 +42,10 @@ from .strata import (
     SeparatingStratum,
     TestMonomial,
     enumerate_tests,
-    pair_pushforward_irreducible,
     pair_with_test,
-    pullback_test_to_separating,
 )
 from .universal import (
     VectorFieldPt,
-    correlator_pt,
     psi_eval,
     sreduce_check,
     symmetry_check,

@@ -28,7 +28,6 @@ import os
 import re
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -38,6 +37,7 @@ from .engine import (
     CorrelatorKey,
     Entries,
     Rational,
+    SlotRecord,
     key_from_tuple,
     rational_parts,
 )
@@ -82,8 +82,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclass
-class CacheStore:
+class CacheStore(SlotRecord):
     """Entries plus the version string of the engine that produced them.
 
     ``entries`` reads as ``{CorrelatorKey: Fraction}``; any mapping given
@@ -91,12 +90,14 @@ class CacheStore:
     save passes on undecoded.
     """
 
-    entries: Mapping[CorrelatorKey, Fraction] = field(default_factory=dict)
-    version: str = CACHE_VERSION
+    __slots__ = ("entries", "version")
 
-    def __post_init__(self):
-        if not isinstance(self.entries, Entries):
-            self.entries = Entries(dict(self.entries))
+    def __init__(self, entries: Mapping[CorrelatorKey, Fraction] | None = None,
+                 version: str = CACHE_VERSION):
+        if not isinstance(entries, Entries):
+            entries = Entries({} if entries is None else dict(entries))
+        self.entries = entries
+        self.version = version
 
     @property
     def trusted(self) -> bool:

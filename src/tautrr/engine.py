@@ -65,11 +65,12 @@ Conventions:
 from __future__ import annotations
 
 import warnings
+from bisect import bisect
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import NamedTuple
 
 ZERO = Fraction(0)
@@ -133,6 +134,26 @@ def _fraction(value: Rational) -> Fraction:
     return Fraction(*rational_parts(value)) if type(value) is str else value
 
 
+class SlotRecord:
+    """A mutable record: ``==`` and the ``Name(field=value, ...)`` repr run
+    over the attributes named in ``__slots__``; unhashable, being mutable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._values())
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+
 class Entries(Mapping):
     """A read-only ``{CorrelatorKey: Fraction}`` view of ``raw``, a dict whose
     values are Rationals or, from an engine, a psi key's normalized integer
@@ -183,14 +204,7 @@ def genus0_closed_form(d) -> Fraction:
         raise ValueError("negative descendent level")
     if sum(d) != n - 3:
         raise ValueError("dimension mismatch: exponents must sum to n - 3")
-    num = 1
-    for k in range(1, n - 2):
-        num *= k
-    den = 1
-    for x in d:
-        for k in range(1, x + 1):
-            den *= k
-    return Fraction(num, den)
+    return Fraction(factorial(n - 3), prod(map(factorial, d)))
 
 
 def one_point_value(g: int) -> Fraction:
@@ -198,10 +212,7 @@ def one_point_value(g: int) -> Fraction:
     g = int(g)
     if g < 1:
         raise ValueError("one-point closed form needs g >= 1")
-    fact = 1
-    for k in range(1, g + 1):
-        fact *= k
-    return Fraction(1, 24**g * fact)
+    return Fraction(1, 24**g * factorial(g))
 
 
 def two_point_value(g: int, a: int) -> Fraction:
@@ -514,16 +525,22 @@ class CorrelatorEngine:
                 hi = min(hi, (g - 1) // 2)
             acc = 0
             for g1 in range(-(shift // 3), hi + 1):
+                # left and right are sorted: insert the node exponent
                 a = 3 * g1 + shift
-                lkey = tuple(sorted(left + (a,)))
-                rkey = tuple(sorted(right + (k - 2 - a,)))
+                i = bisect(left, a)
+                lkey = left[:i] + (a,) + left[i:]
+                b = k - 2 - a
+                i = bisect(right, b)
+                rkey = right[:i] + (b,) + right[i:]
                 f1 = ints.get(lkey) or get(g1, lkey)
                 acc += binom[g1] * f1 * (ints.get(rkey) or get(g - g1, rkey))
             total += weight * acc
             if mirror and g % 2 == 0:
                 # the term paired with itself: g1 == g - g1 and a == k - 2 - a,
                 # so both factors are one key
-                key = tuple(sorted(left + ((k - 2) // 2,)))
+                a = (k - 2) // 2
+                i = bisect(left, a)
+                key = left[:i] + (a,) + left[i:]
                 f = ints.get(key) or get(g // 2, key)
                 self_paired += weight * binom[g // 2] * f * f
         half, odd = divmod(self_paired, 2)

@@ -13,10 +13,9 @@ family, not a Chow-ring proof; every report carries that caveat.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import CorrelatorEngine, default_engine, one_point_value
+from .engine import CorrelatorEngine, SlotRecord, default_engine, one_point_value
 from .strata import (
     AmbientSpace,
     ClassExpr,
@@ -36,17 +35,21 @@ PAIRING_CAVEAT = (
 )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(SlotRecord):
     """Outcome of pairing one relation instance against every test."""
 
-    relation: str
-    params: dict
-    pairings: list[tuple[str, Fraction]] = field(default_factory=list)
-    passed: bool = True
-    trivial: bool = False
-    millis: int = 0
-    caveat: str = PAIRING_CAVEAT
+    __slots__ = ("relation", "params", "pairings", "passed", "trivial", "millis", "caveat")
+
+    def __init__(self, relation: str, params: dict,
+                 pairings: list[tuple[str, Fraction]] | None = None, passed: bool = True,
+                 trivial: bool = False, millis: int = 0, caveat: str = PAIRING_CAVEAT):
+        self.relation = relation
+        self.params = params
+        self.pairings = [] if pairings is None else pairings
+        self.passed = passed
+        self.trivial = trivial
+        self.millis = millis
+        self.caveat = caveat
 
     def nonzero(self) -> list[tuple[str, Fraction]]:
         return [(label, value) for label, value in self.pairings if value != 0]

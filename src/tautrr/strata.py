@@ -31,9 +31,9 @@ with `1` for the empty monomial and coefficients rendered as num/den.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .cache import format_rational
 from .engine import (CorrelatorEngine, _submultisets, _sum_by_denominator, default_engine,
@@ -41,27 +41,33 @@ from .engine import (CorrelatorEngine, _submultisets, _sum_by_denominator, defau
 
 ZERO = Fraction(0)
 
+# Records are named tuples (equality, hash, repr and read-only fields); one that
+# checks its fields does so in __new__ of a subclass of a private named tuple.
 
-@dataclass(frozen=True)
-class AmbientSpace:
-    """A stable (g, n) moduli space; dimension 3g - 3 + n."""
 
+class _AmbientSpace(NamedTuple):
     g: int
     n: int
 
-    def __post_init__(self):
-        if self.g < 0 or self.n < 0:
+
+class AmbientSpace(_AmbientSpace):
+    """A stable (g, n) moduli space; dimension 3g - 3 + n."""
+
+    __slots__ = ()
+
+    def __new__(cls, g: int, n: int):
+        if g < 0 or n < 0:
             raise ValueError("genus and marking count must be nonnegative")
-        if not is_stable(self.g, self.n):
+        if not is_stable(g, n):
             raise ValueError("unstable moduli space")
+        return super().__new__(cls, g, n)
 
     @property
     def dim(self) -> int:
         return moduli_dim(self.g, self.n)
 
 
-@dataclass(frozen=True)
-class TestMonomial:
+class TestMonomial(NamedTuple):
     """A psi exponent vector plus a kappa partition, used as a pairing probe."""
 
     __test__ = False  # not a pytest collection target
@@ -85,18 +91,22 @@ class TestMonomial:
         return " ".join(pieces) if pieces else "1"
 
 
-@dataclass(frozen=True)
-class InteriorTerm:
-    """A psi/kappa monomial supported on all of the ambient space."""
-
+class _InteriorTerm(NamedTuple):
     psi_exps: tuple[int, ...]
     kappa_parts: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.psi_exps):
+
+class InteriorTerm(_InteriorTerm):
+    """A psi/kappa monomial supported on all of the ambient space."""
+
+    __slots__ = ()
+
+    def __new__(cls, psi_exps: tuple[int, ...], kappa_parts: tuple[int, ...] = ()):
+        if any(e < 0 for e in psi_exps):
             raise ValueError("negative decoration exponent")
-        if any(b < 1 for b in self.kappa_parts):
+        if any(b < 1 for b in kappa_parts):
             raise ValueError("kappa index must be positive")
+        return super().__new__(cls, psi_exps, kappa_parts)
 
     @property
     def degree(self) -> int:
@@ -106,8 +116,15 @@ class InteriorTerm:
         return TestMonomial(self.psi_exps, self.kappa_parts).render()
 
 
-@dataclass(frozen=True)
-class SeparatingStratum:
+class _SeparatingStratum(NamedTuple):
+    g1: int
+    g2: int
+    markings1: frozenset[int]
+    node_exps: tuple[int, int]
+    marking_exps: tuple[int, ...]
+
+
+class SeparatingStratum(_SeparatingStratum):
     """A one-node separating stratum decorated with node and marking exponents.
 
     The first factor has genus ``g1`` and carries the markings in
@@ -116,23 +133,21 @@ class SeparatingStratum:
     kappa enters only through test pullback.
     """
 
-    g1: int
-    g2: int
-    markings1: frozenset[int]
-    node_exps: tuple[int, int]
-    marking_exps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.node_exps) < 0 or any(e < 0 for e in self.marking_exps):
+    def __new__(cls, g1: int, g2: int, markings1: frozenset[int], node_exps: tuple[int, int],
+                marking_exps: tuple[int, ...]):
+        if min(node_exps) < 0 or any(e < 0 for e in marking_exps):
             raise ValueError("negative decoration exponent")
-        if self.g1 < 0 or self.g2 < 0:
+        if g1 < 0 or g2 < 0:
             raise ValueError("genus must be nonnegative")
-        n = len(self.marking_exps)
-        if not all(1 <= i <= n for i in self.markings1):
+        n = len(marking_exps)
+        if not all(1 <= i <= n for i in markings1):
             raise ValueError("marking label outside the ambient marking set")
-        n1 = len(self.markings1)
-        if not (is_stable(self.g1, n1 + 1) and is_stable(self.g2, (n - n1) + 1)):
+        n1 = len(markings1)
+        if not (is_stable(g1, n1 + 1) and is_stable(g2, (n - n1) + 1)):
             raise ValueError("unstable glued factor")
+        return super().__new__(cls, g1, g2, markings1, node_exps, marking_exps)
 
     @property
     def degree(self) -> int:
@@ -159,8 +174,13 @@ class SeparatingStratum:
         return body if deco == "1" else f"{deco} {body}"
 
 
-@dataclass(frozen=True)
-class NonSeparatingPushforward:
+class _NonSeparatingPushforward(NamedTuple):
+    source_g: int
+    node_exps: tuple[int, int]
+    marking_exps: tuple[int, ...]
+
+
+class NonSeparatingPushforward(_NonSeparatingPushforward):
     """Pushforward along the gluing of two markings into one node.
 
     The source space is (source_g, n + 2) with the two glued markings
@@ -168,17 +188,16 @@ class NonSeparatingPushforward:
     ambient space.
     """
 
-    source_g: int
-    node_exps: tuple[int, int]
-    marking_exps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.node_exps) < 0 or any(e < 0 for e in self.marking_exps):
+    def __new__(cls, source_g: int, node_exps: tuple[int, int], marking_exps: tuple[int, ...]):
+        if min(node_exps) < 0 or any(e < 0 for e in marking_exps):
             raise ValueError("negative decoration exponent")
-        if self.source_g < 0:
+        if source_g < 0:
             raise ValueError("genus must be nonnegative")
-        if not is_stable(self.source_g, len(self.marking_exps) + 2):
+        if not is_stable(source_g, len(marking_exps) + 2):
             raise ValueError("unstable gluing source")
+        return super().__new__(cls, source_g, node_exps, marking_exps)
 
     @property
     def degree(self) -> int:
@@ -194,27 +213,32 @@ class NonSeparatingPushforward:
 Term = InteriorTerm | SeparatingStratum | NonSeparatingPushforward
 
 
-@dataclass(frozen=True)
-class ClassExpr:
-    """A rational combination of same-codimension terms on one ambient space."""
-
+class _ClassExpr(NamedTuple):
     ambient: AmbientSpace
     degree: int
     terms: tuple[tuple[Fraction, Term], ...]
 
-    def __post_init__(self):
-        for coeff, term in self.terms:
-            if term.degree != self.degree:
+
+class ClassExpr(_ClassExpr):
+    """A rational combination of same-codimension terms on one ambient space."""
+
+    # no __slots__: the instance dict holds the cached _plan
+
+    def __new__(cls, ambient: AmbientSpace, degree: int,
+                terms: tuple[tuple[Fraction, Term], ...]):
+        for coeff, term in terms:
+            if term.degree != degree:
                 raise ValueError(
-                    f"term degree {term.degree} differs from expression degree {self.degree}"
+                    f"term degree {term.degree} differs from expression degree {degree}"
                 )
             n_term = _term_marking_count(term)
-            if n_term != self.ambient.n:
+            if n_term != ambient.n:
                 raise ValueError("term marking count differs from the ambient space")
-            if isinstance(term, SeparatingStratum) and term.g1 + term.g2 != self.ambient.g:
+            if isinstance(term, SeparatingStratum) and term.g1 + term.g2 != ambient.g:
                 raise ValueError("stratum genera do not add up to the ambient genus")
-            if isinstance(term, NonSeparatingPushforward) and term.source_g + 1 != self.ambient.g:
+            if isinstance(term, NonSeparatingPushforward) and term.source_g + 1 != ambient.g:
                 raise ValueError("gluing source genus does not match the ambient genus")
+        return super().__new__(cls, ambient, degree, terms)
 
     @classmethod
     def make(cls, ambient: AmbientSpace, degree: int, terms) -> "ClassExpr":
@@ -306,24 +330,6 @@ def _pullback_rows(t: TestMonomial, left, right):
     degree = sum(psi1)
     return [(degree + sum(k1), psi1, psi2, k1, k2, weight)
             for k2, k1, weight in _submultisets(tuple(sorted(t.kappa_parts)))]
-
-
-def pullback_test_to_separating(t: TestMonomial, s: SeparatingStratum):
-    """Expand the restriction of a test monomial to a one-node stratum.
-
-    Marking psi classes route to the factor carrying the marking; each
-    kappa index restricts to (kappa on factor 1) + (kappa on factor 2), so
-    a kappa multiset expands multinomially.  Returns a list of
-    (factor-1 monomial, factor-2 monomial, multiplicity) with factor psi
-    exponents listed by ascending original marking label (node excluded).
-    """
-    if len(t.psi_exps) != len(s.marking_exps):
-        raise ValueError("marking referenced by the test is absent from the ambient space")
-    return [
-        (TestMonomial(psi1, k1[::-1]), TestMonomial(psi2, k2[::-1]), Fraction(mult))
-        for _, psi1, psi2, k1, k2, mult
-        in _pullback_rows(t, sorted(s.markings1), sorted(s.markings2()))
-    ]
 
 
 def _pairing_plan(expr: ClassExpr):
@@ -422,21 +428,3 @@ def pair_with_test(expr: ClassExpr, t: TestMonomial,
                         d = den * den1 * f2.denominator
                         sums[d] = sums.get(d, 0) + num * num1 * f2.numerator
     return _sum_by_denominator(sums)
-
-
-def pair_pushforward_irreducible(expr: ClassExpr, kappa,
-                                 engine: CorrelatorEngine | None = None) -> Fraction:
-    """Pair the irreducible-gluing pushforward of a two-marking expression
-    against a kappa monomial on the unmarked target.
-
-    By the projection formula (kappa classes pull back unchanged along the
-    gluing), this is the integral of the expression times the kappa
-    monomial over the source space.  Returns 0 on degree mismatch.
-    """
-    if expr.ambient.n != 2:
-        raise ValueError("pushforward source must carry exactly two markings")
-    kappa = tuple(sorted((int(x) for x in kappa), reverse=True))
-    g = expr.ambient.g
-    if expr.degree + 1 + sum(kappa) != moduli_dim(g + 1, 0):
-        return ZERO
-    return pair_with_test(expr, TestMonomial((0, 0), kappa), engine)

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cache import format_rational
 from .engine import CorrelatorEngine, default_engine
@@ -33,8 +33,7 @@ from .relations import VerificationReport
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class VectorFieldPt:
+class VectorFieldPt(NamedTuple):
     """Finite rational combination of coordinate fields, point target."""
 
     terms: tuple[tuple[int, Fraction], ...]
@@ -53,6 +52,7 @@ class VectorFieldPt:
     def is_zero(self) -> bool:
         return not self.terms
 
+    # a sum of fields, in place of the tuple's concatenation
     def __add__(self, other: "VectorFieldPt") -> "VectorFieldPt":
         return VectorFieldPt.make(self.terms + other.terms)
 
@@ -82,15 +82,6 @@ def tau_shift(w: VectorFieldPt, k: int) -> VectorFieldPt:
 def string_field_at_origin() -> VectorFieldPt:
     """The string vector field evaluated at the origin: the level-0 field."""
     return tau(0)
-
-
-def correlator_pt(g: int, levels, engine: CorrelatorEngine | None = None) -> Fraction:
-    """Point-target correlator as a total function.
-
-    0 for unstable (g, n) or on dimension mismatch, the exact descendent
-    integral otherwise.
-    """
-    return (engine or default_engine()).correlator(g, levels)
 
 
 def _expand(fields) -> list[tuple[tuple[int, ...], Fraction]]:

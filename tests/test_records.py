@@ -1,0 +1,106 @@
+"""The record classes: value semantics, and an import that stays light.
+
+Every record keeps the semantics it had as a dataclass: two instances of
+one class are equal exactly when their fields are, the frozen ones hash
+alike and refuse assignment, the mutable ones are unhashable, and the repr
+is ``Name(field=value, ...)``.  A validating constructor checks its fields
+in a fixed order, so an instance breaking two checks names the first.
+"""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import tautrr
+from tautrr.cache import CacheStore
+from tautrr.engine import CorrelatorKey
+from tautrr.relations import VerificationReport
+from tautrr.strata import (
+    AmbientSpace,
+    ClassExpr,
+    InteriorTerm,
+    NonSeparatingPushforward,
+    SeparatingStratum,
+    TestMonomial,
+)
+from tautrr.universal import VectorFieldPt
+
+ONE = (Fraction(1), InteriorTerm((1,)))
+
+#: class, fields in order (as keywords), (a field, another value for it),
+#: frozen, and (keywords breaking two checks, the first check's message)
+RECORDS = [
+    (AmbientSpace, {"g": 1, "n": 1}, ("n", 2), True,
+     ({"g": -1, "n": 0}, "genus and marking count must be nonnegative")),
+    (TestMonomial, {"psi_exps": (1, 0), "kappa_parts": (2,)}, ("kappa_parts", ()), True, None),
+    (InteriorTerm, {"psi_exps": (1,), "kappa_parts": (1,)}, ("psi_exps", (2,)), True,
+     ({"psi_exps": (-1,), "kappa_parts": (0,)}, "negative decoration exponent")),
+    (SeparatingStratum,
+     {"g1": 1, "g2": 1, "markings1": frozenset({1}), "node_exps": (0, 1), "marking_exps": (0,)},
+     ("node_exps", (1, 0)), True,
+     ({"g1": -1, "g2": 1, "markings1": frozenset({5}), "node_exps": (-1, 0),
+       "marking_exps": (0,)}, "negative decoration exponent")),
+    (NonSeparatingPushforward, {"source_g": 1, "node_exps": (0, 1), "marking_exps": ()},
+     ("marking_exps", (0,)), True,
+     ({"source_g": -1, "node_exps": (0, 1), "marking_exps": ()}, "genus must be nonnegative")),
+    (ClassExpr, {"ambient": AmbientSpace(1, 1), "degree": 1, "terms": (ONE,)},
+     ("terms", ()), True,
+     ({"ambient": AmbientSpace(1, 2), "degree": 2, "terms": (ONE,)},
+      "term degree 1 differs from expression degree 2")),
+    (VectorFieldPt, {"terms": ((1, Fraction(2)),)}, ("terms", ()), True, None),
+    (VerificationReport,
+     {"relation": "bbt", "params": {"g": 1}, "pairings": [("psi_1", Fraction(0))],
+      "passed": True, "trivial": False, "millis": 3, "caveat": "c"},
+     ("passed", False), False, None),
+    (CacheStore, {"entries": {CorrelatorKey(1, (1,), ()): Fraction(1, 24)}, "version": "v1"},
+     ("version", "v0"), False, None),
+]
+
+
+@pytest.mark.parametrize("cls, fields, change, frozen, invalid", RECORDS,
+                         ids=[row[0].__name__ for row in RECORDS])
+def test_record_semantics(cls, fields, change, frozen, invalid):
+    a, b = cls(**fields), cls(**fields)
+    assert a == b and a is not b
+    name, value = change
+    assert a != cls(**{**fields, name: value})
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{k}={getattr(a, k)!r}' for k in fields)})"
+    if frozen:
+        assert hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(b, name, value)
+        assert a != b
+    if invalid is not None:
+        bad, message = invalid
+        with pytest.raises(ValueError, match=message):
+            cls(**bad)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # both are costly imports that no tautrr module needs
+    src = str(Path(tautrr.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import tautrr.cache, tautrr.cli, tautrr.engine, tautrr.relations, tautrr.strata, "
+        "tautrr.universal\n"
+        "assert sys.modules['tautrr'].__file__.startswith(sys.path[0])\n"
+        "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
+def test_class_expr_builds_its_plan_once():
+    expr = ClassExpr.make(AmbientSpace(1, 1), 1, [ONE])
+    assert expr._plan is expr._plan

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tautrr.engine import CorrelatorEngine
+from tautrr.engine import CorrelatorEngine, moduli_dim
 from tautrr.strata import (
     AmbientSpace,
     ClassExpr,
@@ -13,16 +13,49 @@ from tautrr.strata import (
     NonSeparatingPushforward,
     SeparatingStratum,
     TestMonomial,
+    _pullback_rows,
     enumerate_tests,
-    pair_pushforward_irreducible,
     pair_with_test,
-    pullback_test_to_separating,
 )
 
 
 @pytest.fixture()
 def engine():
     return CorrelatorEngine()
+
+
+def pullback_test_to_separating(t: TestMonomial, s: SeparatingStratum):
+    """Expand the restriction of a test monomial to a one-node stratum.
+
+    Marking psi classes route to the factor carrying the marking; each
+    kappa index restricts to (kappa on factor 1) + (kappa on factor 2), so
+    a kappa multiset expands multinomially.  Returns a list of
+    (factor-1 monomial, factor-2 monomial, multiplicity) with factor psi
+    exponents listed by ascending original marking label (node excluded).
+    """
+    if len(t.psi_exps) != len(s.marking_exps):
+        raise ValueError("marking referenced by the test is absent from the ambient space")
+    return [
+        (TestMonomial(psi1, k1[::-1]), TestMonomial(psi2, k2[::-1]), Fraction(mult))
+        for _, psi1, psi2, k1, k2, mult
+        in _pullback_rows(t, sorted(s.markings1), sorted(s.markings2()))
+    ]
+
+
+def pair_pushforward_irreducible(expr: ClassExpr, kappa, engine) -> Fraction:
+    """Pair the irreducible-gluing pushforward of a two-marking expression
+    against a kappa monomial on the unmarked target.
+
+    By the projection formula (kappa classes pull back unchanged along the
+    gluing), this is the integral of the expression times the kappa
+    monomial over the source space.  Returns 0 on degree mismatch.
+    """
+    if expr.ambient.n != 2:
+        raise ValueError("pushforward source must carry exactly two markings")
+    kappa = tuple(sorted((int(x) for x in kappa), reverse=True))
+    if expr.degree + 1 + sum(kappa) != moduli_dim(expr.ambient.g + 1, 0):
+        return Fraction(0)
+    return pair_with_test(expr, TestMonomial((0, 0), kappa), engine)
 
 
 def test_ambient_space_validation():

