@@ -49,16 +49,9 @@ class VectorFieldPt(NamedTuple):
             acc[level] = acc.get(level, ZERO) + coeff
         return cls(tuple(sorted((lv, c) for lv, c in acc.items() if c != 0)))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # a sum of fields, in place of the tuple's concatenation
     def __add__(self, other: "VectorFieldPt") -> "VectorFieldPt":
         return VectorFieldPt.make(self.terms + other.terms)
-
-    def scale(self, factor) -> "VectorFieldPt":
-        factor = Fraction(factor)
-        return VectorFieldPt.make((lv, factor * c) for lv, c in self.terms)
 
     def render(self) -> str:
         if not self.terms:

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import stat
 import threading
 from fractions import Fraction
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from tautrr import cache
 from tautrr.cache import (
     CacheFormatError,
     CacheStore,
@@ -386,3 +388,153 @@ def test_stale_file_with_a_wrong_inner_value_warns_once(tmp_path):
         "disagreed with recomputation; using the fresh value"
     ]
     assert engine.quarantined() == 0
+
+
+# ----------------------------------------------------------------------
+# the bulk route for saved files against the per-line route
+# ----------------------------------------------------------------------
+
+def _outcome(load):
+    """(entries in order, raw value types, version), or the error text."""
+    try:
+        store = load()
+    except CacheFormatError as exc:
+        return str(exc)
+    raw = store.entries.raw
+    return list(raw.items()), [type(v) for v in raw.values()], store.version
+
+
+def _load_both_ways(path):
+    """cache_load's outcome, after checking the per-line route gives the same."""
+    text = Path(path).read_text(encoding="utf-8")
+    loaded = _outcome(lambda: cache_load(path))
+    assert loaded == _outcome(lambda: cache._load_lines(text)), repr(text)
+    return loaded
+
+
+def _saved_text(tmp_path):
+    """A saved file holding psi, kappa and kappa-only keys."""
+    engine = CorrelatorEngine()
+    engine.psi_integral(3, [2, 6])
+    engine.psi_kappa_integral(2, [1], [1, 2])
+    engine.psi_kappa_integral(2, [], [1, 2])
+    path = tmp_path / "saved.txt"
+    save_engine_cache(engine, path)
+    return path.read_text(encoding="utf-8")
+
+
+HEAD = "#taut-rr-cache v1\n"
+
+ROUTE_CASES = {
+    "five fields then three": HEAD + "0;0,0,0;;1;0\n0,0,0;;1\n",
+    "crlf": HEAD.replace("\n", "\r\n") + "1;1;;1/24\r\n2;4;;1/1152\r\n",
+    "vertical tab in the header": "#taut-rr-cache v1\x0bjunk\n1;1;;1/24\n",
+    "vertical tab ending the header": "#taut-rr-cache v1\x0b\n1;1;;1/24\n",
+    "file separator in the header": "#taut-rr-cache v1\x1c1;1;;1/24\n",
+    "next line in the header": "#taut-rr-cache v\x851\n1;1;;1/24\n",
+    "spaces in the header": "#taut-rr-cache  v1 \n1;1;;1/24\n",
+    "no version": "#taut-rr-cache\n1;1;;1/24\n",
+    "blank line": HEAD + "1;1;;1/24\n\n2;4;;1/1152\n",
+    "no final newline": HEAD + "1;1;;1/24\n2;4;;1/1152",
+    "header only": HEAD,
+    "header without newline": HEAD.rstrip("\n"),
+    "leading zero": HEAD + "1;1;;1/24\n2;04;;1/1152\n",
+    "leading zeros": HEAD + "1;1;;1/24\n3;007;;1/82944\n",
+    "plus sign": HEAD + "+1;1;;1/24\n",
+    "space before a numeral": HEAD + "1; 1;;1/24\n",
+    "non-ASCII digit": HEAD + "١;1;;1/24\n",
+    "exponent of 1000": HEAD + "334;1000;;7\n",
+    "genus of 1000": HEAD + "1000;2998;;7\n",
+    "kappa index of 1000": HEAD + "335;;1000,2;7\n",
+    "negative exponent": HEAD + "1;-1,2;;7\n",
+    "kappa index 0": HEAD + "1;1,1;0;7\n",
+    "unstable key": HEAD + "0;0,0;;1\n",
+    "unstable key of dimension 0": HEAD + "1;;;1\n",
+    "dimension mismatch": HEAD + "1;1,2;;7\n",
+    "zero denominator": HEAD + "2;4;;1/0\n",
+    "zero denominator, two digits": HEAD + "2;4;;1/00\n",
+    "non-canonical value": HEAD + "2;4;; 1/1152\n",
+    "duplicate keys": HEAD + "1;1;;1/24\n2;4;;1/1152\n1;1;;7\n",
+    "unsorted lists": HEAD + "1;2,0;;1/24\n2;;2,1;1/240\n",
+    "empty lists": HEAD + "0;0,0,0;;1\n2;;1,2;1/240\n",
+    "trailing comma": HEAD + "1;0,2,;;1/24\n",
+}
+
+
+#: the cases in saved form; reading translates CRLF to a newline
+BULK_CASES = {"crlf", "spaces in the header", "no version", "header only",
+              "duplicate keys", "unsorted lists", "empty lists"}
+
+
+@pytest.mark.parametrize("name", list(ROUTE_CASES))
+def test_both_load_routes_agree(tmp_path, name):
+    path = tmp_path / "c.txt"
+    path.write_bytes(ROUTE_CASES[name].encode("utf-8"))
+    _load_both_ways(path)
+    bulk = cache._load_saved(path.read_text(encoding="utf-8")) is not None
+    assert bulk == (name in BULK_CASES)
+
+
+def test_load_routes_agree_on_the_five_and_three_field_pair(tmp_path):
+    # the pair has the field count of two good lines, so only a per-line
+    # count of ';' keeps it from loading as two entries
+    path = tmp_path / "c.txt"
+    path.write_text(ROUTE_CASES["five fields then three"])
+    assert _load_both_ways(path) == \
+        "line 2: expected 'g;d1,...;b1,...;value', got '0;0,0,0;;1;0'"
+
+
+def test_saved_files_load_by_the_bulk_route(tmp_path, monkeypatch):
+    def per_line(text):
+        raise AssertionError("a saved file reached the per-line route")
+
+    engine = CorrelatorEngine()
+    engine.psi_integral(4, [3, 8])
+    engine.psi_kappa_integral(3, [], [2, 2, 1, 1])
+    monkeypatch.setattr(cache, "_load_lines", per_line)
+    path = tmp_path / "c.txt"
+    for store in (CacheStore(), CacheStore(engine.entries()), CacheStore(engine.entries(), "v0")):
+        cache_save(store, path)
+        loaded = cache_load(path)
+        assert loaded.entries == store.entries and loaded.version == store.version
+        assert all(type(v) is str for v in loaded.entries.raw.values())
+    # and a file saved by an engine that loaded it
+    cache_save(CacheStore(), path)
+    engine = CorrelatorEngine()
+    load_engine_cache(engine, path)
+    engine.psi_integral(5, [13])
+    save_engine_cache(engine, path)
+    assert len(cache_load(path).entries) == len(engine.entries())
+
+
+#: digits thrice, so that many edits leave a file in saved form
+EDIT_ALPHABET = "0123456789" * 3 + ";,/-+ \n\r\x0b\x85١x"
+
+
+def test_seeded_edits_load_the_same_both_ways(tmp_path):
+    # 300 edits of a saved file, each replacing, inserting or deleting 1 to
+    # 4 characters; each edited file loads to the same store, or fails with
+    # the same message, by cache_load and by the per-line route
+    text = _saved_text(tmp_path)
+    rng = random.Random(12)
+    path = tmp_path / "edited.txt"
+    routes = {"bulk": 0, "per-line": 0}
+    errors = 0
+    for _ in range(300):
+        chars = list(text)
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(chars))
+            kind = rng.choice(("replace", "insert", "delete"))
+            if kind == "delete":
+                del chars[at]
+            elif kind == "insert":
+                chars.insert(at, rng.choice(EDIT_ALPHABET))
+            else:
+                chars[at] = rng.choice(EDIT_ALPHABET)
+        path.write_bytes("".join(chars).encode("utf-8"))
+        read = path.read_text(encoding="utf-8")
+        routes["per-line" if cache._load_saved(read) is None else "bulk"] += 1
+        errors += type(_load_both_ways(path)) is str
+    # the edits reach both routes and both outcomes
+    assert routes["bulk"] >= 30 and routes["per-line"] >= 30
+    assert 30 <= errors <= 270

@@ -5,9 +5,12 @@ these tests pin expressions that must fail.  The paper's expression for
 psi_1^k holds only for k >= 2g, so it must fail one step below.  A
 relation with one term's sign flipped, or one term dropped, must fail
 somewhere in its default ``tautrr verify`` sweep; the first parameter
-tuple that detects each mutation is pinned.
+tuple that detects each mutation is pinned.  The point-target vanishing
+(conjC) must fail one step below its threshold, and the vpe expression,
+stated for odd r only, must fail at even r.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from tautrr.relations import (
     verify,
 )
 from tautrr.strata import AmbientSpace, ClassExpr, InteriorTerm
+from tautrr.universal import IDENTITIES, conjc_threshold, tau
 
 BUILDERS = {"bbt": build_bbt, "variation": build_variation, "fqq": build_fqq,
             "vpe": build_vpe}
@@ -120,3 +124,51 @@ def test_bbt_coefficient_swap_fails_once_the_genera_differ(engine):
         (4, 0): False, (4, 1): False, (4, 2): True,
         (5, 0): False, (5, 1): False, (5, 2): False, (5, 3): False,
     }
+
+
+def vpe_expression(g: int, r: int) -> ClassExpr:
+    """The vpe expression for any r >= 0, built as build_vpe builds it."""
+    ambient = AmbientSpace(g + 1, 0)
+    degree = 2 * g + r
+    boundary = _boundary_sum(ambient, range(1, g + 1), degree - 1, frozenset(),
+                             lambda g2, sign: Fraction(sign, 2))
+    return ClassExpr.make(ambient, degree, [(1, InteriorTerm((), (degree,)))] + boundary)
+
+
+def test_hand_built_vpe_is_the_builder_expression():
+    for g in range(1, 6):
+        for r in (1, 3, 5):
+            assert vpe_expression(g, r) == build_vpe(g, r)
+
+
+# (g, r) -> pairings at even r, for every g <= 5 where the degree 2g + r
+# fits the dimension 3g of the genus-(g+1) space; every pairing is nonzero
+VPE_EVEN_R_PAIRINGS = {
+    (1, 0): 1, (2, 0): 2, (3, 0): 3, (4, 0): 5, (5, 0): 7,
+    (2, 2): 1, (3, 2): 1, (4, 2): 2, (5, 2): 3,
+    (4, 4): 1, (5, 4): 1,
+}
+
+
+@pytest.mark.parametrize("g, r", list(VPE_EVEN_R_PAIRINGS))
+def test_vpe_fails_at_even_r(engine, g, r):
+    report = verify(vpe_expression(g, r), engine=engine)
+    assert not report.passed and not report.trivial
+    assert len(report.nonzero()) == len(report.pairings) == VPE_EVEN_R_PAIRINGS[g, r]
+
+
+def test_conjc_fails_one_step_below_its_threshold(engine):
+    # at m = threshold - 1 some slot tuple of levels 0..6 has a nonzero
+    # residual, except with no slots, where the form vanishes at g = 2, 3, 4
+    residual = IDENTITIES["conjC"][0]
+    vanishing = {}
+    for g, r, s in itertools.product(range(5), range(4), range(4)):
+        m = conjc_threshold(g, r, s) - 1
+        if m < 0:
+            continue
+        slots = itertools.product(itertools.combinations_with_replacement(range(7), r),
+                                  itertools.combinations_with_replacement(range(7), s))
+        if not any(residual(r, s, g, m, [tau(x) for x in w], [tau(x) for x in v], engine)
+                   for w, v in slots):
+            vanishing[g, r, s] = m
+    assert vanishing == {(2, 0, 0): 0, (3, 0, 0): 2, (4, 0, 0): 4}

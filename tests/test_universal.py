@@ -34,6 +34,12 @@ def correlator_pt(g: int, levels, engine: CorrelatorEngine) -> Fraction:
     return engine.correlator(g, levels)
 
 
+def scale(field: VectorFieldPt, factor) -> VectorFieldPt:
+    """The field with every coefficient times a rational factor."""
+    factor = Fraction(factor)
+    return VectorFieldPt.make((lv, factor * c) for lv, c in field.terms)
+
+
 def test_correlator_total_function(engine):
     assert correlator_pt(0, [5, 0], engine) == 0
     assert correlator_pt(0, [0], engine) == 0
@@ -51,10 +57,10 @@ def test_degenerate_rule_low_point_genus0(engine):
 
 def test_field_normalization_and_shift():
     assert tau_shift(tau(0), 3) == tau(3)
-    assert tau_shift(tau(0), -1).is_zero()
+    assert not tau_shift(tau(0), -1).terms
     w = VectorFieldPt.make([(1, 2), (5, 1)])
     assert tau_shift(w, -1) == VectorFieldPt.make([(0, 2), (4, 1)])
-    assert VectorFieldPt.make([(-3, 1)]).is_zero()
+    assert not VectorFieldPt.make([(-3, 1)]).terms
     assert string_field_at_origin() == tau(0)
 
 
@@ -91,7 +97,7 @@ def test_multilinearity(engine):
         a = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
         b = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
         w1, w2 = tau(rng.randint(0, 5)), tau(rng.randint(0, 5))
-        combo = w1.scale(a) + w2.scale(b)
+        combo = scale(w1, a) + scale(w2, b)
         other = [tau(rng.randint(0, 3))]
         v = [tau(rng.randint(0, 3))]
         g, m = rng.randint(0, 3), rng.randint(0, 6)
