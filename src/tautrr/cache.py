@@ -14,14 +14,6 @@ any key the engine cannot produce: negative genus, a negative psi
 exponent, a non-positive kappa index, an unstable (g, n), or exponents
 and kappa indices that do not sum to the dimension 3g - 3 + n.
 
-A file loads by one of two routes.  A file in the form a save writes
-(genera, exponents and kappa indices as plain numerals below 1000,
-values in canonical form, every line ended by a newline, no blank line)
-loads by a bulk route that reads it column by column.  Any other file,
-or one with a key that fails a check, loads line by line from the top.
-Both routes accept the same files and give the same entries; every error
-and its line number come from the line-by-line route.
-
 Every value is checked at load and decoded on first use.  A value in the
 canonical form ``-?digits[/digits]`` with a nonzero denominator (what a
 save writes, though it need not be reduced) is kept as text until the
@@ -37,7 +29,6 @@ import re
 import warnings
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain, repeat
 from math import gcd
 from pathlib import Path
 
@@ -182,60 +173,13 @@ def cache_save(store: CacheStore, path) -> None:
 
 
 #: the numerals a save writes for genera, exponents and kappa indices; any
-#: other spelling (a sign, a space, a leading zero, 1000 or more) misses
-_NUMERALS = {str(i): i for i in range(1000)}
-
-
-def _int_lists(column: list[str]) -> list[tuple[int, ...]]:
-    """Each comma-separated list of the column as a sorted tuple; raises
-    KeyError for an item that is not in the numeral table."""
-    get = _NUMERALS.__getitem__
-    return [tuple(sorted(map(get, s.split(",")))) if s else () for s in column]
-
-
-def _load_saved(text: str) -> CacheStore | None:
-    """The store of a file in saved form, or None if the text leaves that
-    form anywhere or a key fails a load check."""
-    lines = text.split("\n")
-    head = lines[0]
-    # a final newline; a header that splitlines cuts elsewhere would give
-    # another version
-    if lines.pop() or not head.startswith(CACHE_MAGIC) or head.splitlines() != [head]:
-        return None
-    del lines[0]
-    # counted per line: a 5-field and a 3-field line would pass a total count
-    if set(map(str.count, lines, repeat(";"))) - {3}:
-        return None
-    fields = ";".join(lines).split(";") if lines else []
-    del lines  # freed before the columns are parsed, for a lower peak
-    values = fields[3::4]
-    if not all(map(_is_canonical, values)):
-        return None
-    try:
-        genera = list(map(_NUMERALS.__getitem__, fields[0::4]))
-        exps = _int_lists(fields[1::4])
-        kappas = _int_lists(fields[2::4])
-    except KeyError:
-        return None
-    # the table holds no negative numeral: no genus or exponent is below 0
-    for g, d, b in zip(genera, exps, kappas):
-        n = len(d)
-        if 2 * g - 2 + n <= 0 or sum(d) + sum(b) != 3 * g - 3 + n:
-            return None
-    if 0 in chain.from_iterable(kappas):
-        return None
-    entries = dict(zip(map(key_from_tuple, zip(genera, exps, kappas)), values))
-    return CacheStore(entries, head[len(CACHE_MAGIC):].strip() or "(none)")
+#: other spelling (a sign, a space, a leading zero, 256 or more) misses.
+#: CPython shares the ints below 257, so the table holds only its keys.
+_NUMERALS = {str(i): i for i in range(256)}
 
 
 def cache_load(path) -> CacheStore:
     text = Path(path).read_text(encoding="utf-8")
-    store = _load_saved(text)
-    return _load_lines(text) if store is None else store
-
-
-def _load_lines(text: str) -> CacheStore:
-    """Any text cache_load accepts, line by line; raises for the first bad line."""
     if not text.strip():
         return CacheStore()
     lines = text.splitlines()
@@ -244,6 +188,7 @@ def _load_lines(text: str) -> CacheStore:
         raise CacheFormatError("line 1: missing cache header")
     version = header[len(CACHE_MAGIC):].strip() or "(none)"
     entries: dict[CorrelatorKey, Rational] = {}
+    num = _NUMERALS.__getitem__
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -255,12 +200,13 @@ def _load_lines(text: str) -> CacheStore:
             )
         genus, d, b, value = pieces
         try:
-            # what a save writes; any other spelling (a blank list, a bad
-            # number) goes through the per-field parse, which names it
-            genus = int(genus)
-            d = tuple(sorted(map(int, d.split(",")))) if d else ()
-            b = tuple(sorted(map(int, b.split(",")))) if b else ()
-        except ValueError:
+            # what a save writes; any other spelling (a blank list, a sign,
+            # a leading zero, a bad number) goes through the per-field
+            # parse, which reads it with int() or names it
+            genus = num(genus)
+            d = tuple(sorted(map(num, d.split(",")))) if d else ()
+            b = tuple(sorted(map(num, b.split(",")))) if b else ()
+        except KeyError:
             genus, d, b = _parse_key_fields(pieces, lineno)
         if not _is_canonical(value):
             try:

@@ -391,69 +391,62 @@ def test_stale_file_with_a_wrong_inner_value_warns_once(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# the bulk route for saved files against the per-line route
+# the numeral table against the per-field parse
 # ----------------------------------------------------------------------
 
-def _outcome(load):
+def _outcome(path):
     """(entries in order, raw value types, version), or the error text."""
     try:
-        store = load()
+        store = cache_load(path)
     except CacheFormatError as exc:
         return str(exc)
     raw = store.entries.raw
     return list(raw.items()), [type(v) for v in raw.values()], store.version
 
 
-def _load_both_ways(path):
-    """cache_load's outcome, after checking the per-line route gives the same."""
-    text = Path(path).read_text(encoding="utf-8")
-    loaded = _outcome(lambda: cache_load(path))
-    assert loaded == _outcome(lambda: cache._load_lines(text)), repr(text)
-    return loaded
+def _load_both_ways(path, monkeypatch):
+    """cache_load's outcome and whether it used the per-field parse, after
+    checking that the outcome is the same with the numeral table empty."""
+    parse, used = cache._parse_key_fields, []
 
+    def counted(pieces, lineno):
+        used.append(lineno)
+        return parse(pieces, lineno)
 
-def _saved_text(tmp_path):
-    """A saved file holding psi, kappa and kappa-only keys."""
-    engine = CorrelatorEngine()
-    engine.psi_integral(3, [2, 6])
-    engine.psi_kappa_integral(2, [1], [1, 2])
-    engine.psi_kappa_integral(2, [], [1, 2])
-    path = tmp_path / "saved.txt"
-    save_engine_cache(engine, path)
-    return path.read_text(encoding="utf-8")
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "_parse_key_fields", counted)
+        loaded = _outcome(path)
+        per_field = bool(used)
+        patch.setattr(cache, "_NUMERALS", {})
+        assert _outcome(path) == loaded, repr(path.read_text(encoding="utf-8"))
+    return loaded, per_field
 
 
 HEAD = "#taut-rr-cache v1\n"
 
-ROUTE_CASES = {
+LOAD_CASES = {
     "five fields then three": HEAD + "0;0,0,0;;1;0\n0,0,0;;1\n",
     "crlf": HEAD.replace("\n", "\r\n") + "1;1;;1/24\r\n2;4;;1/1152\r\n",
     "vertical tab in the header": "#taut-rr-cache v1\x0bjunk\n1;1;;1/24\n",
-    "vertical tab ending the header": "#taut-rr-cache v1\x0b\n1;1;;1/24\n",
-    "file separator in the header": "#taut-rr-cache v1\x1c1;1;;1/24\n",
-    "next line in the header": "#taut-rr-cache v\x851\n1;1;;1/24\n",
     "spaces in the header": "#taut-rr-cache  v1 \n1;1;;1/24\n",
-    "no version": "#taut-rr-cache\n1;1;;1/24\n",
     "blank line": HEAD + "1;1;;1/24\n\n2;4;;1/1152\n",
     "no final newline": HEAD + "1;1;;1/24\n2;4;;1/1152",
-    "header only": HEAD,
-    "header without newline": HEAD.rstrip("\n"),
     "leading zero": HEAD + "1;1;;1/24\n2;04;;1/1152\n",
     "leading zeros": HEAD + "1;1;;1/24\n3;007;;1/82944\n",
     "plus sign": HEAD + "+1;1;;1/24\n",
     "space before a numeral": HEAD + "1; 1;;1/24\n",
-    "non-ASCII digit": HEAD + "١;1;;1/24\n",
+    "non-ASCII digit": HEAD + "\u0661;1;;1/24\n",
+    "exponent of 255": HEAD + "86;255,2;;7\n",
+    "exponent of 256": HEAD + "86;256;;7\n",
+    "genus of 256": HEAD + "256;766;;7\n",
+    "kappa index of 256": HEAD + "87;;256,2;7\n",
     "exponent of 1000": HEAD + "334;1000;;7\n",
-    "genus of 1000": HEAD + "1000;2998;;7\n",
-    "kappa index of 1000": HEAD + "335;;1000,2;7\n",
     "negative exponent": HEAD + "1;-1,2;;7\n",
     "kappa index 0": HEAD + "1;1,1;0;7\n",
     "unstable key": HEAD + "0;0,0;;1\n",
-    "unstable key of dimension 0": HEAD + "1;;;1\n",
     "dimension mismatch": HEAD + "1;1,2;;7\n",
     "zero denominator": HEAD + "2;4;;1/0\n",
     "zero denominator, two digits": HEAD + "2;4;;1/00\n",
-    "non-canonical value": HEAD + "2;4;; 1/1152\n",
     "duplicate keys": HEAD + "1;1;;1/24\n2;4;;1/1152\n1;1;;7\n",
     "unsorted lists": HEAD + "1;2,0;;1/24\n2;;2,1;1/240\n",
     "empty lists": HEAD + "0;0,0,0;;1\n2;;1,2;1/240\n",
@@ -461,65 +454,47 @@ ROUTE_CASES = {
 }
 
 
-#: the cases in saved form; reading translates CRLF to a newline
-BULK_CASES = {"crlf", "spaces in the header", "no version", "header only",
-              "duplicate keys", "unsorted lists", "empty lists"}
-
-
-@pytest.mark.parametrize("name", list(ROUTE_CASES))
-def test_both_load_routes_agree(tmp_path, name):
+@pytest.mark.parametrize("name", list(LOAD_CASES))
+def test_numeral_table_loads_as_the_per_field_parse(tmp_path, monkeypatch, name):
     path = tmp_path / "c.txt"
-    path.write_bytes(ROUTE_CASES[name].encode("utf-8"))
-    _load_both_ways(path)
-    bulk = cache._load_saved(path.read_text(encoding="utf-8")) is not None
-    assert bulk == (name in BULK_CASES)
+    path.write_bytes(LOAD_CASES[name].encode("utf-8"))
+    _load_both_ways(path, monkeypatch)
 
 
-def test_load_routes_agree_on_the_five_and_three_field_pair(tmp_path):
-    # the pair has the field count of two good lines, so only a per-line
-    # count of ';' keeps it from loading as two entries
-    path = tmp_path / "c.txt"
-    path.write_text(ROUTE_CASES["five fields then three"])
-    assert _load_both_ways(path) == \
-        "line 2: expected 'g;d1,...;b1,...;value', got '0;0,0,0;;1;0'"
-
-
-def test_saved_files_load_by_the_bulk_route(tmp_path, monkeypatch):
-    def per_line(text):
-        raise AssertionError("a saved file reached the per-line route")
+def test_saved_files_never_reach_the_per_field_parse(tmp_path, monkeypatch):
+    def per_field(pieces, lineno):
+        raise AssertionError(f"line {lineno} of a saved file missed the numeral table")
 
     engine = CorrelatorEngine()
     engine.psi_integral(4, [3, 8])
     engine.psi_kappa_integral(3, [], [2, 2, 1, 1])
-    monkeypatch.setattr(cache, "_load_lines", per_line)
+    monkeypatch.setattr(cache, "_parse_key_fields", per_field)
     path = tmp_path / "c.txt"
     for store in (CacheStore(), CacheStore(engine.entries()), CacheStore(engine.entries(), "v0")):
         cache_save(store, path)
         loaded = cache_load(path)
         assert loaded.entries == store.entries and loaded.version == store.version
         assert all(type(v) is str for v in loaded.entries.raw.values())
-    # and a file saved by an engine that loaded it
-    cache_save(CacheStore(), path)
+
+
+#: digits thrice, so that many edits leave every numeral in the table
+EDIT_ALPHABET = "0123456789" * 3 + ";,/-+ \n\r\x0b\x85\u0661x"
+
+
+def test_seeded_edits_load_the_same_both_ways(tmp_path, monkeypatch):
+    # 300 edits of a saved file with psi, kappa and kappa-only keys, each
+    # replacing, inserting or deleting 1 to 4 characters; each edited file
+    # loads to the same store, or fails with the same message, with the
+    # numeral table and with every numeral read by the per-field parse
     engine = CorrelatorEngine()
-    load_engine_cache(engine, path)
-    engine.psi_integral(5, [13])
-    save_engine_cache(engine, path)
-    assert len(cache_load(path).entries) == len(engine.entries())
-
-
-#: digits thrice, so that many edits leave a file in saved form
-EDIT_ALPHABET = "0123456789" * 3 + ";,/-+ \n\r\x0b\x85١x"
-
-
-def test_seeded_edits_load_the_same_both_ways(tmp_path):
-    # 300 edits of a saved file, each replacing, inserting or deleting 1 to
-    # 4 characters; each edited file loads to the same store, or fails with
-    # the same message, by cache_load and by the per-line route
-    text = _saved_text(tmp_path)
-    rng = random.Random(12)
+    engine.psi_integral(3, [2, 6])
+    engine.psi_kappa_integral(2, [1], [1, 2])
+    engine.psi_kappa_integral(2, [], [1, 2])
     path = tmp_path / "edited.txt"
-    routes = {"bulk": 0, "per-line": 0}
-    errors = 0
+    save_engine_cache(engine, path)
+    text = path.read_text(encoding="utf-8")
+    rng = random.Random(12)
+    per_field = errors = 0
     for _ in range(300):
         chars = list(text)
         for _ in range(rng.randint(1, 4)):
@@ -532,9 +507,9 @@ def test_seeded_edits_load_the_same_both_ways(tmp_path):
             else:
                 chars[at] = rng.choice(EDIT_ALPHABET)
         path.write_bytes("".join(chars).encode("utf-8"))
-        read = path.read_text(encoding="utf-8")
-        routes["per-line" if cache._load_saved(read) is None else "bulk"] += 1
-        errors += type(_load_both_ways(path)) is str
-    # the edits reach both routes and both outcomes
-    assert routes["bulk"] >= 30 and routes["per-line"] >= 30
+        loaded, used = _load_both_ways(path, monkeypatch)
+        per_field += used
+        errors += type(loaded) is str
+    # the edits reach the per-field parse and both outcomes
+    assert 30 <= per_field <= 270
     assert 30 <= errors <= 270
