@@ -56,12 +56,11 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _format_value(entries: Entries, key: CorrelatorKey) -> str:
-    """What format_rational writes for the value of key, also for canonical
-    text that is not reduced (``2/4`` gives ``1/2``, ``0007`` gives ``7``)."""
-    value = entries.raw[key]
+def _format_value(value: Rational) -> str:
+    """What format_rational writes for a raw value, also for canonical text
+    that is not reduced (``2/4`` gives ``1/2``, ``0007`` gives ``7``)."""
     if type(value) is not str:
-        return format_rational(entries[key])
+        return format_rational(value)
     num, den = rational_parts(value)
     common = gcd(num, den)
     num //= common
@@ -150,10 +149,9 @@ def _key_problem(genus: int, d: tuple[int, ...], b: tuple[int, ...]) -> str | No
 
 
 def cache_save(store: CacheStore, path) -> None:
-    entries = store.entries
+    raw = store.entries.raw
     lines = [f"{CACHE_MAGIC} {store.version}"]
-    lines += [f"{_format_key(key)};{_format_value(entries, key)}"
-              for key in sorted(entries.raw)]
+    lines += [f"{_format_key(key)};{_format_value(raw[key])}" for key in sorted(raw)]
     text = "\n".join(lines) + "\n"
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):

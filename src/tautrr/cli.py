@@ -241,7 +241,8 @@ def _run_cached(body, args) -> int:
     The file (``--cache`` or ``$TAUTRR_CACHE``) is loaded first, if it
     exists.  After the body it is written back only when that changes it:
     the file did not exist, it was loaded quarantined (version mismatch),
-    or the engine now holds an entry the file did not.  A usage error
+    or the run computed an entry, which it does only for a key the file
+    lacks.  The engine is listed only for that save.  A usage error
     (exit 2) writes nothing, and neither does a file holding a value no
     integral can take (exit 1).  A quarantined file is rewritten only once
     every entry in it has been revalidated; otherwise it is left as it is,
@@ -262,8 +263,7 @@ def _run_cached(body, args) -> int:
         print(f"error: cache {path}: {exc}", file=sys.stderr)
         return 1
     if path and code != 2 and not engine.quarantined() and (
-            loaded is None or not loaded.trusted
-            or len(engine.entries()) > len(loaded.entries)):
+            loaded is None or not loaded.trusted or engine.computed):
         try:
             save_engine_cache(engine, path)
         except OSError as exc:

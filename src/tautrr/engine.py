@@ -44,14 +44,15 @@ Conventions:
   * A computed psi value is kept only as its integer I.  Division
     happens once per key, when the value is first read: the Fraction is
     built then and memoized, and a later hit returns it.  So a value that
-    only the recursion uses is never divided; entries() lists it as its
-    integer, which the Entries view decodes when read.  A trusted entry
-    adopted from outside (say from a cache file, whose loader has checked
-    its key and the syntax of its value) waits undecoded in a pending
-    table and is decoded on first use, on a memo miss: a psi entry
-    straight to I, raising ImpossibleEntryError unless it is a positive
-    integer there (as every I is), whether the recursion needs it or a
-    caller asked for it.
+    only the recursion uses is divided only when entries() lists it, as a
+    cache save does.  The engine counts the values it computes, so a run
+    can tell whether it added an entry without listing any.  A trusted
+    entry adopted from outside (say from a cache file, whose loader has
+    checked its key and the syntax of its value) waits undecoded in a
+    pending table and is decoded on first use, on a memo miss: a psi
+    entry straight to I, raising ImpossibleEntryError unless it is a
+    positive integer there (as every I is), whether the recursion needs it
+    or a caller asked for it.
   * Inner recursion derives the split genus from the dimension gate: in a
     genus split only one g1 can satisfy the left factor's dimension
     constraint, so that g1 is computed and no other is tried.
@@ -116,9 +117,9 @@ class CorrelatorKey(NamedTuple):
 key_from_tuple = partial(tuple.__new__, CorrelatorKey)
 
 
-#: a value as adopted: a Fraction, or text ``-?digits[/digits]`` with a
-#: nonzero denominator, not necessarily reduced (``2/4``, ``0007``)
-Rational = Fraction | str
+#: a value as adopted: a Fraction, an int, or text ``-?digits[/digits]``
+#: with a nonzero denominator, not necessarily reduced (``2/4``, ``0007``)
+Rational = Fraction | int | str
 
 
 def rational_parts(value: Rational) -> tuple[int, int]:
@@ -131,7 +132,9 @@ def rational_parts(value: Rational) -> tuple[int, int]:
 
 
 def _fraction(value: Rational) -> Fraction:
-    return Fraction(*rational_parts(value)) if type(value) is str else value
+    if type(value) is str:
+        return Fraction(*rational_parts(value))
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class SlotRecord:
@@ -156,9 +159,8 @@ class SlotRecord:
 
 class Entries(Mapping):
     """A read-only ``{CorrelatorKey: Fraction}`` view of ``raw``, a dict whose
-    values are Rationals or, from an engine, a psi key's normalized integer
-    I(g, d) (see CorrelatorEngine).  A value is decoded each time it is
-    read, so the length, the keys and ``raw`` itself cost no decoding."""
+    values are Rationals.  A value is decoded each time it is read, so the
+    length, the keys and ``raw`` itself cost no decoding."""
 
     __slots__ = ("raw",)
 
@@ -166,10 +168,7 @@ class Entries(Mapping):
         self.raw = raw
 
     def __getitem__(self, key) -> Fraction:
-        value = self.raw[key]
-        if type(value) is int:
-            return Fraction(value, _normalization(key[0], key[1]))
-        return _fraction(value)
+        return _fraction(self.raw[key])
 
     def __iter__(self):
         return iter(self.raw)
@@ -324,9 +323,8 @@ class CorrelatorEngine:
         # every computed or decoded psi value as its integer I(g, d), by
         # sorted d (d fixes g by the gate), and the two base cases
         self._ints: dict[tuple[int, ...], int] = dict(_BASE_INTS)
-        # the same values but the base cases, by CorrelatorKey, as far as
-        # entries() has listed them
-        self._listed: dict[CorrelatorKey, int] = {}
+        # how many values were computed: recursion steps and kappa trades
+        self.computed = 0
 
     # ------------------------------------------------------------------
     # public operations
@@ -373,22 +371,18 @@ class CorrelatorEngine:
 
     def entries(self) -> Entries:
         """Every entry the engine holds, decoded, computed or still pending;
-        a computed psi value not read yet is held as its integer I(g, d)."""
-        # _ints only grows, so keys are built only for the values added since
-        # the last call, the newest ones at its end
-        listed, ints = self._listed, self._ints
-        added = len(ints) - len(_BASE_INTS) - len(listed)
-        for d in reversed(list(islice(reversed(ints), added))):
-            listed[key_from_tuple(((sum(d) - len(d)) // 3 + 1, d, ()))] = ints[d]
+        a computed psi value not read yet is divided here."""
+        listed = {}
+        for d, val in islice(self._ints.items(), len(_BASE_INTS), None):
+            g = (sum(d) - len(d)) // 3 + 1
+            listed[key_from_tuple((g, d, ()))] = Fraction(val, _normalization(g, d))
         return Entries({**self._pending, **listed, **self._memo})
 
     def adopt(self, entries: dict[CorrelatorKey, Rational], trusted: bool = True) -> None:
         """Install externally loaded entries, whose values may still be text.
 
         The caller has checked the keys and the syntax of the values (the
-        cache loader does); the values are decoded on first use.  Another
-        engine's entries are passed as the Entries view, not as its ``raw``
-        table, whose integers are normalized values.  Trusted
+        cache loader does); the values are decoded on first use.  Trusted
         entries wait in a pending table.  When one is first needed, a psi
         entry is converted once to its normalized integer, and one that is
         not a positive integer there raises :class:`ImpossibleEntryError`.
@@ -482,6 +476,7 @@ class CorrelatorEngine:
         else:
             val = self._dvv(g, d)
         ints[d] = val
+        self.computed += 1
         if self._stale and (g, d, ()) in self._stale:
             self._revalidate(key_from_tuple((g, d, ())), Fraction(val, _normalization(g, d)))
         return val
@@ -574,6 +569,7 @@ class CorrelatorEngine:
                 sign = -weight if len(merged) % 2 else weight
                 sums[den] = sums.get(den, 0) + sign * term.numerator
         value = _sum_by_denominator(sums)
+        self.computed += 1
         key = key_from_tuple((g, d, b))
         self._revalidate(key, value)
         self._memo[key] = value

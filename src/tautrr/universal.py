@@ -240,6 +240,8 @@ def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,
     """
     if min(r, s, g, m) < 0:
         raise ValueError("r, s, g, m must be nonnegative")
+    if any(x < 0 for x in levels):
+        raise ValueError("negative descendent level")
     residual, fixed, _ = IDENTITIES[relation]
     start = time.perf_counter()
     report = VerificationReport(relation, {"g": g, "r": r, "s": s, "m": m})

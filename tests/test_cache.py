@@ -42,6 +42,23 @@ def test_round_trip_single_entry(tmp_path):
     assert loaded.version == "v1"
 
 
+def test_int_value_is_saved_as_itself(tmp_path, capsys):
+    from tautrr.cli import main
+
+    key = CorrelatorKey(0, (0, 0, 0, 1), ())
+    store = CacheStore({key: 1})
+    assert store.entries[key] == 1 and type(store.entries[key]) is Fraction
+    path = tmp_path / "cache.txt"
+    cache_save(store, path)
+    assert path.read_text() == "#taut-rr-cache v1\n0;0,0,0,1;;1\n"
+    engine = CorrelatorEngine()
+    engine.adopt({key: 1})
+    save_engine_cache(engine, tmp_path / "engine.txt")
+    assert (tmp_path / "engine.txt").read_bytes() == path.read_bytes()
+    assert main(["integral", "-g", "0", "-d", "0,0,0,1", "--cache", str(path)]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 def test_round_trip_preserves_bytes(tmp_path):
     engine = CorrelatorEngine()
     engine.psi_integral(2, [5, 0])

@@ -273,6 +273,36 @@ def test_trusted_hit_leaves_cache_untouched(capsys, tmp_path):
     assert _bytes_and_mtime(cache) == before
 
 
+def test_trusted_hit_never_lists_the_engine(capsys, tmp_path, monkeypatch):
+    from tautrr.engine import CorrelatorEngine
+
+    cache = tmp_path / "cache.txt"
+    hits = [("integral", "-g", "2", "-d", "0,5"), ("verify", "bbt", "--g", "2")]
+    for argv in hits:
+        assert run(capsys, *argv, "--cache", str(cache))[0] == 0
+    before = _bytes_and_mtime(cache)
+
+    def refuse(self):
+        raise AssertionError("a trusted hit listed the engine")
+
+    monkeypatch.setattr(CorrelatorEngine, "entries", refuse)
+    for argv in hits:
+        assert run(capsys, *argv, "--cache", str(cache))[0] == 0
+    assert _bytes_and_mtime(cache) == before
+
+
+def test_kappa_trade_alone_rewrites_cache(capsys, tmp_path):
+    # <tau_0 kappa_1>_1 trades to <tau_0 tau_2>_1, which the file holds, so
+    # the trade is the one value the second run computes
+    cache = tmp_path / "cache.txt"
+    code, _, _ = run(capsys, "integral", "-g", "1", "-d", "0,2", "--cache", str(cache))
+    assert code == 0 and cache.read_text() == "#taut-rr-cache v1\n1;0,2;;1/24\n"
+    code, out, _ = run(capsys, "integral", "-g", "1", "-d", "0", "--kappa", "1",
+                       "--cache", str(cache))
+    assert code == 0 and out == "1/24\n"
+    assert cache.read_text() == "#taut-rr-cache v1\n1;0;1;1/24\n1;0,2;;1/24\n"
+
+
 def test_miss_rewrites_cache_sorted(capsys, tmp_path):
     from tautrr.cache import cache_load, cache_save
 
@@ -471,6 +501,9 @@ VERIFY_ERRORS = [
     (("variation", "--n1", "1"), 2, "error: need n1 >= 2 and n2 >= 2\n"),
     (("bbt", "--g", ","), 2, "error: empty parameter range\n"),
     (("conjC", "--s=-1"), 2, "error: r, s, g, m must be nonnegative\n"),
+    # tau(-1) is the zero field, which would pass every check
+    (("conjC", "--g", "1", "--r", "1", "--s", "0", "--levels=-1"), 2,
+     "error: negative descendent level\n"),
 ]
 
 

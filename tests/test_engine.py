@@ -1,8 +1,10 @@
 """Engine checks: anchor values, closed-form oracles, linear identities,
 reference recursions."""
 
+import functools
 import hashlib
 import itertools
+import math
 import random
 import threading
 from fractions import Fraction
@@ -656,14 +658,54 @@ def test_entries_are_pinned(fill, size, digest):
 def test_unread_values_stay_integers():
     engine = CorrelatorEngine()
     value = engine.psi_integral(15, [43])
+    # only the value read is divided; the recursion's values stay integers
+    assert engine._memo == {(15, (43,), ()): value}
+    assert all(type(v) is int and v > 0 for v in engine._ints.values())
     raw = engine.entries().raw
-    read = {key: v for key, v in raw.items() if type(v) is not int}
-    assert read == {(15, (43,), ()): value}
-    assert all(v > 0 for v in raw.values())
-    # reading a computed value memoizes its Fraction, equal to the decoded one
+    assert all(type(v) is Fraction and v > 0 for v in raw.values())
+    # listing divides but memoizes nothing
+    assert engine._memo == {(15, (43,), ()): value}
+    # reading a computed value memoizes its Fraction, equal to the listed one
     listed = engine.entries()[(10, (2, 27), ())]
     assert engine.psi_integral(10, [27, 2]) == listed == two_point_value(10, 2)
     assert type(engine.entries().raw[(10, (2, 27), ())]) is Fraction
+
+
+def test_engine_counts_what_it_computes():
+    engine = CorrelatorEngine()
+    assert engine.computed == 0
+    engine.psi_integral(1, [1])
+    engine.psi_integral(0, [0, 0, 0])
+    assert engine.computed == 0
+    engine.psi_integral(2, [4])
+    assert engine.computed == len(engine.entries()) > 0
+    # reading what the engine holds computes nothing
+    before = engine.computed
+    for key in engine.entries():
+        engine.psi_integral(key.genus, key.psi_exps)
+    assert engine.computed == before
+    # a kappa trade counts once, its psi terms once each
+    engine.psi_kappa_integral(1, [0], [1])
+    assert engine.computed == len(engine.entries())
+    # decoding an adopted entry computes nothing
+    fresh = CorrelatorEngine()
+    fresh.adopt({CorrelatorKey(2, (4,), ()): "1/1152", CorrelatorKey(1, (0,), (1,)): "1/24"})
+    assert fresh.psi_integral(2, [4]) == Fraction(1, 1152)
+    assert fresh.psi_kappa_integral(1, [0], [1]) == Fraction(1, 24)
+    assert fresh.computed == 0
+
+
+def test_an_adopted_int_is_its_own_value():
+    key = CorrelatorKey(0, (0, 0, 0, 1), ())
+    engine = CorrelatorEngine()
+    kappa_key = CorrelatorKey(0, (0, 0, 0, 0), (1,))
+    engine.adopt({key: 1, kappa_key: 1})
+    assert engine.entries()[key] == engine.entries()[kappa_key] == 1
+    assert engine.psi_integral(0, [1, 0, 0, 0]) == 1
+    value = engine.psi_kappa_integral(0, [0, 0, 0, 0], [1])
+    assert value == 1 and type(value) is Fraction
+    assert engine.computed == 0
+    assert CorrelatorEngine().psi_kappa_integral(0, [0, 0, 0, 0], [1]) == 1
 
 
 def test_base_keys_never_listed():
@@ -708,3 +750,66 @@ def test_entries_listed_in_steps_match_one_listing():
     assert stepwise.entries() == once.entries()
     assert list(stepwise.entries()) == list(once.entries())
     assert stepwise.psi_integral(9, [25]) == one_point_value(9)
+
+
+# ----------------------------------------------------------------------
+# KdV audit: Witten's KdV form as a second route for every psi value
+# ----------------------------------------------------------------------
+
+
+def _kdv_corr(engine, levels):
+    """<tau_levels>_g at the one genus g its dimension allows; 0 if none."""
+    excess = sum(levels) - len(levels) + 3
+    return 0 if excess % 3 else engine.correlator(excess // 3, levels)
+
+
+def kdv_residual(engine, n, S):
+    """Left side minus right side of Witten's KdV form (1991), n >= 1:
+
+        (2n+1) <tau_n tau_0^2 S> = sum over A + B = S of
+               ( <tau_{n-1} tau_0 A> <tau_0^3 B> + 2 <tau_{n-1} tau_0^2 A> <tau_0^2 B> )
+             + 1/4 <tau_{n-1} tau_0^4 S>
+
+    The sum runs over the index subsets A of S, and every correlator goes
+    through ``engine.correlator``, so this shares no code with the DVV
+    recursion or its sub-multiset splits."""
+    S = tuple(S)
+    corr = functools.partial(_kdv_corr, engine)
+    rhs = Fraction(corr((n - 1, 0, 0, 0, 0) + S), 4)
+    for size in range(len(S) + 1):
+        for chosen in itertools.combinations(range(len(S)), size):
+            A = tuple(S[i] for i in chosen)
+            B = tuple(S[i] for i in range(len(S)) if i not in chosen)
+            rhs += corr((n - 1, 0) + A) * corr((0, 0, 0) + B)
+            rhs += 2 * corr((n - 1, 0, 0) + A) * corr((0, 0) + B)
+    return (2 * n + 1) * corr((n, 0, 0) + S) - rhs
+
+
+#: n <= 8, |S| <= 3, levels <= 6
+KDV_GRID = [(n, S) for n in range(1, 9) for size in range(4)
+            for S in itertools.combinations_with_replacement(range(7), size)]
+
+
+def _kdv_failures(engine):
+    return sum(1 for n, S in KDV_GRID if kdv_residual(engine, n, S))
+
+
+def test_kdv_form_holds_on_the_grid():
+    engine = CorrelatorEngine()
+    assert len(KDV_GRID) == 960
+    assert _kdv_failures(engine) == 0
+    # the grid reaches well past the closed-form oracles
+    assert sum(1 for n, S in KDV_GRID if _kdv_corr(engine, (n, 0, 0) + S)) == 318
+
+
+@pytest.mark.parametrize("g, d, failures", [(2, (4,), 281), (2, (2, 2, 2), 230),
+                                            (3, (3, 5), 209)])
+def test_kdv_form_catches_one_raised_value(g, d, failures):
+    # the value raised by 1/normalization passes the integrality check, so
+    # only a second route can see it
+    norm = 8**g * math.factorial(g) * math.prod(map(_odd_dfact, d))
+    true = CorrelatorEngine().psi_integral(g, d)
+    poisoned = CorrelatorEngine()
+    poisoned.adopt({CorrelatorKey(g, d, ()): true + Fraction(1, norm)})
+    assert _kdv_failures(poisoned) == failures
+    assert poisoned.psi_integral(g, d) != true

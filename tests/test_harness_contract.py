@@ -1,10 +1,10 @@
-"""The names the benchmark harness wraps must exist in tautrr.
+"""The names the benchmark harness wraps or calls must exist in tautrr.
 
 ``perfbench/tracer.py`` and ``perfbench/workloads.py`` wrap tautrr
-functions by name.  A wrapper around a name that no longer exists fails
-only when the benchmark runs, and a renamed function would drop out of its
-per-layer figures, so the names are checked here.  Both files are loaded
-read-only from their paths.
+functions by name, and call others without wrapping them.  A name that no
+longer exists fails only when the benchmark runs, and a renamed wrapped
+function would drop out of its per-layer figures, so the names are
+checked here.  Both files are loaded read-only from their paths.
 """
 
 import importlib
@@ -44,6 +44,25 @@ def test_traced_engine_method_resolves(method):
 @pytest.mark.parametrize("name", workloads.Pairing.VERIFIERS + workloads.Pairing.BUILDERS)
 def test_timed_relation_function_resolves(name):
     assert callable(getattr(relations, name))
+
+
+@pytest.mark.parametrize("module, name", [
+    ("tautrr.cache", "save_engine_cache"),
+    ("tautrr.engine", "one_point_value"),
+    ("tautrr.engine", "genus0_closed_form"),
+    ("tautrr.universal", "tau"),
+    ("tautrr.cli", "main"),
+])
+def test_called_function_resolves(module, name):
+    # workloads.py calls these through the module it was handed
+    assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_engine_listing_has_a_length():
+    # tracer.flush_engines records len(engine.entries()) as engine.memo_entries
+    engine = CorrelatorEngine()
+    engine.psi_integral(2, [4])
+    assert len(engine.entries()) > 0
 
 
 def test_cli_reads_a_cache_file_through_the_traced_name(tmp_path, capsys):

@@ -13,6 +13,7 @@ from tautrr.universal import (
     psi_eval,
     sreduce_check,
     string_field_at_origin,
+    sweep_report,
     symmetry_check,
     tau,
     tau_shift,
@@ -188,6 +189,13 @@ def test_sreduce_primary_slots_drop_the_shift_sum(engine):
     rhs = -psi_eval(1, s, g, m - 1, W, [], engine)
     assert lhs == rhs
     assert sreduce_check(2, s, g, m, W, [], engine)
+
+
+def test_sweep_report_rejects_a_negative_level(engine):
+    # tau(-1) is the zero field, so a negative level would pass trivially
+    for levels in ((-1,), (0, -1, 2)):
+        with pytest.raises(ValueError, match="negative descendent level"):
+            sweep_report("conjC", 1, 1, 0, 0, levels, engine)
 
 
 def test_sreduce_validation(engine):
