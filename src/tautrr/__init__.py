@@ -14,11 +14,8 @@ from .engine import (
     CorrelatorEngine,
     CorrelatorKey,
     UnstableModuliError,
-    default_engine,
     genus0_closed_form,
     one_point_value,
-    psi_integral,
-    psi_kappa_integral,
     two_point_value,
 )
 from .relations import (

@@ -20,6 +20,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -59,16 +60,21 @@ FORCE_LIMITS = {
     "n2": 4,
 }
 
+#: most --levels values, and most parameter tuples stated or not, that one
+#: verify run expands in memory, --force or not
+MAX_SPAN = 100_000
 
-def parse_range(text: str) -> list[int]:
-    """Accept '3', '2..5', or '1,3,5'."""
+
+def parse_range(text: str) -> range | list[int]:
+    """Accept '3', '2..5', or '1,3,5'; '2..5' gives ``range(2, 6)``, so a
+    wide range costs nothing until it is iterated."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if "," in text:
         return [int(piece) for piece in text.split(",") if piece.strip()]
     return [int(text)]
@@ -195,32 +201,50 @@ SWEEPS = {
 
 
 def _param_tuples(args, sweep: Sweep) -> list[dict]:
-    gs, rs, ss, ms, levels = [parse_range(text) if text else None
-                              for text in (args.g, args.r, args.s, args.m, args.levels)]
-    options = {name: getattr(args, name) for name in sweep.options}
-    levels = tuple(levels or range(0, 4))
-    tuples = []
-    for g in gs if gs is not None else sweep.genera:
-        if sweep.r_values is not None:
-            tuples += [{"g": g, **options, "r": r}
-                       for r in (rs if rs is not None else sweep.r_values(g))]
-            continue
-        for r in rs if rs is not None else range(0, 3):
-            for s in ss if ss is not None else range(0, 3):
-                for m in ms if ms is not None else range(0, 3 * g + 4):
-                    if is_stated(args.relation, g, r, s, m):
-                        tuples.append({"g": g, "r": r, "s": s, "m": m, "levels": levels})
+    """The parameter tuples of one verify run, in report order; the limits
+    are checked on the values given, before anything is expanded."""
+    given = {name: getattr(args, name) for name in ("g", "r", "s", "m", "levels")}
+    given = {name: parse_range(text) if text else None for name, text in given.items()}
+    _check_limits(args, sweep, given)
+    spanned = list(itertools.islice(_span(args, sweep, *given.values()), MAX_SPAN + 1))
+    if len(spanned) > MAX_SPAN:
+        raise ValueError(f"the ranges span more than {MAX_SPAN} parameter tuples")
+    tuples = [p for p in spanned if p is not None]
     if not tuples:
         raise ValueError("empty parameter range")
     return tuples
 
 
-def _check_limits(args, sweep: Sweep, tuples: list[dict]) -> None:
-    """Raise at the first parameter beyond FORCE_LIMITS; with --force, warn
-    about each of them instead."""
+def _span(args, sweep: Sweep, gs, rs, ss, ms, levels):
+    """Every parameter tuple the ranges span, in report order; None for one
+    that a point-target identity is not stated at."""
+    options = {name: getattr(args, name) for name in sweep.options}
+    if sweep.r_values is None:
+        levels = levels or range(0, 4)
+        if len(levels) > MAX_SPAN:
+            raise ValueError(f"--levels lists more than {MAX_SPAN} values")
+        levels = tuple(dict.fromkeys(levels))  # a repeated level counts once
+    for g in gs if gs is not None else sweep.genera:
+        if sweep.r_values is not None:
+            for r in rs if rs is not None else sweep.r_values(g):
+                yield {"g": g, **options, "r": r}
+            continue
+        for r in rs if rs is not None else range(0, 3):
+            for s in ss if ss is not None else range(0, 3):
+                for m in ms if ms is not None else range(0, 3 * g + 4):
+                    yield ({"g": g, "r": r, "s": s, "m": m, "levels": levels}
+                           if is_stated(args.relation, g, r, s, m) else None)
+
+
+def _check_limits(args, sweep: Sweep, given: dict) -> None:
+    """Raise at the first value given beyond FORCE_LIMITS (the defaults are
+    within them); with --force, warn about each of them instead."""
     for name in sweep.limited:
-        # levels is the one parameter that holds a list of values
-        top = max(max(p[name]) if name == "levels" else p[name] for p in tuples)
+        values = (getattr(args, name),) if name in sweep.options else given[name]
+        if not values:
+            continue
+        # a range ascends, and max() would iterate it
+        top = values[-1] if isinstance(values, range) else max(values)
         limit = FORCE_LIMITS[name]
         if top > limit and not args.force:
             raise ValueError(f"--{name} {top} exceeds the desk-scale default ({limit}); "
@@ -298,7 +322,6 @@ def _verify(args, engine) -> int:
     sweep = SWEEPS[args.relation]
     try:
         tuples = _param_tuples(args, sweep)
-        _check_limits(args, sweep, tuples)
         reports = [sweep.run(args.relation, p, engine) for p in tuples]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

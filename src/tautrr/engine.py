@@ -3,7 +3,7 @@
 All values are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator); no floating point is used anywhere.  Correlators
 are computed by the DVV (Virasoro/KdV) recursion with string/dilaton fast
-paths and a shared memo table.  Integrals with kappa classes reduce to
+paths and one memo table per engine.  Integrals with kappa classes reduce to
 pure psi integrals by trading one kappa index at a time for an extra
 marked point carrying one descendent; each remaining kappa index may
 merge into the new insertion, so one trade is a signed sum over
@@ -308,7 +308,10 @@ _BASE_VALUES = (ONE, Fraction(1, _normalization(1, (1,))))
 class CorrelatorEngine:
     """Memoized exact evaluator for psi and psi-kappa integrals.
 
-    One engine is meant for one thread: the memo tables are plain dicts.
+    There is no shared engine: a caller creates one and passes it to every
+    pairing, verifier and point-target function, so its memo lives exactly
+    as long as the caller keeps it.  One engine is meant for one thread:
+    the memo tables are plain dicts.
     Values are deterministic, so an engine shared between threads still
     returns correct values, at worst computing a key twice.
     """
@@ -575,18 +578,3 @@ class CorrelatorEngine:
         self._memo[key] = value
         return value
 
-
-_DEFAULT_ENGINE = CorrelatorEngine()
-
-
-def default_engine() -> CorrelatorEngine:
-    """Process-wide engine whose memo table is shared by all modules."""
-    return _DEFAULT_ENGINE
-
-
-def psi_integral(g: int, d, engine: CorrelatorEngine | None = None) -> Fraction:
-    return (engine or _DEFAULT_ENGINE).psi_integral(g, d)
-
-
-def psi_kappa_integral(g: int, d, b, engine: CorrelatorEngine | None = None) -> Fraction:
-    return (engine or _DEFAULT_ENGINE).psi_kappa_integral(g, d, b)

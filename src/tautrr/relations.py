@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .engine import CorrelatorEngine, SlotRecord, default_engine, one_point_value
+from .engine import CorrelatorEngine, SlotRecord, one_point_value
 from .strata import (
     AmbientSpace,
     ClassExpr,
@@ -145,16 +145,15 @@ def build_vpe(g: int, r: int) -> ClassExpr:
     return ClassExpr.make(ambient, degree, [(1, InteriorTerm((), (degree,)))] + boundary)
 
 
-def verify(expr: ClassExpr, relation: str = "expr", params: dict | None = None,
-           engine: CorrelatorEngine | None = None) -> VerificationReport:
+def verify(expr: ClassExpr, relation: str, params: dict,
+           engine: CorrelatorEngine) -> VerificationReport:
     """Pair the expression against every complementary-degree test monomial.
 
     Passes iff every pairing is exactly 0.  If the expression degree
     exceeds the ambient dimension the report is trivially passing.
     """
-    engine = engine or default_engine()
     start = time.perf_counter()
-    report = VerificationReport(relation, dict(params or {}))
+    report = VerificationReport(relation, dict(params))
     complement = expr.ambient.dim - expr.degree
     if complement < 0:
         report.trivial = True
@@ -167,7 +166,7 @@ def verify(expr: ClassExpr, relation: str = "expr", params: dict | None = None,
     return report
 
 
-def xi_witness(g: int, r: int, engine: CorrelatorEngine | None = None) -> Fraction:
+def xi_witness(g: int, r: int, engine: CorrelatorEngine) -> Fraction:
     """Integral certifying that the alternating split-power class is nonzero.
 
     Restricts the class, times a complementary cotangent power at marking
@@ -175,7 +174,6 @@ def xi_witness(g: int, r: int, engine: CorrelatorEngine | None = None) -> Fracti
     and splits into a product of two integrals.  Equals
     (1/24) * 1/(24^{g-1} (g-1)!) for every 0 <= r <= g - 2.
     """
-    engine = engine or default_engine()
     if g < 2 or r < 0 or r > g - 2:
         raise ValueError("witness out of range")
     ambient = AmbientSpace(g, 2)
@@ -194,8 +192,7 @@ def xi_witness_expected(g: int) -> Fraction:
     return Fraction(1, 24) * one_point_value(g - 1)
 
 
-def verify_xi_witness(g: int, r: int,
-                      engine: CorrelatorEngine | None = None) -> VerificationReport:
+def verify_xi_witness(g: int, r: int, engine: CorrelatorEngine) -> VerificationReport:
     start = time.perf_counter()
     value = xi_witness(g, r, engine)
     expected = xi_witness_expected(g)
@@ -209,15 +206,13 @@ def verify_xi_witness(g: int, r: int,
     return report
 
 
-def verify_vyt(g: int, r: int,
-               engine: CorrelatorEngine | None = None) -> VerificationReport:
+def verify_vyt(g: int, r: int, engine: CorrelatorEngine) -> VerificationReport:
     """Certify that the pushforward of the alternating split-power class
     along the irreducible gluing pairs to zero against every kappa monomial.
 
     For odd r the report additionally requires term-by-term cancellation
     under the marking swap (a, b) <-> (b, a).
     """
-    engine = engine or default_engine()
     if g < 1 or r < 1:
         raise ValueError("need g >= 1 and r >= 1")
     start = time.perf_counter()

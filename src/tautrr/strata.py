@@ -36,8 +36,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .cache import format_rational
-from .engine import (CorrelatorEngine, _submultisets, _sum_by_denominator, default_engine,
-                     is_stable, moduli_dim)
+from .engine import CorrelatorEngine, _submultisets, _sum_by_denominator, is_stable, moduli_dim
 
 ZERO = Fraction(0)
 
@@ -376,15 +375,13 @@ def _pair_nonseparating(term: NonSeparatingPushforward, t: TestMonomial,
     return engine.psi_kappa_integral(term.source_g, d, t.kappa_parts)
 
 
-def pair_with_test(expr: ClassExpr, t: TestMonomial,
-                   engine: CorrelatorEngine | None = None) -> Fraction:
+def pair_with_test(expr: ClassExpr, t: TestMonomial, engine: CorrelatorEngine) -> Fraction:
     """Exact pairing of a class expression against a test monomial.
 
     Returns 0 whenever the degrees are not complementary (the trivial
     pairing); the value is linear in the expression.  A test with a
     negative psi exponent or a kappa index below 1 raises ``ValueError``.
     """
-    engine = engine or default_engine()
     if len(t.psi_exps) != expr.ambient.n:
         raise ValueError("marking referenced by the test is absent from the ambient space")
     if expr.degree + t.degree != expr.ambient.dim:

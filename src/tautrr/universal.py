@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cache import format_rational
-from .engine import CorrelatorEngine, default_engine
+from .engine import CorrelatorEngine
 from .relations import VerificationReport
 
 ZERO = Fraction(0)
@@ -118,14 +118,12 @@ def _psi_point(r: int, s: int, g: int, m: int,
     return total
 
 
-def psi_eval(r: int, s: int, g: int, m: int, W, V,
-             engine: CorrelatorEngine | None = None) -> Fraction:
+def psi_eval(r: int, s: int, g: int, m: int, W, V, engine: CorrelatorEngine) -> Fraction:
     """Exact value of the alternating genus-split form at the origin.
 
     W and V are sequences of r and s vector fields; the result is
     multilinear in every slot.
     """
-    engine = engine or default_engine()
     W = list(W)
     V = list(V)
     if len(W) != r or len(V) != s:
@@ -190,7 +188,7 @@ def is_stated(relation: str, g: int, r: int, s: int, m: int) -> bool:
 
 
 def verify_conjC(g: int, r: int, s: int, m: int, W, V,
-                 engine: CorrelatorEngine | None = None) -> VerificationReport:
+                 engine: CorrelatorEngine) -> VerificationReport:
     """Check the above-threshold vanishing for one slot assignment."""
     if m < conjc_threshold(g, r, s):
         raise ValueError("below conjecture threshold")
@@ -206,14 +204,12 @@ def verify_conjC(g: int, r: int, s: int, m: int, W, V,
     return report
 
 
-def symmetry_check(r: int, s: int, g: int, m: int, W, V,
-                   engine: CorrelatorEngine | None = None) -> bool:
+def symmetry_check(r: int, s: int, g: int, m: int, W, V, engine: CorrelatorEngine) -> bool:
     """Exact slot-swap symmetry: the form equals (-1)^m its mirror."""
     return _symmetry_residual(r, s, g, m, W, V, engine) == 0
 
 
-def sreduce_check(r: int, s: int, g: int, m: int, W, V,
-                  engine: CorrelatorEngine | None = None) -> bool:
+def sreduce_check(r: int, s: int, g: int, m: int, W, V, engine: CorrelatorEngine) -> bool:
     """String-field reduction: filling the last of r slots with the string
     field lowers m by one, up to down-shift corrections of the other slots.
 
@@ -230,7 +226,7 @@ def sreduce_check(r: int, s: int, g: int, m: int, W, V,
 
 
 def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,
-                 engine: CorrelatorEngine | None = None) -> VerificationReport:
+                 engine: CorrelatorEngine) -> VerificationReport:
     """One report of a point-target identity at a tuple where it is stated
     (see :func:`is_stated`).
 

@@ -22,7 +22,7 @@ def run(capsys, *argv):
 
 def test_parse_range():
     assert parse_range("3") == [3]
-    assert parse_range("2..5") == [2, 3, 4, 5]
+    assert parse_range("2..5") == range(2, 6)
     assert parse_range("1,3") == [1, 3]
     with pytest.raises(ValueError):
         parse_range("5..2")
@@ -404,6 +404,11 @@ def test_unusable_paths_end_in_one_error_line(capsys, tmp_path):
     assert code == 1
     assert err.startswith(f"error: cache {tmp_path}: ") and err.count("\n") == 1
 
+    code, out, err = run(capsys, "cache", "save", str(cache))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cache}: ") and err.count("\n") == 1
+    assert not nowhere.exists()
+
 
 def _normalized(text):
     """Report text with the wall-clock ``millis`` zeroed in json, csv and text."""
@@ -452,6 +457,10 @@ EXPLICIT_SWEEP_DIGESTS = {
         "2940740b3177d7bf3d4930fe3671ce4edd7ebb178f254ad5d80754db57b19c37",
     ("symmetry", "--m", "0..3"):
         "a09c807ac2a12c6b1005922ea5697c7290d3bf6049efce626e8e4c5c7b70f1f6",
+    # a repeated level is dropped: the same report as --levels 0
+    ("conjC", "--g", "1", "--r", "1", "--s", "0", "--m", "3", "--levels", "0,0",
+     "--format", "json"):
+        "d620bd50c7a9a54ff3e9ba95c2f8cdc23a2ac7e5b7c528a8961db0abd4488a31",
 }
 
 SWEEP_DIGESTS = {
@@ -483,8 +492,22 @@ VERIFY_ERRORS = [
      2, f"error: --g 8 {GATE} (6); pass --force to unlock larger sweeps\n"),
     (("conjC", "--g", "6", "--r", "7", "--s", "5", "--levels", "0..9"),
      2, f"error: --r 7 {GATE} (6); pass --force to unlock larger sweeps\n"),
-    # limits apply to the tuples that are run, not to the ranges given
-    (("conjC", "--g", "0", "--r", "7"), 2, "error: empty parameter range\n"),
+    # limits apply to the values given, before any tuple is expanded, so an
+    # over-limit value is named even where no identity is stated at it
+    (("conjC", "--g", "0", "--r", "7"),
+     2, f"error: --r 7 {GATE} (6); pass --force to unlock larger sweeps\n"),
+    (("bbt", "--g", "0..1000000000000"),
+     2, f"error: --g 1000000000000 {GATE} (6); pass --force to unlock larger sweeps\n"),
+    (("conjC", "--levels", "0..100000000000"),
+     2, f"error: --levels 100000000000 {GATE} (8); pass --force to unlock larger sweeps\n"),
+    # past the limits, what is expanded in memory is still bounded
+    (("conjC", "--levels", "0..100000000000", "--force"),
+     2, f"warning: --levels 100000000000 {BEYOND}\n"
+        "error: --levels lists more than 100000 values\n"),
+    (("sreduce", "--r", "0", "--m", "0..1000000000000"),
+     2, "error: the ranges span more than 100000 parameter tuples\n"),
+    (("bbt", "--g", "1", "--r", "0..1000000000000"),
+     2, "error: the ranges span more than 100000 parameter tuples\n"),
     (("bbt", "--r", "9", "--g", "1"), 0, ""),
     (("conjC", "--g", "0", "--r", "0", "--s", "0", "--levels", "9", "--force"),
      0, f"warning: --levels 9 {BEYOND}\n"),

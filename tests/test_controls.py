@@ -7,7 +7,9 @@ relation with one term's sign flipped, or one term dropped, must fail
 somewhere in its default ``tautrr verify`` sweep; the first parameter
 tuple that detects each mutation is pinned.  The point-target vanishing
 (conjC) must fail one step below its threshold, and the vpe expression,
-stated for odd r only, must fail at even r.
+stated for odd r only, must fail at even r.  The vyt verifier must fail
+when one pushforward term is off, and, at odd r, when two terms are off by
+amounts that cancel in the sum but not under the marking swap.
 """
 
 import itertools
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from tautrr import relations
 from tautrr.cli import SWEEPS, _param_tuples, build_parser
 from tautrr.engine import CorrelatorEngine
 from tautrr.relations import (
@@ -24,6 +27,7 @@ from tautrr.relations import (
     build_variation,
     build_vpe,
     verify,
+    verify_vyt,
 )
 from tautrr.strata import AmbientSpace, ClassExpr, InteriorTerm
 from tautrr.universal import IDENTITIES, conjc_threshold, tau
@@ -61,7 +65,7 @@ def test_hand_built_bbt_is_the_builder_expression():
 @pytest.mark.parametrize("g, nonzero", [(2, 2), (3, 4), (4, 7)])
 def test_bbt_fails_one_degree_below_the_stated_range(engine, g, nonzero):
     # k = 2g - 1, that is r = -1, which build_bbt rejects: every pairing is nonzero
-    report = verify(bbt_expression(g, 2 * g - 1), engine=engine)
+    report = verify(bbt_expression(g, 2 * g - 1), "expr", {}, engine)
     assert not report.passed and not report.trivial
     assert len(report.nonzero()) == len(report.pairings) == nonzero
 
@@ -105,8 +109,8 @@ def test_mutation_fails_in_the_default_sweep(engine, relation, kind, index):
     for params in default_tuples(relation):
         expr = BUILDERS[relation](**params)
         # the unmutated relation holds on every tuple of its default sweep
-        assert verify(expr, engine=engine).passed, params
-        if expr.terms and not verify(_mutated(expr, kind, index), engine=engine).passed:
+        assert verify(expr, "expr", {}, engine).passed, params
+        if expr.terms and not verify(_mutated(expr, kind, index), "expr", {}, engine).passed:
             first = first or params
     assert first == FIRST_DETECTION[relation, kind, index]
 
@@ -115,7 +119,7 @@ def test_bbt_coefficient_swap_fails_once_the_genera_differ(engine):
     # g2/g -> g1/g changes nothing at g = 2, where g1 = g2 = 1
     swapped = lambda g, g2: Fraction(g - g2, g)
     passed = {(p["g"], p["r"]): verify(bbt_expression(p["g"], 2 * p["g"] + p["r"], swapped),
-                                       engine=engine).passed
+                                       "expr", {}, engine).passed
               for p in default_tuples("bbt")}
     assert passed == {
         (1, 0): True,
@@ -152,7 +156,7 @@ VPE_EVEN_R_PAIRINGS = {
 
 @pytest.mark.parametrize("g, r", list(VPE_EVEN_R_PAIRINGS))
 def test_vpe_fails_at_even_r(engine, g, r):
-    report = verify(vpe_expression(g, r), engine=engine)
+    report = verify(vpe_expression(g, r), "expr", {}, engine)
     assert not report.passed and not report.trivial
     assert len(report.nonzero()) == len(report.pairings) == VPE_EVEN_R_PAIRINGS[g, r]
 
@@ -172,3 +176,34 @@ def test_conjc_fails_one_step_below_its_threshold(engine):
                    for w, v in slots):
             vanishing[g, r, s] = m
     assert vanishing == {(2, 0, 0): 0, (3, 0, 0): 2, (4, 0, 0): 4}
+
+
+def _perturb_vyt_terms(monkeypatch, shifts: dict):
+    """Add ``shifts[a]`` to the pairing of the vyt term with node exponents
+    (a, span - a), before verify_vyt signs it by (-1)^a."""
+    exact = relations.pair_with_test
+
+    def perturbed(expr, t, engine):
+        a = expr.terms[0][1].node_exps[0]
+        return exact(expr, t, engine) + shifts.get(a, 0)
+
+    monkeypatch.setattr(relations, "pair_with_test", perturbed)
+
+
+def test_vyt_fails_when_one_term_is_off(engine, monkeypatch):
+    # at even r only the summed check runs
+    assert verify_vyt(3, 2, engine).passed
+    _perturb_vyt_terms(monkeypatch, {0: Fraction(1, 7)})
+    report = verify_vyt(3, 2, engine)
+    assert not report.passed and not report.trivial
+    assert [value for _, value in report.pairings] == [Fraction(1, 7)]
+
+
+def test_vyt_fails_when_the_swap_does_not_cancel_term_by_term(engine, monkeypatch):
+    # at odd r the signed terms a = 0 and a = 1 move by +x and -x: the sum
+    # still vanishes, but neither swap pair (0, span) nor (1, span - 1) cancels
+    assert verify_vyt(2, 1, engine).passed
+    _perturb_vyt_terms(monkeypatch, {0: Fraction(1, 7), 1: Fraction(1, 7)})
+    report = verify_vyt(2, 1, engine)
+    assert not report.passed and not report.trivial
+    assert report.pairings and report.nonzero() == []

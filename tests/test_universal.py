@@ -111,6 +111,7 @@ def test_multilinearity(engine):
 def test_zero_field_slot_gives_zero(engine):
     zero = VectorFieldPt(())
     assert psi_eval(1, 0, 2, 2, [zero], [], engine) == 0
+    assert zero.render() == "0"
 
 
 def test_slot_count_validation(engine):
