@@ -22,6 +22,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Callable, Iterable, NamedTuple
@@ -201,39 +202,41 @@ SWEEPS = {
 
 
 def _param_tuples(args, sweep: Sweep) -> list[dict]:
-    """The parameter tuples of one verify run, in report order; the limits
-    are checked on the values given, before anything is expanded."""
+    """The parameter tuples of one verify run, in report order.  The limits
+    are checked on the values given, and the span (stated or not) is counted
+    from the range lengths, over at most MAX_SPAN genera, before any tuple
+    is built."""
     given = {name: getattr(args, name) for name in ("g", "r", "s", "m", "levels")}
     given = {name: parse_range(text) if text else None for name, text in given.items()}
     _check_limits(args, sweep, given)
-    spanned = list(itertools.islice(_span(args, sweep, *given.values()), MAX_SPAN + 1))
-    if len(spanned) > MAX_SPAN:
-        raise ValueError(f"the ranges span more than {MAX_SPAN} parameter tuples")
-    tuples = [p for p in spanned if p is not None]
-    if not tuples:
-        raise ValueError("empty parameter range")
-    return tuples
-
-
-def _span(args, sweep: Sweep, gs, rs, ss, ms, levels):
-    """Every parameter tuple the ranges span, in report order; None for one
-    that a point-target identity is not stated at."""
-    options = {name: getattr(args, name) for name in sweep.options}
+    gs, rs, ss, ms, levels = given.values()
     if sweep.r_values is None:
         levels = levels or range(0, 4)
         if len(levels) > MAX_SPAN:
             raise ValueError(f"--levels lists more than {MAX_SPAN} values")
         levels = tuple(dict.fromkeys(levels))  # a repeated level counts once
-    for g in gs if gs is not None else sweep.genera:
-        if sweep.r_values is not None:
-            for r in rs if rs is not None else sweep.r_values(g):
-                yield {"g": g, **options, "r": r}
-            continue
-        for r in rs if rs is not None else range(0, 3):
-            for s in ss if ss is not None else range(0, 3):
-                for m in ms if ms is not None else range(0, 3 * g + 4):
-                    yield ({"g": g, "r": r, "s": s, "m": m, "levels": levels}
-                           if is_stated(args.relation, g, r, s, m) else None)
+        rs, ss = (range(0, 3) if x is None else x for x in (rs, ss))
+        grid = lambda g: (rs, ss, range(0, 3 * g + 4) if ms is None else ms)
+    else:
+        grid = lambda g: (sweep.r_values(g) if rs is None else rs,)
+    genera = sweep.genera if gs is None else gs
+    count = 0
+    for walked, g in enumerate(genera):
+        if walked == MAX_SPAN:
+            raise ValueError(f"--g lists more than {MAX_SPAN} values")
+        count += math.prod(map(len, grid(g)))
+        if count > MAX_SPAN:
+            raise ValueError(f"the ranges span more than {MAX_SPAN} parameter tuples")
+    options = {name: getattr(args, name) for name in sweep.options}
+    if sweep.r_values is None:
+        tuples = [{"g": g, "r": r, "s": s, "m": m, "levels": levels}
+                  for g in genera for r, s, m in itertools.product(*grid(g))
+                  if is_stated(args.relation, g, r, s, m)]
+    else:
+        tuples = [{"g": g, **options, "r": r} for g in genera for r in grid(g)[0]]
+    if not tuples:
+        raise ValueError("empty parameter range")
+    return tuples
 
 
 def _check_limits(args, sweep: Sweep, given: dict) -> None:

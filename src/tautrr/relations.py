@@ -56,17 +56,18 @@ class VerificationReport(SlotRecord):
 
 
 def _boundary_sum(ambient: AmbientSpace, genera, node_total: int, markings1,
-                  coeff=lambda g2, sign: sign) -> list:
+                  coeff=lambda g2, sign: Fraction(sign)) -> list:
     """The alternating boundary sum as (coefficient, stratum) terms.
 
     Over g1 in ``genera`` and node exponents a + b = ``node_total``, in that
     order: coeff(g2, (-1)^a) times the separating stratum of genera
     (g1, g2 = ambient genus - g1) with ``markings1`` on the first factor
-    and no marking decorations.
+    and no marking decorations; ``coeff`` is called twice per g1.
     """
     zeros = (0,) * ambient.n
+    signed = {g1: (coeff(ambient.g - g1, 1), coeff(ambient.g - g1, -1)) for g1 in genera}
     return [
-        (coeff(ambient.g - g1, (-1) ** a),
+        (signed[g1][a % 2],
          SeparatingStratum(g1, ambient.g - g1, markings1, (a, node_total - a), zeros))
         for g1 in genera for a in range(node_total + 1)
     ]

@@ -11,14 +11,15 @@ inserted.
 
 Each expression builds one pairing plan, on first use: its separating
 strata grouped by marking split, then by factor 1 (genus and marking
-decorations), then by node exponent a.  The pullback of a test is computed
-once per marking split.  For each pullback row and group, factor 1's
-dimension gate solves for a, so the factor-1 integral is taken once and
-only the strata with that a are visited.  Products are summed as integer
-numerators per denominator and divided once per pairing.  The test is
-checked once per pairing, so the factor integrals take the engine's
-internal gated path (`CorrelatorEngine._psi_kappa`) instead of the public
-one.
+decorations), then by node exponent a.  Split- and group-level work is done
+once per split or group, not per term: labels sort once per split, the
+node-exponent shift once per group.  The pullback of a test is computed once
+per split.  For each pullback row and group, factor 1's dimension gate
+solves for a, so the factor-1 integral is taken once and only the strata
+with that a are visited.  Products are summed as integer numerators per
+denominator and divided once per pairing.  The test is checked once per
+pairing, so the factor integrals take the engine's internal gated path
+(`CorrelatorEngine._psi_kappa`) instead of the public one.
 
 Canonical text grammar for rendered terms (stable across releases):
 
@@ -136,15 +137,16 @@ class SeparatingStratum(_SeparatingStratum):
 
     def __new__(cls, g1: int, g2: int, markings1: frozenset[int], node_exps: tuple[int, int],
                 marking_exps: tuple[int, ...]):
-        if min(node_exps) < 0 or any(e < 0 for e in marking_exps):
+        if min(node_exps) < 0 or min(marking_exps, default=0) < 0:
             raise ValueError("negative decoration exponent")
         if g1 < 0 or g2 < 0:
             raise ValueError("genus must be nonnegative")
         n = len(marking_exps)
-        if not all(1 <= i <= n for i in markings1):
+        if markings1 and (min(markings1) < 1 or max(markings1) > n):
             raise ValueError("marking label outside the ambient marking set")
         n1 = len(markings1)
-        if not (is_stable(g1, n1 + 1) and is_stable(g2, (n - n1) + 1)):
+        # both factors stable: is_stable(g1, n1 + 1) and is_stable(g2, n - n1 + 1)
+        if 2 * g1 - 1 + n1 <= 0 or 2 * g2 - 1 + n - n1 <= 0:
             raise ValueError("unstable glued factor")
         return super().__new__(cls, g1, g2, markings1, node_exps, marking_exps)
 
@@ -241,7 +243,8 @@ class ClassExpr(_ClassExpr):
 
     @classmethod
     def make(cls, ambient: AmbientSpace, degree: int, terms) -> "ClassExpr":
-        return cls(ambient, degree, tuple((Fraction(c), t) for c, t in terms))
+        return cls(ambient, degree, tuple((c if type(c) is Fraction else Fraction(c), t)
+                                          for c, t in terms))
 
     @classmethod
     def zero(cls, ambient: AmbientSpace, degree: int) -> "ClassExpr":
@@ -344,21 +347,28 @@ def _pairing_plan(expr: ClassExpr):
     1's dimension gate solves a = shift - (factor-1 test degree).
     """
     others = []
-    splits = {}
+    splits = {}  # markings1 -> (left, right, groups, marking_exps -> (deco1, deco2))
     for coeff, term in expr.terms:
         if not isinstance(term, SeparatingStratum):
             others.append((coeff.numerator, coeff.denominator, term))
             continue
-        left, right = sorted(term.markings1), sorted(term.markings2())
-        deco1 = tuple(term.marking_exps[i - 1] for i in left)
-        deco2 = tuple(term.marking_exps[i - 1] for i in right)
-        groups = splits.setdefault(term.markings1, (left, right, {}))[2]
-        shift = 3 * term.g1 - 2 + len(deco1) - sum(deco1)
-        by_a = groups.setdefault((term.g1, deco1), (term.g1, term.g2, deco1, shift, {}))[4]
-        a, b = term.node_exps
-        by_a.setdefault(a, []).append((coeff.numerator, coeff.denominator, deco2, b))
+        g1, g2, markings1, (a, b), exps = term
+        split = splits.get(markings1)
+        if split is None:
+            split = splits[markings1] = (sorted(markings1), sorted(term.markings2()), {}, {})
+        left, right, groups, decos = split
+        deco = decos.get(exps)
+        if deco is None:
+            deco = decos[exps] = (tuple([exps[i - 1] for i in left]),
+                                  tuple([exps[i - 1] for i in right]))
+        deco1, deco2 = deco
+        group = groups.get((g1, deco1))
+        if group is None:
+            shift = 3 * g1 - 2 + len(deco1) - sum(deco1)
+            group = groups[g1, deco1] = (g1, g2, deco1, shift, {})
+        group[4].setdefault(a, []).append((coeff.numerator, coeff.denominator, deco2, b))
     return others, [(left, right, list(groups.values()))
-                    for left, right, groups in splits.values()]
+                    for left, right, groups, _ in splits.values()]
 
 
 def _pair_interior(term: InteriorTerm, t: TestMonomial, ambient: AmbientSpace,

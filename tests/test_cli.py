@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -508,6 +509,15 @@ VERIFY_ERRORS = [
      2, "error: the ranges span more than 100000 parameter tuples\n"),
     (("bbt", "--g", "1", "--r", "0..1000000000000"),
      2, "error: the ranges span more than 100000 parameter tuples\n"),
+    # genera below 2 span no conjC m (or no xi-witness r); the walk over
+    # them stops after 100000 genera instead of running to the range's end
+    (("conjC", "--g=-1000000000000..0"),
+     2, "error: --g lists more than 100000 values\n"),
+    (("xi-witness", "--g=-1000000000000..1", "--force"),
+     2, "error: --g lists more than 100000 values\n"),
+    (("bbt", "--g", "1..1000000000000", "--force"),
+     2, f"warning: --g 1000000000000 {BEYOND}\n"
+        "error: the ranges span more than 100000 parameter tuples\n"),
     (("bbt", "--r", "9", "--g", "1"), 0, ""),
     (("conjC", "--g", "0", "--r", "0", "--s", "0", "--levels", "9", "--force"),
      0, f"warning: --levels 9 {BEYOND}\n"),
@@ -536,6 +546,26 @@ def test_verify_usage_errors_and_warnings(capsys, argv, code, err):
     got_code, out, got_err = run(capsys, "verify", *argv)
     assert (got_code, got_err) == (code, err)
     assert (out == "") == (code == 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("bbt", "--g", "1", "--r", "0..1000000000000"),
+    ("sreduce", "--r", "0", "--m", "0..1000000000000"),
+    ("conjC", "--g", "0..1000000000000", "--force"),
+])
+def test_span_error_builds_no_tuple(capsys, argv):
+    # the span is counted from the range lengths, so the error costs no
+    # per-tuple memory (100,001 parameter dicts took about 20 MB)
+    tracemalloc.start()
+    try:
+        code = main(["verify", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and err.endswith("error: the ranges span more than 100000 "
+                                      "parameter tuples\n")
+    assert peak < 256 * 1024, peak
 
 
 @pytest.mark.parametrize("relation,genus,builder", [

@@ -9,6 +9,10 @@ checked here.  Both files are loaded read-only from their paths.
 
 import importlib
 import importlib.util
+import json
+import sys
+import time
+import types
 from pathlib import Path
 
 import pytest
@@ -89,3 +93,42 @@ def test_cli_reads_a_cache_file_through_the_traced_name(tmp_path, capsys):
             setattr(module, attr, value)
     assert calls == [(path,)]
     assert capsys.readouterr().out == "1/1152\n1/1152\n"
+
+
+#: a small genus range per relation of the pairing workload
+SMALL_PAIRING_SWEEPS = {"bbt": "1..3", "variation": "0..1", "fqq": "1..2", "vyt": "1..3",
+                        "vpe": "1..2", "xi-witness": "2..3"}
+
+
+def _tautrr_globals():
+    return {(module, attr): value for name, module in list(sys.modules.items())
+            if module is not None and (name == "tautrr" or name.startswith("tautrr."))
+            for attr, value in vars(module).items()}
+
+
+def test_pairing_times_one_verifier_call_per_report_tuple(capsys, monkeypatch):
+    # workloads.Pairing records one latency per verifier call (its builder
+    # calls folded in) and counts one op per report tuple; the two must agree
+    # for every relation it sweeps, or its op count and latencies go wrong
+    from tautrr import cli
+
+    assert {rel for rel, _ in workloads.Pairing.SWEEPS["full"]} == set(SMALL_PAIRING_SWEEPS)
+    monkeypatch.delenv("TAUTRR_CACHE", raising=False)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    before = _tautrr_globals()
+    pairing = object.__new__(workloads.Pairing)
+    pairing.lib = types.SimpleNamespace(relations=relations)
+    try:
+        pairing._time_tuples()  # installs the wrappers through tracer.replace_everywhere
+        assert cli.verify is not before[cli, "verify"]
+        pairing.rec = workloads.Recorder(time.perf_counter)
+        for relation, genus in SMALL_PAIRING_SWEEPS.items():
+            pairing.rec.start_pass()
+            code = cli.main(["verify", relation, "--g", genus, "--format", "json", "--force"])
+            report = json.loads(capsys.readouterr().out)
+            assert code == 0 and len(pairing.rec.latencies) == len(report) > 1, relation
+    finally:
+        for (module, attr), value in before.items():
+            if vars(module).get(attr) is not value:
+                setattr(module, attr, value)
+    assert _tautrr_globals() == before

@@ -336,6 +336,32 @@ def _parity_expressions():
     # coefficients over different denominators whose contributions cancel
     yield ClassExpr.make(amb, 3, [
         (Fraction(1, 2), twice), (Fraction(1, 3), twice), (Fraction(-5, 6), twice)])
+    # the plan is built per marking split: terms of split {1}, then {2},
+    # then {1} again must land in the first split's groups, and one
+    # marking-exponent vector splits differently on each
+    amb2 = AmbientSpace(2, 2)
+    yield ClassExpr.make(amb2, 3, [
+        (2, SeparatingStratum(1, 1, frozenset({1}), (2, 0), (0, 0))),
+        (-3, SeparatingStratum(1, 1, frozenset({2}), (1, 0), (1, 0))),
+        (Fraction(5, 7), SeparatingStratum(1, 1, frozenset({1}), (0, 1), (1, 0))),
+    ])
+    # an empty markings1 on a marked space: factor 1 carries no test psi
+    yield ClassExpr.make(amb2, 3, [
+        (1, SeparatingStratum(1, 1, frozenset(), (1, 0), (0, 1))),
+        (Fraction(-1, 3), SeparatingStratum(2, 0, frozenset(), (0, 1), (1, 0))),
+        (4, SeparatingStratum(1, 1, frozenset({1, 2}), (0, 0), (1, 1))),
+    ])
+    # one (g1, deco1) group whose strata differ in deco2, at one a and at two
+    yield ClassExpr.make(AmbientSpace(2, 3), 4, [
+        (3, SeparatingStratum(1, 1, frozenset({1}), (1, 0), (1, 1, 0))),
+        (-2, SeparatingStratum(1, 1, frozenset({1}), (1, 0), (1, 0, 1))),
+        (Fraction(1, 5), SeparatingStratum(1, 1, frozenset({1}), (0, 1), (1, 0, 1))),
+    ])
+    # a zero coefficient, as an int and as a Fraction, next to a live term
+    yield ClassExpr.make(amb, 3, [
+        (0, twice), (Fraction(0), SeparatingStratum(2, 1, frozenset({1}), (0, 2), (0, 0))),
+        (Fraction(3, 4), SeparatingStratum(1, 2, frozenset({1}), (1, 0), (0, 1))),
+    ])
 
 
 def test_pairing_matches_term_by_term_reference():

@@ -37,6 +37,34 @@ INVALID = [
     ("vyt-r-0", lambda: verify_vyt(1, 0, ENGINE), "need g >= 1 and r >= 1"),
     ("stratum-marking-label", lambda: SeparatingStratum(1, 1, frozenset({3}), (0, 0), (0, 0)),
      "marking label outside the ambient marking set"),
+    # every SeparatingStratum check, in the order they run
+    ("stratum-negative-node", lambda: SeparatingStratum(1, 1, frozenset({1}), (0, -1), (0, 0)),
+     "negative decoration exponent"),
+    ("stratum-negative-marking-exp",
+     lambda: SeparatingStratum(1, 1, frozenset({1}), (0, 0), (0, -1)),
+     "negative decoration exponent"),
+    ("stratum-negative-exp-before-label",
+     lambda: SeparatingStratum(1, 1, frozenset({0}), (0, 0), (-1, 0)),
+     "negative decoration exponent"),
+    ("stratum-marking-label-0", lambda: SeparatingStratum(1, 1, frozenset({0, 1}), (0, 0), (0, 0)),
+     "marking label outside the ambient marking set"),
+    ("stratum-marking-label-n-plus-1",
+     lambda: SeparatingStratum(1, 1, frozenset({1, 4}), (0, 0), (0, 0, 0)),
+     "marking label outside the ambient marking set"),
+    ("stratum-empty-marking-exps-label",
+     lambda: SeparatingStratum(1, 1, frozenset({1}), (0, 0), ()),
+     "marking label outside the ambient marking set"),
+    ("stratum-empty-marking-exps-negative-node",
+     lambda: SeparatingStratum(1, 1, frozenset(), (-1, 0), ()),
+     "negative decoration exponent"),
+    ("stratum-unstable-factor-1", lambda: SeparatingStratum(0, 1, frozenset({1}), (0, 0), (0,)),
+     "unstable glued factor"),
+    ("stratum-unstable-factor-2",
+     lambda: SeparatingStratum(1, 0, frozenset({1, 2}), (0, 0), (0, 0)),
+     "unstable glued factor"),
+    ("stratum-unstable-empty-marking-exps",
+     lambda: SeparatingStratum(0, 1, frozenset(), (0, 0), ()),
+     "unstable glued factor"),
     ("glue-negative-node", lambda: NonSeparatingPushforward(1, (-1, 0), ()),
      "negative decoration exponent"),
     ("glue-unstable-source", lambda: NonSeparatingPushforward(0, (0, 0), ()),
@@ -62,3 +90,13 @@ def test_invalid_arguments_raise_a_named_value_error(call, message):
         call()
     assert type(info.value) is ValueError and str(info.value) == message
 
+
+
+@pytest.mark.parametrize("g1, g2, markings1, marking_exps", [
+    (1, 1, frozenset(), ()),                # no markings at all
+    (1, 0, frozenset(), (0, 0)),            # factor 2 stable with its node and two markings
+    (0, 2, frozenset({1, 2}), (3, 0)),      # the same with the factors swapped
+])
+def test_valid_separating_strata_construct(g1, g2, markings1, marking_exps):
+    stratum = SeparatingStratum(g1, g2, markings1, (1, 0), marking_exps)
+    assert stratum.degree == 2 + sum(marking_exps)
