@@ -2,24 +2,38 @@
 
 File format (line oriented, text):
 
-    #taut-rr-cache v1
+    #taut-rr-cache v2
     g;d1,d2,...;b1,b2,...;num/den
+    #crc32 1a2b3c4d
 
-one entry per line, keys sorted, empty field for an empty exponent or
-kappa list.  Values with denominator 1 are written as a bare integer.
+one entry per line, keys sorted, exponent and kappa lists sorted, an
+empty field for an empty list.  Values are reduced, and a value with
+denominator 1 is written as a bare integer.  The trailer line gives
+``zlib.crc32`` of every byte above it in eight lowercase hex digits; it
+guards against hand edits and cut-short writes, not against forgery.
 Save followed by load is the identity on entries, bit-exactly.  A save
 writes a sibling temp file and renames it over the target, so a crash
-never leaves a cut-off file behind.  Loading rejects, naming the line,
-any key the engine cannot produce: negative genus, a negative psi
-exponent, a non-positive kappa index, an unstable (g, n), or exponents
-and kappa indices that do not sum to the dimension 3g - 3 + n.
+never leaves a cut-off file behind.
 
-Every value is checked at load and decoded on first use.  A value in the
-canonical form ``-?digits[/digits]`` with a nonzero denominator (what a
-save writes, though it need not be reduced) is kept as text until the
-engine or a reader of ``CacheStore.entries`` reads it; any other value
-the loader accepts (`` 1/24 ``, ``+3``, ``0.5``) is decoded at load.  So
-a run reads only the values it uses, and ``cache stats`` none.
+A file is trusted exactly when its header is ``v2`` and its trailer
+matches, or when it is a legacy ``v1`` file, which has no trailer.
+
+* A checksum-matched file is not parsed at load.  It is held as its text
+  (:class:`SavedLines`), which answers a lookup from the key's line, and
+  its count and largest genus from the text, so a hit, a warm ``verify``
+  and ``cache stats`` parse none of it.  A save over it writes its lines
+  as they are and merges in only the new ones, in key order.
+* Every other file takes the per-line checks.  They reject, naming the
+  line, any key the engine cannot produce: negative genus, a negative psi
+  exponent, a non-positive kappa index, an unstable (g, n), or exponents
+  and kappa indices that do not sum to the dimension 3g - 3 + n.  A value
+  in the canonical form ``-?digits[/digits]`` with a nonzero denominator
+  is kept as text until the engine or a reader of ``CacheStore.entries``
+  reads it; any other value the loader accepts (`` 1/24 ``, ``+3``,
+  ``0.5``) is decoded at load.  A trailer may end such a file.  A legacy
+  ``v1`` file without one is trusted; any other file (another version, a
+  ``v2`` file whose trailer is missing or wrong, a ``v1`` file with a
+  trailer) is quarantined, and its entries are revalidated on use.
 """
 
 from __future__ import annotations
@@ -27,6 +41,9 @@ from __future__ import annotations
 import os
 import re
 import warnings
+import zlib
+from bisect import bisect_left
+from collections import ChainMap
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
@@ -43,7 +60,16 @@ from .engine import (
 )
 
 CACHE_MAGIC = "#taut-rr-cache"
-CACHE_VERSION = "v1"
+CACHE_VERSION = "v2"
+#: the version before the trailer, still trusted when it has none
+LEGACY_VERSION = "v1"
+TRAILER = "#crc32 "
+_HEADER = f"{CACHE_MAGIC} {CACHE_VERSION}\n"
+
+#: lookups a SavedLines answers by searching its text before it builds an
+#: index; on the 1,393-entry benchmark file one search costs about a
+#: twentieth of the index
+_SEARCHES = 8
 
 
 class CacheFormatError(ValueError):
@@ -81,35 +107,107 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _format_key(key) -> str:
+    """``g;d1,...;b1,...`` for a key or a plain ``(genus, d, b)`` tuple."""
+    genus, d, b = key
+    return f"{genus};{','.join(map(str, d))};{','.join(map(str, b))}"
+
+
+def _line_key(line: str) -> CorrelatorKey:
+    """The key of a line a save wrote: plain numerals, lists sorted."""
+    genus, d, b, _ = line.split(";")
+    return key_from_tuple((int(genus), tuple(map(int, d.split(","))) if d else (),
+                           tuple(map(int, b.split(","))) if b else ()))
+
+
+def _trailer(text: str) -> str:
+    """The checksum line a save writes below ``text``."""
+    return f"{TRAILER}{zlib.crc32(text.encode('utf-8')):08x}\n"
+
+
+class SavedLines(Mapping):
+    """``{CorrelatorKey: value text}`` over the text of a checksum-matched
+    file (its header and entry lines), parsed only as far as it is read.
+
+    A lookup formats its key as a save writes it.  The first ``_SEARCHES``
+    lookups search the text for the key's line; the next one builds a
+    ``{key text: value text}`` index, which answers the rest.  The length
+    and the largest genus are read off the text; the keys are parsed only
+    when they are iterated, in the file's (key) order.
+    """
+
+    __slots__ = ("text", "_index", "_searches")
+
+    def __init__(self, text: str):
+        self.text = text
+        self._index = None
+        self._searches = 0
+
+    def get(self, key, default=None):
+        field = _format_key(key)
+        index = self._index
+        if index is None:
+            if self._searches < _SEARCHES:
+                self._searches += 1
+                text = self.text
+                at = text.find(f"\n{field};")
+                if at < 0:
+                    return default
+                at += len(field) + 2
+                return text[at:text.index("\n", at)]
+            index = self._index = dict(line.rsplit(";", 1) for line in self.lines())
+        return index.get(field, default)
+
+    def lines(self) -> list[str]:
+        """The entry lines, in key order, without their newlines."""
+        return self.text.split("\n")[1:-1]
+
+    def max_genus(self) -> int:
+        """The genus of the last line: a save writes the keys in order."""
+        text = self.text
+        last = text.rfind("\n", 0, -1) + 1
+        return int(text[last:text.index(";", last)]) if last else 0
+
+    def __getitem__(self, key) -> str:
+        value = self.get(key)
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key) -> bool:
+        return self.get(key) is not None
+
+    def __iter__(self):
+        return map(_line_key, self.lines())
+
+    def __len__(self) -> int:
+        return self.text.count("\n") - 1
+
+
 class CacheStore(SlotRecord):
-    """Entries plus the version string of the engine that produced them.
+    """Entries plus the version string of the engine that produced them,
+    and whether the loader trusts them (a new store is trusted).
 
     ``entries`` reads as ``{CorrelatorKey: Fraction}``; any mapping given
     is held as an :class:`Entries` view, whose ``raw`` values a load or a
     save passes on undecoded.
     """
 
-    __slots__ = ("entries", "version")
+    __slots__ = ("entries", "version", "trusted")
 
     def __init__(self, entries: Mapping[CorrelatorKey, Fraction] | None = None,
-                 version: str = CACHE_VERSION):
+                 version: str = CACHE_VERSION, trusted: bool = True):
         if not isinstance(entries, Entries):
             entries = Entries({} if entries is None else dict(entries))
         self.entries = entries
         self.version = version
-
-    @property
-    def trusted(self) -> bool:
-        return self.version == CACHE_VERSION
+        self.trusted = trusted
 
     def max_genus(self) -> int:
-        return max((k.genus for k in self.entries), default=0)
-
-
-def _format_key(key: CorrelatorKey) -> str:
-    d = ",".join(map(str, key.psi_exps))
-    b = ",".join(map(str, key.kappa_parts))
-    return f"{key.genus};{d};{b}"
+        raw = self.entries.raw
+        if type(raw) is SavedLines:
+            return raw.max_genus()
+        return max((k.genus for k in raw), default=0)
 
 
 def _parse_int_list(text: str, lineno: int, what: str) -> tuple[int, ...]:
@@ -148,11 +246,40 @@ def _key_problem(genus: int, d: tuple[int, ...], b: tuple[int, ...]) -> str | No
     return None
 
 
+def _split_saved(raw: Mapping) -> tuple[SavedLines | None, dict]:
+    """The checksum-matched file that ``raw`` (say an engine's listing,
+    a ChainMap over what it adopted) extends, if any, and the entries of
+    ``raw`` that file lacks."""
+    maps = list(raw.maps) if isinstance(raw, ChainMap) else [raw]
+    saved = maps.pop() if type(maps[-1]) is SavedLines else None
+    new = {}
+    for layer in reversed(maps):
+        new.update(layer)
+    if saved is not None:
+        new = {key: value for key, value in new.items() if key not in saved}
+    return saved, new
+
+
 def cache_save(store: CacheStore, path) -> None:
-    raw = store.entries.raw
-    lines = [f"{CACHE_MAGIC} {store.version}"]
-    lines += [f"{_format_key(key)};{_format_value(raw[key])}" for key in sorted(raw)]
-    text = "\n".join(lines) + "\n"
+    """Write ``store`` in the current format.  The lines of a
+    checksum-matched file its entries extend are written as they are; the
+    other entries are formatted and merged in, in key order.  A quarantined
+    store is refused: the file would be trusted, its entries unchecked."""
+    if not store.trusted:
+        raise ValueError("a quarantined store is saved only through the engine "
+                         "that revalidated its entries")
+    saved, new = _split_saved(store.entries.raw)
+    lines = [] if saved is None else saved.lines()
+    out = []
+    at = 0
+    for key in sorted(new):
+        i = bisect_left(lines, key, at, key=_line_key)
+        out += lines[at:i]
+        out.append(f"{_format_key(key)};{_format_value(new[key])}")
+        at = i
+    out += lines[at:]
+    text = _HEADER + "".join(f"{line}\n" for line in out)
+    text += _trailer(text)
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         # a device or a pipe (say /dev/null) is written through, not replaced
@@ -170,14 +297,17 @@ def cache_save(store: CacheStore, path) -> None:
         raise
 
 
-#: the numerals a save writes for genera, exponents and kappa indices; any
-#: other spelling (a sign, a space, a leading zero, 256 or more) misses.
-#: CPython shares the ints below 257, so the table holds only its keys.
-_NUMERALS = {str(i): i for i in range(256)}
-
-
 def cache_load(path) -> CacheStore:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_bytes().decode("utf-8")
+    cut = text.rfind("\n", 0, -1) + 1  # where the last line starts
+    if text.startswith(_HEADER) and text[cut:] == _trailer(text[:cut]):
+        return CacheStore(Entries(SavedLines(text[:cut])))
+    return _load_lines(text)
+
+
+def _load_lines(text: str) -> CacheStore:
+    """The per-line load of a file that is not checksum-matched: every key
+    and value is checked, and the first bad line is named."""
     if not text.strip():
         return CacheStore()
     lines = text.splitlines()
@@ -185,9 +315,9 @@ def cache_load(path) -> CacheStore:
     if not header.startswith(CACHE_MAGIC):
         raise CacheFormatError("line 1: missing cache header")
     version = header[len(CACHE_MAGIC):].strip() or "(none)"
+    trailer = len(lines) > 1 and lines[-1].startswith(TRAILER)
     entries: dict[CorrelatorKey, Rational] = {}
-    num = _NUMERALS.__getitem__
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(lines[1:len(lines) - trailer], start=2):
         line = raw.strip()
         if not line:
             continue
@@ -196,29 +326,19 @@ def cache_load(path) -> CacheStore:
             raise CacheFormatError(
                 f"line {lineno}: expected 'g;d1,...;b1,...;value', got {raw!r}"
             )
-        genus, d, b, value = pieces
-        try:
-            # what a save writes; any other spelling (a blank list, a sign,
-            # a leading zero, a bad number) goes through the per-field
-            # parse, which reads it with int() or names it
-            genus = num(genus)
-            d = tuple(sorted(map(num, d.split(",")))) if d else ()
-            b = tuple(sorted(map(num, b.split(",")))) if b else ()
-        except KeyError:
-            genus, d, b = _parse_key_fields(pieces, lineno)
+        genus, d, b = _parse_key_fields(pieces, lineno)
+        value = pieces[3]
         if not _is_canonical(value):
             try:
                 value = parse_rational(value)
             except (ValueError, ZeroDivisionError):
                 raise CacheFormatError(f"line {lineno}: bad value {value!r}") from None
-        n = len(d)
-        # the checks of _key_problem, which is called only to name a failure
-        if genus < 0 or 2 * genus - 2 + n <= 0 or sum(d) + sum(b) != 3 * genus - 3 + n \
-                or (d and d[0] < 0) or (b and b[0] <= 0):
-            raise CacheFormatError(f"line {lineno}: impossible key {line.rsplit(';', 1)[0]!r}: "
-                                   f"{_key_problem(genus, d, b)}")
+        problem = _key_problem(genus, d, b)
+        if problem:
+            raise CacheFormatError(f"line {lineno}: impossible key "
+                                   f"{line.rsplit(';', 1)[0]!r}: {problem}")
         entries[key_from_tuple((genus, d, b))] = value
-    return CacheStore(entries, version)
+    return CacheStore(entries, version, version == LEGACY_VERSION and not trailer)
 
 
 def save_engine_cache(engine: CorrelatorEngine, path) -> CacheStore:
@@ -230,14 +350,14 @@ def save_engine_cache(engine: CorrelatorEngine, path) -> CacheStore:
 def load_engine_cache(engine: CorrelatorEngine, path) -> CacheStore:
     """Load a cache file into an engine.
 
-    A version mismatch downgrades the entries to quarantined status: they
-    are revalidated against a fresh computation on first use.
+    An untrusted file (see the module docstring) is loaded quarantined:
+    its entries are revalidated against a fresh computation on first use.
     """
     store = cache_load(path)
     if not store.trusted:
-        warnings.warn(
-            f"cache version {store.version!r} does not match {CACHE_VERSION!r}; "
-            "entries will be revalidated on use"
-        )
+        why = ("cache checksum is missing or does not match"
+               if store.version == CACHE_VERSION else
+               f"cache version {store.version!r} does not match {CACHE_VERSION!r}")
+        warnings.warn(f"{why}; entries will be revalidated on use")
     engine.adopt(store.entries.raw, trusted=store.trusted)
     return store

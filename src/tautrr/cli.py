@@ -10,8 +10,9 @@ Exit codes: 0 if every check in the run passed, 1 on verification or data
 failure, 2 on usage errors.
 
 ``verify`` sweeps come from one table, :data:`SWEEPS`: per relation the
-default ranges, the parameters held to :data:`FORCE_LIMITS` and a runner
-making one verifier call per parameter tuple.
+default ranges, the parameters held to :data:`FORCE_LIMITS`, the test
+space a tuple pairs against and a runner making one verifier call per
+parameter tuple.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .relations import (
     verify_vyt,
     verify_xi_witness,
 )
+from .strata import count_tests
 from .universal import is_stated, sweep_report
 
 CACHE_ENV_VAR = "TAUTRR_CACHE"
@@ -64,6 +66,11 @@ FORCE_LIMITS = {
 #: most --levels values, and most parameter tuples stated or not, that one
 #: verify run expands in memory, --force or not
 MAX_SPAN = 100_000
+
+#: most test monomials one parameter tuple pairs against, --force or not;
+#: the largest count tier-1 and the benchmark sweeps reach is 92
+#: (variation g=5 r=0, n1 = n2 = 2)
+MAX_TESTS = 10_000
 
 
 def parse_range(text: str) -> range | list[int]:
@@ -163,8 +170,10 @@ class Sweep(NamedTuple):
     point-target identity, whose tuples run over --r, --s and --m and keep
     those the identity is stated at.  ``limited`` lists the parameters held
     to FORCE_LIMITS in the order the gate checks them; ``options`` are
-    passed to every tuple between g and r.  ``run(relation, params,
-    engine)`` makes one verifier call.
+    passed to every tuple between g and r.  ``tests(params)`` gives the
+    markings and the complementary degree of the test monomials a tuple
+    pairs against, or is None when it pairs against a fixed list.
+    ``run(relation, params, engine)`` makes one verifier call.
     """
 
     genera: range  # default --g
@@ -172,6 +181,7 @@ class Sweep(NamedTuple):
     limited: tuple[str, ...]
     run: Callable
     options: tuple[str, ...] = ()
+    tests: Callable[[dict], tuple[int, int]] | None = None
 
 
 # Runners name the verifiers and builders in their bodies, so these are
@@ -183,16 +193,21 @@ _POINT_TARGET = Sweep(range(0, 3), None, ("g", "r", "s", "levels"),
 #: relation -> its sweep, in the order ``verify --help`` lists them
 SWEEPS = {
     "bbt": Sweep(range(1, 6), lambda g: range(0, max(g - 1, 1)), ("g",),
-                 lambda rel, p, e: verify(build_bbt(**p), rel, p, e)),
+                 lambda rel, p, e: verify(build_bbt(**p), rel, p, e),
+                 tests=lambda p: (1, p["g"] - 2 - p["r"])),
     "variation": Sweep(range(0, 4), lambda g: range(0, 2), ("g", "n1", "n2"),
                        lambda rel, p, e: verify(build_variation(**p), rel, p, e),
-                       options=("n1", "n2")),
+                       options=("n1", "n2"),
+                       tests=lambda p: (p["n1"] + p["n2"], p["g"] - 1 - p["r"])),
     "fqq": Sweep(range(1, 5), lambda g: range(0, 3), ("g",),
-                 lambda rel, p, e: verify(build_fqq(**p), rel, p, e)),
+                 lambda rel, p, e: verify(build_fqq(**p), rel, p, e),
+                 tests=lambda p: (2, p["g"] - 1 - p["r"])),
     "vyt": Sweep(range(1, 5), lambda g: range(1, max(g, 2)), ("g",),
-                 lambda rel, p, e: verify_vyt(**p, engine=e)),
+                 lambda rel, p, e: verify_vyt(**p, engine=e),
+                 tests=lambda p: (0, p["g"] - 1 - p["r"])),
     "vpe": Sweep(range(1, 4), lambda g: (1, 3), ("g",),
-                 lambda rel, p, e: verify(build_vpe(**p), rel, p, e)),
+                 lambda rel, p, e: verify(build_vpe(**p), rel, p, e),
+                 tests=lambda p: (0, p["g"] - p["r"])),
     "xi-witness": Sweep(range(2, 6), lambda g: range(0, g - 1), ("g",),
                         lambda rel, p, e: verify_xi_witness(**p, engine=e)),
     "conjC": _POINT_TARGET,
@@ -205,6 +220,7 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
     """The parameter tuples of one verify run, in report order.  The limits
     are checked on the values given, and the span (stated or not) is counted
     from the range lengths, over at most MAX_SPAN genera, before any tuple
+    is built; each tuple's test monomials are counted before any relation
     is built."""
     given = {name: getattr(args, name) for name in ("g", "r", "s", "m", "levels")}
     given = {name: parse_range(text) if text else None for name, text in given.items()}
@@ -236,6 +252,11 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
         tuples = [{"g": g, **options, "r": r} for g in genera for r in grid(g)[0]]
     if not tuples:
         raise ValueError("empty parameter range")
+    if sweep.tests is not None:
+        for p in tuples:
+            if count_tests(*sweep.tests(p), MAX_TESTS) > MAX_TESTS:
+                named = " ".join(f"--{name} {value}" for name, value in p.items())
+                raise ValueError(f"{named} pairs against more than {MAX_TESTS} test monomials")
     return tuples
 
 
@@ -267,13 +288,14 @@ def _run_cached(body, args) -> int:
 
     The file (``--cache`` or ``$TAUTRR_CACHE``) is loaded first, if it
     exists.  After the body it is written back only when that changes it:
-    the file did not exist, it was loaded quarantined (version mismatch),
-    or the run computed an entry, which it does only for a key the file
-    lacks.  The engine is listed only for that save.  A usage error
-    (exit 2) writes nothing, and neither does a file holding a value no
-    integral can take (exit 1).  A quarantined file is rewritten only once
-    every entry in it has been revalidated; otherwise it is left as it is,
-    because the rewrite would drop the entries the run never checked.
+    the file did not exist, it was loaded quarantined (another version, or
+    a checksum that is missing or does not match), or the run computed an
+    entry, which it does only for a key the file lacks.  The engine is
+    listed only for that save.  A usage error (exit 2) writes nothing, and
+    neither does a file holding a value no integral can take (exit 1).  A
+    quarantined file is rewritten only once every entry in it has been
+    revalidated; otherwise it is left as it is, because the rewrite would
+    drop the entries the run never checked.
     """
     engine = CorrelatorEngine()
     path = args.cache or os.environ.get(CACHE_ENV_VAR)
@@ -360,7 +382,8 @@ def cmd_cache(args) -> int:
     if args.action == "stats":
         print(f"{len(store.entries)} entries, max genus {store.max_genus()}")
     else:
-        print(f"loaded {len(store.entries)} entries (version {store.version})")
+        quarantined = "" if store.trusted else ", quarantined"
+        print(f"loaded {len(store.entries)} entries (version {store.version}{quarantined})")
     return 0
 
 

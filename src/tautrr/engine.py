@@ -46,13 +46,16 @@ Conventions:
     built then and memoized, and a later hit returns it.  So a value that
     only the recursion uses is divided only when entries() lists it, as a
     cache save does.  The engine counts the values it computes, so a run
-    can tell whether it added an entry without listing any.  A trusted
-    entry adopted from outside (say from a cache file, whose loader has
-    checked its key and the syntax of its value) waits undecoded in a
-    pending table and is decoded on first use, on a memo miss: a psi
-    entry straight to I, raising ImpossibleEntryError unless it is a
-    positive integer there (as every I is), whether the recursion needs it
-    or a caller asked for it.
+    can tell whether it added an entry without listing any.  Trusted
+    entries adopted from outside wait undecoded in a pending table, a
+    mapping the engine looks keys up in and never changes: a dict from a
+    cache file's per-line load, whose loader has checked every key and the
+    syntax of every value, or a checksum-matched file's text, which finds
+    a key's line on lookup.  A pending entry is decoded on first use, on a
+    memo miss: a psi entry straight to I, raising ImpossibleEntryError
+    unless it is a positive integer there (as every I is), whether the
+    recursion needs it or a caller asked for it.  With nothing adopted,
+    the pending table is an empty dict.
   * Inner recursion derives the split genus from the dimension gate: in a
     genus split only one g1 can satisfy the left factor's dimension
     constraint, so that g1 is computed and no other is tried.
@@ -67,6 +70,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect
+from collections import ChainMap
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
@@ -158,9 +162,9 @@ class SlotRecord:
 
 
 class Entries(Mapping):
-    """A read-only ``{CorrelatorKey: Fraction}`` view of ``raw``, a dict whose
-    values are Rationals.  A value is decoded each time it is read, so the
-    length, the keys and ``raw`` itself cost no decoding."""
+    """A read-only ``{CorrelatorKey: Fraction}`` view of ``raw``, a mapping
+    whose values are Rationals.  A value is decoded each time it is read, so
+    the length, the keys and ``raw`` itself cost no decoding."""
 
     __slots__ = ("raw",)
 
@@ -175,6 +179,15 @@ class Entries(Mapping):
 
     def __len__(self) -> int:
         return len(self.raw)
+
+
+class _Listing(ChainMap):
+    """An engine's own entries over its pending table, counted without
+    iterating the table, which may be a file's text."""
+
+    def __len__(self) -> int:
+        own, pending = self.maps
+        return len(pending) + sum(key not in pending for key in own)
 
 
 _ODD_DFACT = [1, 3]  # _ODD_DFACT[m] == (2m+1)!!
@@ -319,9 +332,9 @@ class CorrelatorEngine:
     def __init__(self):
         # psi values read so far and kappa values, as Fractions
         self._memo: dict[CorrelatorKey, Fraction] = {}
-        # trusted adopted entries not read yet, and quarantined ones not
-        # revalidated yet
-        self._pending: dict[CorrelatorKey, Rational] = {}
+        # trusted adopted entries, never changed here, and quarantined ones
+        # not revalidated yet
+        self._pending: Mapping[CorrelatorKey, Rational] = {}
         self._stale: dict[CorrelatorKey, Rational] = {}
         # every computed or decoded psi value as its integer I(g, d), by
         # sorted d (d fixes g by the gate), and the two base cases
@@ -374,28 +387,32 @@ class CorrelatorEngine:
 
     def entries(self) -> Entries:
         """Every entry the engine holds, decoded, computed or still pending;
-        a computed psi value not read yet is divided here."""
+        a computed psi value not read yet is divided here.  ``raw`` is a
+        ChainMap of the engine's own entries over the pending table, so a
+        cache save can tell which entries a trusted file already holds."""
         listed = {}
         for d, val in islice(self._ints.items(), len(_BASE_INTS), None):
             g = (sum(d) - len(d)) // 3 + 1
             listed[key_from_tuple((g, d, ()))] = Fraction(val, _normalization(g, d))
-        return Entries({**self._pending, **listed, **self._memo})
+        return Entries(_Listing({**listed, **self._memo}, self._pending))
 
-    def adopt(self, entries: dict[CorrelatorKey, Rational], trusted: bool = True) -> None:
+    def adopt(self, entries: Mapping[CorrelatorKey, Rational], trusted: bool = True) -> None:
         """Install externally loaded entries, whose values may still be text.
 
         The caller has checked the keys and the syntax of the values (the
         cache loader does); the values are decoded on first use.  Trusted
-        entries wait in a pending table.  When one is first needed, a psi
-        entry is converted once to its normalized integer, and one that is
-        not a positive integer there raises :class:`ImpossibleEntryError`.
-        Untrusted entries (e.g. from a cache file with a mismatched
-        version) are quarantined and revalidated against a fresh
-        computation the first time they are needed; the two base keys,
-        which are never computed, are checked at once.
+        entries wait in the pending table; the engine keeps the mapping
+        given, when it is the first, and never changes it.  When one is
+        first needed, a psi entry is converted once to its normalized
+        integer, and one that is not a positive integer there raises
+        :class:`ImpossibleEntryError`.  Untrusted entries (e.g. from a
+        cache file with a mismatched version or checksum) are quarantined
+        and revalidated against a fresh computation the first time they
+        are needed; the two base keys, which are never computed, are
+        checked at once.
         """
         if trusted:
-            self._pending.update(entries)
+            self._pending = {**self._pending, **entries} if self._pending else entries
         else:
             self._stale.update(entries)
             for g, d in ((0, (0, 0, 0)), (1, (1,))):
@@ -441,8 +458,8 @@ class CorrelatorEngine:
 
     def _int(self, g: int, d: tuple[int, ...]) -> int:
         """I(g, d) on a miss in ``_ints``: d sorted, passing the gate, (g, n)
-        stable.  A pending adopted entry is converted exactly, once; any
-        other key is computed."""
+        stable.  A pending adopted entry is converted exactly, once (it stays
+        pending, shadowed by ``_ints``); any other key is computed."""
         value = self._pending.get((g, d, ()))
         if value is None:
             return self._compute(g, d)
@@ -453,7 +470,6 @@ class CorrelatorEngine:
                 f"impossible value {Fraction(num, den)} for {_label(g, d)}: "
                 f"times 8^g g! prod (2d_i+1)!! it is not {'an' if rem else 'a positive'} integer"
             )
-        self._pending.pop((g, d, ()), None)
         self._ints[d] = val
         return val
 
@@ -555,7 +571,7 @@ class CorrelatorEngine:
         hit = self._memo.get((g, d, b))
         if hit is not None:
             return hit
-        value = self._pending.pop((g, d, b), None)
+        value = self._pending.get((g, d, b))
         if value is not None:
             value = self._memo[key_from_tuple((g, d, b))] = _fraction(value)
             return value

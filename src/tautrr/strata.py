@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from typing import NamedTuple
 
 from .cache import format_rational
@@ -295,6 +296,35 @@ def _partitions(total: int, max_part: int | None = None):
     for first in range(max_part, 0, -1):
         for tail in _partitions(total - first, first):
             yield (first,) + tail
+
+
+def count_tests(n: int, degree: int, ceiling: int) -> int:
+    """How many tests enumerate_tests lists on a space with n markings: the
+    sum over kappa degree k of the psi exponent vectors of degree
+    ``degree - k`` times the partitions of k, built from none of them.  Past
+    ``ceiling`` the count stops early, at a number above it.
+
+    The partition numbers p(k) come from Euler's pentagonal recurrence.
+    They never decrease, and every term carries p(k) at least once when
+    n > 0, so a p(k) above the ceiling ends the count either way.
+    """
+    p = []
+    total = 0
+    for k in range(degree + 1):
+        p_k = 1 if k == 0 else 0
+        j = 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            p_k += sign * p[k - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= k:
+                p_k += sign * p[k - j * (3 * j + 1) // 2]
+            j += 1
+        p.append(p_k)
+        psi = comb(degree - k + n - 1, n - 1) if n else int(k == degree)
+        total += psi * p_k
+        if total > ceiling or p_k > ceiling:
+            return ceiling + 1
+    return total
 
 
 def enumerate_tests(ambient: AmbientSpace, degree: int) -> list[TestMonomial]:

@@ -3,8 +3,11 @@
 import hashlib
 import os
 import random
+import re
 import stat
 import threading
+import warnings
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +42,7 @@ def test_round_trip_single_entry(tmp_path):
     cache_save(store, path)
     loaded = cache_load(path)
     assert loaded.entries == store.entries
-    assert loaded.version == "v1"
+    assert loaded.version == "v2" and loaded.trusted
 
 
 def test_int_value_is_saved_as_itself(tmp_path, capsys):
@@ -50,7 +53,7 @@ def test_int_value_is_saved_as_itself(tmp_path, capsys):
     assert store.entries[key] == 1 and type(store.entries[key]) is Fraction
     path = tmp_path / "cache.txt"
     cache_save(store, path)
-    assert path.read_text() == "#taut-rr-cache v1\n0;0,0,0,1;;1\n"
+    assert path.read_text() == "#taut-rr-cache v2\n0;0,0,0,1;;1\n#crc32 1379cbdb\n"
     engine = CorrelatorEngine()
     engine.adopt({key: 1})
     save_engine_cache(engine, tmp_path / "engine.txt")
@@ -140,14 +143,14 @@ def test_save_is_sorted_and_headed(tmp_path):
     path = tmp_path / "cache.txt"
     save_engine_cache(engine, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "#taut-rr-cache v1"
+    assert lines[0] == "#taut-rr-cache v2" and lines[-1].startswith("#crc32 ")
 
     def line_key(line):
         g, d, b, _ = line.split(";")
         to_tuple = lambda s: tuple(int(x) for x in s.split(",")) if s else ()
         return (int(g), to_tuple(d), to_tuple(b))
 
-    keys = [line_key(line) for line in lines[1:]]
+    keys = [line_key(line) for line in lines[1:-1]]
     assert keys == sorted(keys)
 
 
@@ -185,7 +188,9 @@ def test_every_engine_key_passes_the_load_checks(tmp_path):
     path = tmp_path / "sweep.txt"
     saved = save_engine_cache(engine, path)
     assert any(key.kappa_parts for key in saved.entries)
+    _legacy_copy(path)  # so that every key goes through the per-line checks
     loaded = cache_load(path)
+    assert type(loaded.entries.raw) is dict and loaded.trusted
     assert loaded.entries == saved.entries
     # the save order is the dataclass order of the keys
     assert list(loaded.entries) == sorted(loaded.entries)
@@ -231,13 +236,14 @@ def test_save_to_a_pipe_writes_through(tmp_path):
     cache_save(store, fifo)
     reader.join(timeout=10)
     assert not reader.is_alive()
-    assert received == [b"#taut-rr-cache v1\n1;1;;1/24\n"]
+    assert received == [b"#taut-rr-cache v2\n1;1;;1/24\n#crc32 6e6c0200\n"]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_saved_file_bytes_are_pinned(tmp_path):
     # psi-only and kappa keys of several genera and lengths, saved in key
-    # order; the digest is that of the file the dataclass keys wrote
+    # order; under a v1 header and without the trailer, the digest is that
+    # of the file the dataclass keys wrote
     engine = CorrelatorEngine()
     engine.psi_integral(4, [3, 8])
     engine.psi_kappa_integral(2, [1, 1], [1, 2])
@@ -245,8 +251,12 @@ def test_saved_file_bytes_are_pinned(tmp_path):
     path = tmp_path / "c.txt"
     save_engine_cache(engine, path)
     data = path.read_bytes()
-    assert len(engine.entries()) == 44 and len(data) == 773
+    assert len(engine.entries()) == 44 and len(data) == 789
     assert hashlib.sha256(data).hexdigest() == \
+        "d02f07a2e0e65e442b98bd30796455d3ce10c7324879f83ccb8ad675491466af"
+    body, trailer = data[:-16], data[-16:]
+    assert trailer == b"#crc32 %08x\n" % zlib.crc32(body)
+    assert hashlib.sha256(body.replace(b"v2", b"v1", 1)).hexdigest() == \
         "57ee98dc2e3274975717f81c23e1f8b8228da1af6203e59f75adfe422b4447b8"
 
 
@@ -267,7 +277,8 @@ ODD_VALUE_LINES = [
 
 
 def _eager(path):
-    """The file's entries parsed whole, every value by Fraction."""
+    """The entries of a file without a trailer parsed whole, every value by
+    Fraction."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()[1:]
     entries = {}
     for line in lines:
@@ -277,12 +288,21 @@ def _eager(path):
     return entries
 
 
+def _legacy_copy(path) -> None:
+    """Rewrite a saved file as the v1 format wrote it: no trailer."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    Path(path).write_text("#taut-rr-cache v1\n" + "".join(lines[1:-1]), encoding="utf-8")
+
+
 def _odd_cache(tmp_path):
+    """A legacy v1 file, trusted and loaded line by line, ending in the odd
+    value lines."""
     engine = CorrelatorEngine()
     engine.psi_integral(3, [2, 6])
     engine.psi_kappa_integral(2, [1], [1, 2])
     path = tmp_path / "odd.txt"
     save_engine_cache(engine, path)
+    _legacy_copy(path)
     with path.open("a", encoding="utf-8") as handle:
         handle.write("\n".join(ODD_VALUE_LINES) + "\n")
     return path
@@ -296,7 +316,7 @@ def test_lazy_load_reads_as_an_eager_parse(tmp_path):
     path = _odd_cache(tmp_path)
     eager = _eager(path)
     store = cache_load(path)
-    assert store.entries == eager
+    assert store.trusted and store.entries == eager
     assert all(type(v) is Fraction for v in store.entries.values())
     # only the canonical values are held back as text
     decoded = {key for key, v in store.entries.raw.items() if type(v) is not str}
@@ -407,126 +427,329 @@ def test_stale_file_with_a_wrong_inner_value_warns_once(tmp_path):
     assert engine.quarantined() == 0
 
 
+
+
 # ----------------------------------------------------------------------
-# the numeral table against the per-field parse
+# the per-line load: pinned outcomes
 # ----------------------------------------------------------------------
 
 def _outcome(path):
-    """(entries in order, raw value types, version), or the error text."""
+    """(entries in order, version, trusted), or the error text; values are
+    kept as the loader holds them, text or Fraction."""
     try:
         store = cache_load(path)
     except CacheFormatError as exc:
         return str(exc)
-    raw = store.entries.raw
-    return list(raw.items()), [type(v) for v in raw.values()], store.version
-
-
-def _load_both_ways(path, monkeypatch):
-    """cache_load's outcome and whether it used the per-field parse, after
-    checking that the outcome is the same with the numeral table empty."""
-    parse, used = cache._parse_key_fields, []
-
-    def counted(pieces, lineno):
-        used.append(lineno)
-        return parse(pieces, lineno)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cache, "_parse_key_fields", counted)
-        loaded = _outcome(path)
-        per_field = bool(used)
-        patch.setattr(cache, "_NUMERALS", {})
-        assert _outcome(path) == loaded, repr(path.read_text(encoding="utf-8"))
-    return loaded, per_field
+    return list(store.entries.raw.items()), store.version, store.trusted
 
 
 HEAD = "#taut-rr-cache v1\n"
+ONE = [((1, (1,), ()), "1/24")]
+TWO = [((1, (1,), ()), "1/24"), ((2, (4,), ()), "1/1152")]
 
+#: name -> (file text, outcome of the per-line load)
 LOAD_CASES = {
-    "five fields then three": HEAD + "0;0,0,0;;1;0\n0,0,0;;1\n",
-    "crlf": HEAD.replace("\n", "\r\n") + "1;1;;1/24\r\n2;4;;1/1152\r\n",
-    "vertical tab in the header": "#taut-rr-cache v1\x0bjunk\n1;1;;1/24\n",
-    "spaces in the header": "#taut-rr-cache  v1 \n1;1;;1/24\n",
-    "blank line": HEAD + "1;1;;1/24\n\n2;4;;1/1152\n",
-    "no final newline": HEAD + "1;1;;1/24\n2;4;;1/1152",
-    "leading zero": HEAD + "1;1;;1/24\n2;04;;1/1152\n",
-    "leading zeros": HEAD + "1;1;;1/24\n3;007;;1/82944\n",
-    "plus sign": HEAD + "+1;1;;1/24\n",
-    "space before a numeral": HEAD + "1; 1;;1/24\n",
-    "non-ASCII digit": HEAD + "\u0661;1;;1/24\n",
-    "exponent of 255": HEAD + "86;255,2;;7\n",
-    "exponent of 256": HEAD + "86;256;;7\n",
-    "genus of 256": HEAD + "256;766;;7\n",
-    "kappa index of 256": HEAD + "87;;256,2;7\n",
-    "exponent of 1000": HEAD + "334;1000;;7\n",
-    "negative exponent": HEAD + "1;-1,2;;7\n",
-    "kappa index 0": HEAD + "1;1,1;0;7\n",
-    "unstable key": HEAD + "0;0,0;;1\n",
-    "dimension mismatch": HEAD + "1;1,2;;7\n",
-    "zero denominator": HEAD + "2;4;;1/0\n",
-    "zero denominator, two digits": HEAD + "2;4;;1/00\n",
-    "duplicate keys": HEAD + "1;1;;1/24\n2;4;;1/1152\n1;1;;7\n",
-    "unsorted lists": HEAD + "1;2,0;;1/24\n2;;2,1;1/240\n",
-    "empty lists": HEAD + "0;0,0,0;;1\n2;;1,2;1/240\n",
-    "trailing comma": HEAD + "1;0,2,;;1/24\n",
+    "five fields then three": (HEAD + "0;0,0,0;;1;0\n0,0,0;;1\n",
+                               "line 2: expected 'g;d1,...;b1,...;value', got '0;0,0,0;;1;0'"),
+    "crlf": (HEAD.replace("\n", "\r\n") + "1;1;;1/24\r\n2;4;;1/1152\r\n", (TWO, "v1", True)),
+    "vertical tab in the header": ("#taut-rr-cache v1\x0bjunk\n1;1;;1/24\n",
+                                   "line 2: expected 'g;d1,...;b1,...;value', got 'junk'"),
+    "spaces in the header": ("#taut-rr-cache  v1 \n1;1;;1/24\n", (ONE, "v1", True)),
+    "blank line": (HEAD + "1;1;;1/24\n\n2;4;;1/1152\n", (TWO, "v1", True)),
+    "no final newline": (HEAD + "1;1;;1/24\n2;4;;1/1152", (TWO, "v1", True)),
+    "leading zero": (HEAD + "1;1;;1/24\n2;04;;1/1152\n", (TWO, "v1", True)),
+    "leading zeros": (HEAD + "1;1;;1/24\n3;007;;1/82944\n",
+                      ([ONE[0], ((3, (7,), ()), "1/82944")], "v1", True)),
+    "plus sign": (HEAD + "+1;1;;1/24\n", (ONE, "v1", True)),
+    "space before a numeral": (HEAD + "1; 1;;1/24\n", (ONE, "v1", True)),
+    "non-ASCII digit": (HEAD + "١;1;;1/24\n", (ONE, "v1", True)),
+    "exponent of 255": (HEAD + "86;255,2;;7\n", ([((86, (2, 255), ()), "7")], "v1", True)),
+    "exponent of 256": (HEAD + "86;256;;7\n", ([((86, (256,), ()), "7")], "v1", True)),
+    "genus of 256": (HEAD + "256;766;;7\n", ([((256, (766,), ()), "7")], "v1", True)),
+    "kappa index of 256": (HEAD + "87;;256,2;7\n", ([((87, (), (2, 256)), "7")], "v1", True)),
+    "exponent of 1000": (HEAD + "334;1000;;7\n", ([((334, (1000,), ()), "7")], "v1", True)),
+    "negative exponent": (HEAD + "1;-1,2;;7\n",
+                          "line 2: impossible key '1;-1,2;': negative psi exponent"),
+    "kappa index 0": (HEAD + "1;1,1;0;7\n",
+                      "line 2: impossible key '1;1,1;0': non-positive kappa index"),
+    "unstable key": (HEAD + "0;0,0;;1\n", "line 2: impossible key '0;0,0;': unstable (g, n)"),
+    "dimension mismatch": (HEAD + "1;1,2;;7\n", "line 2: impossible key '1;1,2;': "
+                                                "degrees do not sum to the dimension 3g - 3 + n"),
+    "zero denominator": (HEAD + "2;4;;1/0\n", "line 2: bad value '1/0'"),
+    "zero denominator, two digits": (HEAD + "2;4;;1/00\n", "line 2: bad value '1/00'"),
+    "duplicate keys": (HEAD + "1;1;;1/24\n2;4;;1/1152\n1;1;;7\n",
+                       ([((1, (1,), ()), "7"), TWO[1]], "v1", True)),
+    "unsorted lists": (HEAD + "1;2,0;;1/24\n2;;2,1;1/240\n",
+                       ([((1, (0, 2), ()), "1/24"), ((2, (), (1, 2)), "1/240")], "v1", True)),
+    "empty lists": (HEAD + "0;0,0,0;;1\n2;;1,2;1/240\n",
+                    ([((0, (0, 0, 0), ()), "1"), ((2, (), (1, 2)), "1/240")], "v1", True)),
+    "trailing comma": (HEAD + "1;0,2,;;1/24\n", "line 2: bad exponent list '0,2,'"),
+    # a trailer ends the file; only a v1 file without one is trusted here
+    "v2 without a trailer": ("#taut-rr-cache v2\n1;1;;1/24\n", (ONE, "v2", False)),
+    "v2 with a wrong trailer": ("#taut-rr-cache v2\n1;1;;1/24\n#crc32 6e6c0201\n",
+                                (ONE, "v2", False)),
+    "v1 with a trailer": (HEAD + "1;1;;1/24\n#crc32 00000000\n", (ONE, "v1", False)),
+    "v0 with a trailer": ("#taut-rr-cache v0\n1;1;;1/24\n#crc32 6e6c0200\n", (ONE, "v0", False)),
+    "trailer not last": ("#taut-rr-cache v2\n#crc32 3df768fb\n1;1;;1/24\n",
+                         "line 2: expected 'g;d1,...;b1,...;value', got '#crc32 3df768fb'"),
 }
 
 
 @pytest.mark.parametrize("name", list(LOAD_CASES))
-def test_numeral_table_loads_as_the_per_field_parse(tmp_path, monkeypatch, name):
+def test_load_cases_keep_their_outcomes(tmp_path, name):
+    text, expected = LOAD_CASES[name]
     path = tmp_path / "c.txt"
-    path.write_bytes(LOAD_CASES[name].encode("utf-8"))
-    _load_both_ways(path, monkeypatch)
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(path) == expected
 
 
-def test_saved_files_never_reach_the_per_field_parse(tmp_path, monkeypatch):
-    def per_field(pieces, lineno):
-        raise AssertionError(f"line {lineno} of a saved file missed the numeral table")
+# ----------------------------------------------------------------------
+# checksum-matched files: served from their text
+# ----------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def seed_bytes(tmp_path_factory):
+    """A file built as the warmcache benchmark builds its seed file: the
+    one- and two-point top correlators for g <= 10, then verify bbt."""
+    from tautrr.cli import main
+
+    path = tmp_path_factory.mktemp("seed") / "seed.txt"
     engine = CorrelatorEngine()
-    engine.psi_integral(4, [3, 8])
-    engine.psi_kappa_integral(3, [], [2, 2, 1, 1])
-    monkeypatch.setattr(cache, "_parse_key_fields", per_field)
-    path = tmp_path / "c.txt"
-    for store in (CacheStore(), CacheStore(engine.entries()), CacheStore(engine.entries(), "v0")):
-        cache_save(store, path)
-        loaded = cache_load(path)
-        assert loaded.entries == store.entries and loaded.version == store.version
-        assert all(type(v) is str for v in loaded.entries.raw.values())
-
-
-#: digits thrice, so that many edits leave every numeral in the table
-EDIT_ALPHABET = "0123456789" * 3 + ";,/-+ \n\r\x0b\x85\u0661x"
-
-
-def test_seeded_edits_load_the_same_both_ways(tmp_path, monkeypatch):
-    # 300 edits of a saved file with psi, kappa and kappa-only keys, each
-    # replacing, inserting or deleting 1 to 4 characters; each edited file
-    # loads to the same store, or fails with the same message, with the
-    # numeral table and with every numeral read by the per-field parse
-    engine = CorrelatorEngine()
-    engine.psi_integral(3, [2, 6])
-    engine.psi_kappa_integral(2, [1], [1, 2])
-    engine.psi_kappa_integral(2, [], [1, 2])
-    path = tmp_path / "edited.txt"
+    for g in range(1, 11):
+        engine.psi_integral(g, [3 * g - 2])
+        for a in range((3 * g - 1) // 2 + 1):
+            engine.psi_integral(g, [a, 3 * g - 1 - a])
     save_engine_cache(engine, path)
-    text = path.read_text(encoding="utf-8")
-    rng = random.Random(12)
-    per_field = errors = 0
-    for _ in range(300):
-        chars = list(text)
+    report = path.with_name("bbt.json")
+    assert main(["verify", "bbt", "--cache", str(path), "--format", "json",
+                 "--out", str(report)]) == 0
+    return path.read_bytes()
+
+
+def _refuse_line_load(monkeypatch):
+    def refuse(text):
+        raise AssertionError("a checksum-matched file reached the per-line load")
+
+    monkeypatch.setattr(cache, "_load_lines", refuse)
+
+
+def test_warm_runs_never_parse_a_matched_file(seed_bytes, tmp_path, capsys, monkeypatch):
+    from tautrr.cli import main
+    from tautrr.engine import two_point_value
+
+    path = tmp_path / "seed.txt"
+    path.write_bytes(seed_bytes)
+    _refuse_line_load(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["integral", "-g", "7", "-d", "3,17", "--cache", str(path)]) == 0
+        assert capsys.readouterr().out == f"{two_point_value(7, 3)}\n"
+        assert main(["integral", "-g", "1", "-d", "0", "--kappa", "1", "--cache",
+                     str(path)]) == 0
+        assert capsys.readouterr().out == "1/24\n"
+        assert main(["verify", "bbt", "--cache", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("bbt g=1 r=0: PASS")
+        assert main(["cache", "stats", str(path)]) == 0
+        assert capsys.readouterr().out == "1393 entries, max genus 10\n"
+        assert main(["cache", "load", str(path)]) == 0
+        assert capsys.readouterr().out == "loaded 1393 entries (version v2)\n"
+    assert path.read_bytes() == seed_bytes
+
+
+def test_a_miss_writes_the_matched_lines_as_they_are(seed_bytes, tmp_path, capsys,
+                                                     monkeypatch):
+    from tautrr.cli import main
+
+    path = tmp_path / "seed.txt"
+    path.write_bytes(seed_bytes)
+    # the same file parsed whole, grown by the same key and saved
+    reference = CorrelatorEngine()
+    reference.adopt(dict(cache_load(path).entries))
+    value = reference.psi_integral(10, [1, 5, 24])
+    expected = tmp_path / "expected.txt"
+    save_engine_cache(reference, expected)
+    _refuse_line_load(monkeypatch)
+    formatted = []
+    format_value = cache._format_value
+    monkeypatch.setattr(cache, "_format_value",
+                        lambda v: formatted.append(v) or format_value(v))
+    assert main(["integral", "-g", "10", "-d", "1,5,24", "--cache", str(path)]) == 0
+    assert capsys.readouterr().out == f"{value}\n"
+    # only the computed entry was formatted; every other line was copied
+    assert formatted == [value]
+    assert path.read_bytes() == expected.read_bytes()
+    assert len(cache_load(path).entries) == 1394
+
+
+def test_matched_file_lookups_search_then_index(seed_bytes):
+    text = seed_bytes.decode("utf-8")
+    saved = cache.SavedLines(text[:text.rindex("#crc32")])
+    keys = list(saved)
+    assert len(keys) == len(saved) == 1393 and keys == sorted(keys)
+    assert saved.max_genus() == 10 and cache.SavedLines("#taut-rr-cache v2\n").max_genus() == 0
+    # one absent key, then present ones from the end of the file
+    lookups = [(10, (1, 5, 24), ())] + keys[::-1][:cache._SEARCHES + 1]
+    for i, key in enumerate(lookups):
+        line = text.split(f"\n{cache._format_key(key)};")
+        assert saved.get(key) == (line[1].split("\n")[0] if len(line) == 2 else None)
+        assert (saved._index is None) == (i < cache._SEARCHES)
+
+
+def test_cut_short_file_is_quarantined(seed_bytes, tmp_path, capsys):
+    from tautrr.cli import main
+
+    # the last entry loses the end of its value and the trailer
+    text = seed_bytes.decode("utf-8")
+    last = text.splitlines()[-2]
+    assert last.startswith("10;")
+    cut = text.index(last) + len(last) - 2
+    path = tmp_path / "cut.txt"
+    path.write_text(text[:cut], encoding="utf-8")
+    key, value = last.rsplit(";", 1)
+    g, d, _ = key.split(";")
+    with pytest.warns(UserWarning) as caught:
+        assert main(["integral", "-g", g, "-d", d, "--cache", str(path)]) == 0
+    assert capsys.readouterr().out == f"{value}\n"
+    messages = [str(w.message) for w in caught]
+    assert messages[0] == ("cache checksum is missing or does not match; "
+                           "entries will be revalidated on use")
+    assert "disagreed with recomputation" in messages[1] and len(messages) == 2
+    # the entries the run never checked keep the file as it is
+    assert path.read_text(encoding="utf-8") == text[:cut]
+
+
+def test_flipped_byte_is_quarantined(seed_bytes, tmp_path, capsys):
+    from tautrr.cli import main
+    from tautrr.engine import two_point_value
+
+    line = f"7;3,17;;{two_point_value(7, 3)}\n"
+    at = seed_bytes.index(line.encode()) + len(line) - 2
+    edited = bytearray(seed_bytes)
+    edited[at] ^= 0x01  # one digit of the denominator
+    path = tmp_path / "flipped.txt"
+    path.write_bytes(bytes(edited))
+    with pytest.warns(UserWarning) as caught:
+        assert main(["integral", "-g", "7", "-d", "3,17", "--cache", str(path)]) == 0
+    assert capsys.readouterr().out == f"{two_point_value(7, 3)}\n"
+    assert [str(w.message).split(";")[0] for w in caught] == [
+        "cache checksum is missing or does not match",
+        "stale cache entry for CorrelatorKey(genus=7, psi_exps=(3, 17), kappa_parts=()) "
+        "disagreed with recomputation",
+    ]
+    assert main(["cache", "load", str(path)]) == 0
+    assert capsys.readouterr().out == "loaded 1393 entries (version v2, quarantined)\n"
+
+
+def test_legacy_file_is_trusted_as_before(seed_bytes, tmp_path, capsys):
+    from tautrr.cli import main
+    from tautrr.engine import two_point_value
+
+    path = tmp_path / "legacy.txt"
+    path.write_bytes(seed_bytes)
+    _legacy_copy(path)
+    before = path.read_bytes()
+    store = cache_load(path)
+    assert store.trusted and store.version == "v1" and type(store.entries.raw) is dict
+    assert len(store.entries) == 1393
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["integral", "-g", "7", "-d", "3,17", "--cache", str(path)]) == 0
+    assert capsys.readouterr().out == f"{two_point_value(7, 3)}\n"
+    assert path.read_bytes() == before
+    # a miss rewrites it in the current format
+    assert main(["integral", "-g", "10", "-d", "1,5,24", "--cache", str(path)]) == 0
+    assert path.read_text(encoding="utf-8").startswith("#taut-rr-cache v2\n")
+    assert cache_load(path).trusted and len(cache_load(path).entries) == 1394
+
+
+def test_quarantined_store_is_not_saved(tmp_path):
+    path = tmp_path / "old.txt"
+    path.write_text("#taut-rr-cache v0\n2;4;;1/9999\n")
+    with pytest.raises(ValueError, match="quarantined"):
+        cache_save(cache_load(path), tmp_path / "new.txt")
+    assert not (tmp_path / "new.txt").exists()
+
+
+# ----------------------------------------------------------------------
+# edited caches through the CLI
+# ----------------------------------------------------------------------
+
+def _millis_zeroed(text: str) -> str:
+    return re.sub(r", \d+ ms\)", ", 0 ms)", text)
+
+
+#: mostly digits, so that many edits keep a line well formed
+EDIT_BYTES = b"0123456789" * 8 + b";,/-+ \n\r\x0bx\x85"
+
+EDITED_RUNS = [
+    ["integral", "-g", "3", "-d", "2,3,4"],
+    ["integral", "-g", "2", "-d", "1", "--kappa", "1,2"],
+    ["verify", "bbt", "--g", "2..3"],
+    ["cache", "stats"],
+]
+
+#: one-byte edits that earlier builds served as values: 121/241920 for
+#: <tau_2 tau_3 tau_4>_3 passes the integrality check, and kappa entries
+#: have none
+KNOWN_EDITS = [(0, "3;2,3,4;;1121/241920", "3;2,3,4;;121/241920"),
+               (1, "2;1;1,2;101/5760", "2;1;1,2;101/576")]
+
+
+def _run_edited(main, argv, path, data: bytes):
+    """Run argv against a file holding data: (exit code, stdout, stderr,
+    whether a stale value disagreed with its recomputation)."""
+    path.write_bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, str(path)] if argv[0] == "cache" else [*argv, "--cache", str(path)])
+    return code, any("disagreed" in str(w.message) for w in caught)
+
+
+def test_edited_caches_never_print_a_wrong_value(tmp_path, capsys, monkeypatch):
+    # 200 edits of a saved file, each replacing, inserting or deleting 1 to
+    # 4 bytes; every run against the edited file ends in an exit code, at
+    # most one error line and the values a fresh engine prints.  An edited
+    # file fails its checksum, so a value an edit changed is revalidated.
+    from tautrr.cli import main
+
+    monkeypatch.delenv("TAUTRR_CACHE", raising=False)
+    path = tmp_path / "c.txt"
+    fresh = []
+    for argv in EDITED_RUNS[:3]:
+        assert main(argv) == 0
+        fresh.append(_millis_zeroed(capsys.readouterr().out))
+        assert main([*argv, "--cache", str(path)]) == 0
+        assert _millis_zeroed(capsys.readouterr().out) == fresh[-1]
+    fresh.append(None)  # a count, not a value
+    saved = path.read_bytes()
+    assert cache_load(path).trusted
+    for run, line, edited in KNOWN_EDITS:
+        code, disagreed = _run_edited(main, EDITED_RUNS[run], path,
+                                      saved.replace(line.encode(), edited.encode()))
+        assert (code, disagreed, capsys.readouterr().out) == (0, True, fresh[run])
+    rng = random.Random(16)
+    codes, revalidated = [], 0
+    for _ in range(200):
+        data = bytearray(saved)
         for _ in range(rng.randint(1, 4)):
-            at = rng.randrange(len(chars))
+            at = rng.randrange(len(data))
             kind = rng.choice(("replace", "insert", "delete"))
             if kind == "delete":
-                del chars[at]
+                del data[at]
             elif kind == "insert":
-                chars.insert(at, rng.choice(EDIT_ALPHABET))
+                data.insert(at, rng.choice(EDIT_BYTES))
             else:
-                chars[at] = rng.choice(EDIT_ALPHABET)
-        path.write_bytes("".join(chars).encode("utf-8"))
-        loaded, used = _load_both_ways(path, monkeypatch)
-        per_field += used
-        errors += type(loaded) is str
-    # the edits reach the per-field parse and both outcomes
-    assert 30 <= per_field <= 270
-    assert 30 <= errors <= 270
+                data[at] = rng.choice(EDIT_BYTES)
+        for argv, expected in zip(EDITED_RUNS, fresh):
+            code, disagreed = _run_edited(main, argv, path, bytes(data))
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (argv, bytes(data))
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+            if expected is not None:
+                assert _millis_zeroed(out) in ("", expected), (argv, out, bytes(data))
+                assert (out == "") == (code != 0), (argv, code)
+            codes.append(code)
+            revalidated += disagreed
+    # the edits reach both outcomes, and revalidations
+    assert 100 <= codes.count(1) <= 700 and 100 <= codes.count(0) <= 700
+    assert revalidated >= 20

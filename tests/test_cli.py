@@ -297,11 +297,11 @@ def test_kappa_trade_alone_rewrites_cache(capsys, tmp_path):
     # the trade is the one value the second run computes
     cache = tmp_path / "cache.txt"
     code, _, _ = run(capsys, "integral", "-g", "1", "-d", "0,2", "--cache", str(cache))
-    assert code == 0 and cache.read_text() == "#taut-rr-cache v1\n1;0,2;;1/24\n"
+    assert code == 0 and cache.read_text() == "#taut-rr-cache v2\n1;0,2;;1/24\n#crc32 1af3595e\n"
     code, out, _ = run(capsys, "integral", "-g", "1", "-d", "0", "--kappa", "1",
                        "--cache", str(cache))
     assert code == 0 and out == "1/24\n"
-    assert cache.read_text() == "#taut-rr-cache v1\n1;0;1;1/24\n1;0,2;;1/24\n"
+    assert cache.read_text() == "#taut-rr-cache v2\n1;0;1;1/24\n1;0,2;;1/24\n#crc32 d4d519bb\n"
 
 
 def test_miss_rewrites_cache_sorted(capsys, tmp_path):
@@ -328,7 +328,7 @@ def test_stale_cache_is_rewritten_with_current_header(capsys, tmp_path):
         code, out, _ = run(capsys, "integral", "-g", "2", "-d", "4", "--cache", str(cache))
     assert code == 0 and out.strip() == "1/1152"
     lines = cache.read_text().splitlines()
-    assert lines[0] == "#taut-rr-cache v1" and "2;4;;1/1152" in lines
+    assert lines[0] == "#taut-rr-cache v2" and "2;4;;1/1152" in lines
 
 
 def test_stale_cache_with_unrevalidated_entries_is_left_as_is(capsys, tmp_path):
@@ -356,7 +356,7 @@ def test_stale_cache_with_base_keys_is_rewritten(capsys, tmp_path):
         code, out, _ = run(capsys, "integral", "-g", "2", "-d", "4", "--cache", str(cache))
     assert code == 0 and out.strip() == "1/1152"
     lines = cache.read_text().splitlines()
-    assert lines[0] == "#taut-rr-cache v1" and "2;4;;1/1152" in lines
+    assert lines[0] == "#taut-rr-cache v2" and "2;4;;1/1152" in lines
 
 
 def test_integral_hit_decodes_only_what_it_reads(capsys, tmp_path, monkeypatch):
@@ -384,7 +384,7 @@ def test_missing_cache_is_created(capsys, tmp_path):
     cache = tmp_path / "new.txt"
     code, _, _ = run(capsys, "integral", "-g", "1", "-d", "1", "--cache", str(cache))
     assert code == 0
-    assert cache.read_text().startswith("#taut-rr-cache v1\n")
+    assert cache.read_text().startswith("#taut-rr-cache v2\n")
 
 
 def test_unusable_paths_end_in_one_error_line(capsys, tmp_path):
@@ -479,6 +479,7 @@ def test_verify_sweep_report_digest(capsys, argv):
 
 GATE = "exceeds the desk-scale default"
 BEYOND = "is beyond desk scale; expect combinatorial growth"
+TOO_MANY = "pairs against more than 10000 test monomials"
 
 # argv of `tautrr verify` -> (exit code, exact stderr)
 VERIFY_ERRORS = [
@@ -537,7 +538,44 @@ VERIFY_ERRORS = [
     # tau(-1) is the zero field, which would pass every check
     (("conjC", "--g", "1", "--r", "1", "--s", "0", "--levels=-1"), 2,
      "error: negative descendent level\n"),
+    # one tuple's test monomials are counted before its relation is built
+    (("vpe", "--g", "1000000000000", "--r", "1", "--force"),
+     2, f"warning: --g 1000000000000 {BEYOND}\n"
+        f"error: --g 1000000000000 --r 1 {TOO_MANY}\n"),
+    (("bbt", "--g", "40", "--r", "0", "--force"),
+     2, f"warning: --g 40 {BEYOND}\nerror: --g 40 --r 0 {TOO_MANY}\n"),
+    (("vyt", "--g", "40", "--r", "1", "--force"),
+     2, f"warning: --g 40 {BEYOND}\nerror: --g 40 --r 1 {TOO_MANY}\n"),
+    (("variation", "--g", "12", "--n1", "4", "--n2", "4", "--r", "0", "--force"),
+     2, f"warning: --g 12 {BEYOND}\nerror: --g 12 --n1 4 --n2 4 --r 0 {TOO_MANY}\n"),
+    (("fqq", "--g", "6", "--r", "0"), 0, ""),
 ]
+
+
+@pytest.mark.parametrize("relation", [name for name, sweep in cli.SWEEPS.items() if sweep.tests])
+def test_counted_tests_are_the_tests_a_tuple_pairs(relation):
+    from tautrr.engine import CorrelatorEngine
+    from tautrr.strata import count_tests
+
+    sweep = cli.SWEEPS[relation]
+    engine = CorrelatorEngine()
+    args = cli.build_parser().parse_args(["verify", relation, "--g", "1..6", "--force"])
+    for params in cli._param_tuples(args, sweep):
+        report = sweep.run(relation, params, engine)
+        assert len(report.pairings) == count_tests(*sweep.tests(params), cli.MAX_TESTS)
+
+
+def test_test_count_error_builds_nothing(capsys, monkeypatch):
+    import time
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a relation was built")
+
+    monkeypatch.setattr(cli, "build_vpe", refuse)
+    start = time.perf_counter()
+    code = main(["verify", "vpe", "--g", "1000000000000", "--r", "1", "--force"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and capsys.readouterr().err.endswith(f"{TOO_MANY}\n")
 
 
 @pytest.mark.parametrize("argv,code,err", VERIFY_ERRORS,
@@ -607,28 +645,37 @@ def test_verify_looks_up_verifiers_at_call_time(capsys, monkeypatch, relation, g
 
 # each call grows the file; (size, sha256) after it, as written by an engine
 # that divided every value when it was computed
+#: argv, then the size and digest of the file after it, and the digest of
+#: its entry lines under a v1 header, which is what the v1 format wrote
 GROWN_FILE = [
-    (("integral", "-g", "2", "-d", "4"), 54,
+    (("integral", "-g", "2", "-d", "4"), 70,
+     "8b73e3089b80ecce0156e27a5ce4e506ffc3dcd3174aab88e3eeb327e69c5758",
      "d3feb9a9067ea0a057e00ec7e6b9c419fb6608d42684981ab90eae3e806c93c4"),
-    (("integral", "-g", "5", "-d", "6,8"), 980,
+    (("integral", "-g", "5", "-d", "6,8"), 996,
+     "a462ad8389869cdda9c5e6701c0fc00c642bcc9c2e355db4457db53c24048d0c",
      "1332e9e9712bdee585748e7da553e46832af9bcd4c5bc7fd85820ff68d177a61"),
-    (("integral", "-g", "2", "-d", "1,1", "--kappa", "1,2"), 1014,
+    (("integral", "-g", "2", "-d", "1,1", "--kappa", "1,2"), 1030,
+     "ac9ff0d35fd4aef6b9f35369913042bb9143b64bf350307a7e9062bc41718e66",
      "eef97a4f18a5043d5f6639db16777bfa17d8512e67e02e117da02a14c8e3fa29"),
-    (("verify", "fqq", "--g", "2"), 1043,
+    (("verify", "fqq", "--g", "2"), 1059,
+     "419b7ce4650ef88117507ce413fe480a711fd9c592b7d933833a34daa872e9ca",
      "f6b91aa833e2d6102bd191e0326f869381c784d4d564cbec76066a83ccc4a035"),
 ]
 
 
 def test_grown_cache_file_bytes_are_pinned(capsys, tmp_path, monkeypatch):
     # values the recursion computed but nobody read are saved from their
-    # normalized integers, with the bytes of their reduced fractions
+    # normalized integers, with the bytes of their reduced fractions; after
+    # the first call, each save merges new lines into a checksum-matched file
     monkeypatch.delenv("TAUTRR_CACHE", raising=False)
     cache = tmp_path / "cache.txt"
-    for argv, size, digest in GROWN_FILE:
+    for argv, size, digest, legacy_digest in GROWN_FILE:
         code, _, _ = run(capsys, *argv, "--cache", str(cache))
         data = cache.read_bytes()
         assert code == 0 and len(data) == size, argv
         assert hashlib.sha256(data).hexdigest() == digest, argv
+        legacy = data[:data.rindex(b"#crc32 ")].replace(b"v2", b"v1", 1)
+        assert hashlib.sha256(legacy).hexdigest() == legacy_digest, argv
 
 
 def test_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):

@@ -55,7 +55,8 @@ RECORDS = [
      {"relation": "bbt", "params": {"g": 1}, "pairings": [("psi_1", Fraction(0))],
       "passed": True, "trivial": False, "millis": 3, "caveat": "c"},
      ("passed", False), False, None),
-    (CacheStore, {"entries": {CorrelatorKey(1, (1,), ()): Fraction(1, 24)}, "version": "v1"},
+    (CacheStore, {"entries": {CorrelatorKey(1, (1,), ()): Fraction(1, 24)}, "version": "v1",
+                  "trusted": True},
      ("version", "v0"), False, None),
 ]
 

@@ -14,6 +14,7 @@ from tautrr.strata import (
     SeparatingStratum,
     TestMonomial,
     _pullback_rows,
+    count_tests,
     enumerate_tests,
     pair_with_test,
 )
@@ -85,6 +86,20 @@ def test_enumerate_tests_hand_lists():
 def test_enumerate_tests_unmarked_space():
     got = [m.render() for m in enumerate_tests(AmbientSpace(2, 0), 2)]
     assert got == ["kappa_2", "kappa_1 kappa_1"]
+
+
+def test_count_tests_counts_what_enumerate_tests_lists():
+    for n in range(5):
+        for degree in range(-1, 12):
+            listed = len(enumerate_tests(AmbientSpace(4, n), degree)) if degree >= 0 else 0
+            assert count_tests(n, degree, 10**6) == listed, (n, degree)
+            if listed:
+                # past the ceiling, the count stops at ceiling + 1
+                assert count_tests(n, degree, listed - 1) == listed
+                assert count_tests(n, degree, listed // 2) == listed // 2 + 1
+    # p(12) = 77 and the first p(k) above 100 is p(13) = 101
+    assert count_tests(0, 12, 100) == 77 and count_tests(0, 13, 100) == 101
+    assert count_tests(0, 10**12, 100) == 101 and count_tests(3, 10**12, 100) == 101
 
 
 def test_pullback_routes_marking_classes():
