@@ -496,11 +496,43 @@ LOAD_CASES = {
 
 
 @pytest.mark.parametrize("name", list(LOAD_CASES))
-def test_load_cases_keep_their_outcomes(tmp_path, name):
+def test_numeral_table_loads_as_the_per_field_parse(tmp_path, monkeypatch, name):
+    # the numeral table that once read these numerals is gone: each case
+    # keeps its pinned outcome, and every line a load accepts has had its
+    # numerals read by the per-field parse
     text, expected = LOAD_CASES[name]
     path = tmp_path / "c.txt"
     path.write_bytes(text.encode("utf-8"))
+    parse, used = cache._parse_key_fields, []
+
+    def counted(pieces, lineno):
+        used.append(lineno)
+        return parse(pieces, lineno)
+
+    monkeypatch.setattr(cache, "_parse_key_fields", counted)
     assert _outcome(path) == expected
+    if type(expected) is not str:
+        lines = text.splitlines()
+        assert used == [lineno for lineno, line in enumerate(lines[1:], start=2)
+                        if line.strip() and not line.startswith(cache.TRAILER)]
+
+
+def test_saved_files_never_reach_the_per_field_parse(tmp_path, monkeypatch):
+    def per_field(pieces, lineno):
+        raise AssertionError(f"line {lineno} of a saved file reached the per-field parse")
+
+    engine = CorrelatorEngine()
+    engine.psi_integral(4, [3, 8])
+    engine.psi_kappa_integral(3, [], [2, 2, 1, 1])
+    monkeypatch.setattr(cache, "_parse_key_fields", per_field)
+    path = tmp_path / "c.txt"
+    for store in (CacheStore(), CacheStore(engine.entries()), CacheStore(engine.entries(), "v0")):
+        cache_save(store, path)
+        loaded = cache_load(path)
+        # a save writes the current version, whatever the store's
+        assert loaded.entries == store.entries and loaded.version == cache.CACHE_VERSION
+        assert loaded.trusted
+        assert all(type(v) is str for v in loaded.entries.raw.values())
 
 
 # ----------------------------------------------------------------------
