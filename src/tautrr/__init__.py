@@ -44,11 +44,8 @@ from .strata import (
 from .universal import (
     VectorFieldPt,
     psi_eval,
-    sreduce_check,
-    symmetry_check,
     tau,
     tau_shift,
-    verify_conjC,
 )
 
 __version__ = "0.1.0"

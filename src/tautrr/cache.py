@@ -46,7 +46,6 @@ from bisect import bisect_left
 from collections import ChainMap
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 from .engine import (
@@ -55,6 +54,7 @@ from .engine import (
     Entries,
     Rational,
     SlotRecord,
+    _fraction,
     key_from_tuple,
     rational_parts,
 )
@@ -80,18 +80,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def _format_value(value: Rational) -> str:
-    """What format_rational writes for a raw value, also for canonical text
-    that is not reduced (``2/4`` gives ``1/2``, ``0007`` gives ``7``)."""
-    if type(value) is not str:
-        return format_rational(value)
-    num, den = rational_parts(value)
-    common = gcd(num, den)
-    num //= common
-    den //= common
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 #: matches the canonical form -?digits[/digits], denominator nonzero
@@ -275,7 +263,7 @@ def cache_save(store: CacheStore, path) -> None:
     for key in sorted(new):
         i = bisect_left(lines, key, at, key=_line_key)
         out += lines[at:i]
-        out.append(f"{_format_key(key)};{_format_value(new[key])}")
+        out.append(f"{_format_key(key)};{format_rational(_fraction(new[key]))}")
         at = i
     out += lines[at:]
     text = _HEADER + "".join(f"{line}\n" for line in out)

@@ -7,7 +7,7 @@ float).  Identical invocations produce byte-identical reports apart from
 the ``millis`` field.
 
 Exit codes: 0 if every check in the run passed, 1 on verification or data
-failure, 2 on usage errors.
+failure, 2 on usage errors and on inputs whose recursion overruns the stack.
 
 ``verify`` sweeps come from one table, :data:`SWEEPS`: per relation the
 default ranges, the parameters held to :data:`FORCE_LIMITS`, the test
@@ -49,7 +49,7 @@ from .relations import (
     verify_xi_witness,
 )
 from .strata import count_tests
-from .universal import is_stated, sweep_report
+from .universal import IDENTITIES, is_stated, sweep_report
 
 CACHE_ENV_VAR = "TAUTRR_CACHE"
 
@@ -67,9 +67,8 @@ FORCE_LIMITS = {
 #: verify run expands in memory, --force or not
 MAX_SPAN = 100_000
 
-#: most test monomials one parameter tuple pairs against, --force or not;
-#: the largest count tier-1 and the benchmark sweeps reach is 92
-#: (variation g=5 r=0, n1 = n2 = 2)
+#: most test monomials, xi-witness terms or point-target slot assignments
+#: one parameter tuple pairs against, --force or not
 MAX_TESTS = 10_000
 
 
@@ -170,9 +169,9 @@ class Sweep(NamedTuple):
     point-target identity, whose tuples run over --r, --s and --m and keep
     those the identity is stated at.  ``limited`` lists the parameters held
     to FORCE_LIMITS in the order the gate checks them; ``options`` are
-    passed to every tuple between g and r.  ``tests(params)`` gives the
-    markings and the complementary degree of the test monomials a tuple
-    pairs against, or is None when it pairs against a fixed list.
+    passed to every tuple between g and r.  ``tests(relation, params)``
+    counts what one tuple pairs against (test monomials, xi-witness terms
+    or slot assignments), stopping past MAX_TESTS at a number above it.
     ``run(relation, params, engine)`` makes one verifier call.
     """
 
@@ -180,36 +179,47 @@ class Sweep(NamedTuple):
     r_values: Callable[[int], Iterable[int]] | None
     limited: tuple[str, ...]
     run: Callable
+    tests: Callable[[str, dict], int]
     options: tuple[str, ...] = ()
-    tests: Callable[[dict], tuple[int, int]] | None = None
+
+
+def _slot_assignments(relation: str, p: dict) -> int:
+    """How many ways the levels fill a point-target tuple's free slots:
+    multisets of r' levels for the free W slots times multisets of s."""
+    free, s, levels = p["r"] - len(IDENTITIES[relation][1]), p["s"], len(p["levels"])
+    if min(free, s) < 0:
+        return 0  # sweep_report names the negative value
+    return math.comb(levels + free - 1, free) * math.comb(levels + s - 1, s)
 
 
 # Runners name the verifiers and builders in their bodies, so these are
 # looked up as module globals at call time and a wrapper bound onto this
 # module sees every call.
 _POINT_TARGET = Sweep(range(0, 3), None, ("g", "r", "s", "levels"),
-                      lambda rel, p, e: sweep_report(rel, engine=e, **p))
+                      lambda rel, p, e: sweep_report(rel, engine=e, **p), _slot_assignments)
 
 #: relation -> its sweep, in the order ``verify --help`` lists them
 SWEEPS = {
     "bbt": Sweep(range(1, 6), lambda g: range(0, max(g - 1, 1)), ("g",),
                  lambda rel, p, e: verify(build_bbt(**p), rel, p, e),
-                 tests=lambda p: (1, p["g"] - 2 - p["r"])),
+                 lambda rel, p: count_tests(1, p["g"] - 2 - p["r"], MAX_TESTS)),
     "variation": Sweep(range(0, 4), lambda g: range(0, 2), ("g", "n1", "n2"),
                        lambda rel, p, e: verify(build_variation(**p), rel, p, e),
-                       options=("n1", "n2"),
-                       tests=lambda p: (p["n1"] + p["n2"], p["g"] - 1 - p["r"])),
+                       lambda rel, p: count_tests(p["n1"] + p["n2"], p["g"] - 1 - p["r"],
+                                                  MAX_TESTS),
+                       options=("n1", "n2")),
     "fqq": Sweep(range(1, 5), lambda g: range(0, 3), ("g",),
                  lambda rel, p, e: verify(build_fqq(**p), rel, p, e),
-                 tests=lambda p: (2, p["g"] - 1 - p["r"])),
+                 lambda rel, p: count_tests(2, p["g"] - 1 - p["r"], MAX_TESTS)),
     "vyt": Sweep(range(1, 5), lambda g: range(1, max(g, 2)), ("g",),
                  lambda rel, p, e: verify_vyt(**p, engine=e),
-                 tests=lambda p: (0, p["g"] - 1 - p["r"])),
+                 lambda rel, p: count_tests(0, p["g"] - 1 - p["r"], MAX_TESTS)),
     "vpe": Sweep(range(1, 4), lambda g: (1, 3), ("g",),
                  lambda rel, p, e: verify(build_vpe(**p), rel, p, e),
-                 tests=lambda p: (0, p["g"] - p["r"])),
+                 lambda rel, p: count_tests(0, p["g"] - p["r"], MAX_TESTS)),
     "xi-witness": Sweep(range(2, 6), lambda g: range(0, g - 1), ("g",),
-                        lambda rel, p, e: verify_xi_witness(**p, engine=e)),
+                        lambda rel, p, e: verify_xi_witness(**p, engine=e),
+                        lambda rel, p: 2 * p["g"] + p["r"] + 1),
     "conjC": _POINT_TARGET,
     "sreduce": _POINT_TARGET,
     "symmetry": _POINT_TARGET,
@@ -220,8 +230,8 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
     """The parameter tuples of one verify run, in report order.  The limits
     are checked on the values given, and the span (stated or not) is counted
     from the range lengths, over at most MAX_SPAN genera, before any tuple
-    is built; each tuple's test monomials are counted before any relation
-    is built."""
+    is built; what each tuple pairs against (``Sweep.tests``) is counted
+    before any tuple runs."""
     given = {name: getattr(args, name) for name in ("g", "r", "s", "m", "levels")}
     given = {name: parse_range(text) if text else None for name, text in given.items()}
     _check_limits(args, sweep, given)
@@ -252,11 +262,10 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
         tuples = [{"g": g, **options, "r": r} for g in genera for r in grid(g)[0]]
     if not tuples:
         raise ValueError("empty parameter range")
-    if sweep.tests is not None:
-        for p in tuples:
-            if count_tests(*sweep.tests(p), MAX_TESTS) > MAX_TESTS:
-                named = " ".join(f"--{name} {value}" for name, value in p.items())
-                raise ValueError(f"{named} pairs against more than {MAX_TESTS} test monomials")
+    for p in tuples:
+        if sweep.tests(args.relation, p) > MAX_TESTS:
+            named = " ".join(f"--{name} {value}" for name, value in p.items() if name != "levels")
+            raise ValueError(f"{named} pairs against more than {MAX_TESTS} test monomials")
     return tuples
 
 
@@ -291,8 +300,9 @@ def _run_cached(body, args) -> int:
     the file did not exist, it was loaded quarantined (another version, or
     a checksum that is missing or does not match), or the run computed an
     entry, which it does only for a key the file lacks.  The engine is
-    listed only for that save.  A usage error (exit 2) writes nothing, and
-    neither does a file holding a value no integral can take (exit 1).  A
+    listed only for that save.  A usage error (exit 2) writes nothing, nor
+    does an input whose recursion overruns the stack (exit 2) or a file
+    holding a value no integral can take (exit 1).  A
     quarantined file is rewritten only once every entry in it has been
     revalidated; otherwise it is left as it is, because the rewrite would
     drop the entries the run never checked.
@@ -311,6 +321,10 @@ def _run_cached(body, args) -> int:
     except ImpossibleEntryError as exc:
         print(f"error: cache {path}: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: the recursion for this input runs deeper than the Python stack allows",
+              file=sys.stderr)
+        return 2
     if path and code != 2 and not engine.quarantined() and (
             loaded is None or not loaded.trusted or engine.computed):
         try:

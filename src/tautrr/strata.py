@@ -17,9 +17,11 @@ node-exponent shift once per group.  The pullback of a test is computed once
 per split.  For each pullback row and group, factor 1's dimension gate
 solves for a, so the factor-1 integral is taken once and only the strata
 with that a are visited.  Products are summed as integer numerators per
-denominator and divided once per pairing.  The test is checked once per
-pairing, so the factor integrals take the engine's internal gated path
-(`CorrelatorEngine._psi_kappa`) instead of the public one.
+denominator and divided once per pairing.  An interior or gluing term is
+planned as one integral (genus, marking exponents, node exponents, kappa
+parts).  The test is checked once per pairing, so every integral, of a term
+or of a stratum factor, takes the engine's internal gated path
+(`CorrelatorEngine._psi_kappa`) with sorted exponents and kappa parts.
 
 Canonical text grammar for rendered terms (stable across releases):
 
@@ -367,8 +369,11 @@ def _pullback_rows(t: TestMonomial, left, right):
 def _pairing_plan(expr: ClassExpr):
     """The terms of ``expr`` arranged for pairing; built once per expression.
 
-    Returns (others, splits).  ``others`` lists the interior and gluing
-    terms as (coefficient numerator, denominator, term).  ``splits`` lists
+    Returns (integrals, splits).  ``integrals`` lists each interior and
+    gluing term as one integral (coefficient numerator, denominator, genus,
+    marking exponents, node exponents, kappa parts): test psi classes add to
+    the marking exponents and test kappa parts join the kappa parts, since
+    kappa classes pull back unchanged along the gluing.  ``splits`` lists
     one entry (labels on factor 1, labels on factor 2, groups) per marking
     split of the separating terms.  A group gathers the strata sharing
     factor 1 (genus g1 and its marking decorations deco1) as
@@ -376,11 +381,15 @@ def _pairing_plan(expr: ClassExpr):
     (coefficient numerator, denominator, factor-2 decorations, b).  Factor
     1's dimension gate solves a = shift - (factor-1 test degree).
     """
-    others = []
+    integrals = []
     splits = {}  # markings1 -> (left, right, groups, marking_exps -> (deco1, deco2))
     for coeff, term in expr.terms:
         if not isinstance(term, SeparatingStratum):
-            others.append((coeff.numerator, coeff.denominator, term))
+            g, exps, node, kappa = ((expr.ambient.g, term.psi_exps, (), term.kappa_parts)
+                                    if isinstance(term, InteriorTerm) else
+                                    (term.source_g, term.marking_exps, term.node_exps, ()))
+            integrals.append((coeff.numerator, coeff.denominator, g, tuple(map(int, exps)),
+                              list(map(int, node)), tuple(map(int, kappa))))
             continue
         g1, g2, markings1, (a, b), exps = term
         split = splits.get(markings1)
@@ -397,22 +406,8 @@ def _pairing_plan(expr: ClassExpr):
             shift = 3 * g1 - 2 + len(deco1) - sum(deco1)
             group = groups[g1, deco1] = (g1, g2, deco1, shift, {})
         group[4].setdefault(a, []).append((coeff.numerator, coeff.denominator, deco2, b))
-    return others, [(left, right, list(groups.values()))
-                    for left, right, groups, _ in splits.values()]
-
-
-def _pair_interior(term: InteriorTerm, t: TestMonomial, ambient: AmbientSpace,
-                   engine: CorrelatorEngine) -> Fraction:
-    merged = tuple(a + b for a, b in zip(term.psi_exps, t.psi_exps))
-    return engine.psi_kappa_integral(ambient.g, merged, term.kappa_parts + t.kappa_parts)
-
-
-def _pair_nonseparating(term: NonSeparatingPushforward, t: TestMonomial,
-                        engine: CorrelatorEngine) -> Fraction:
-    # kappa test classes pull back unchanged along the gluing; psi test
-    # classes are carried by the surviving markings
-    d = tuple(x + y for x, y in zip(term.marking_exps, t.psi_exps)) + term.node_exps
-    return engine.psi_kappa_integral(term.source_g, d, t.kappa_parts)
+    return integrals, [(left, right, list(groups.values()))
+                       for left, right, groups, _ in splits.values()]
 
 
 def pair_with_test(expr: ClassExpr, t: TestMonomial, engine: CorrelatorEngine) -> Fraction:
@@ -432,20 +427,19 @@ def pair_with_test(expr: ClassExpr, t: TestMonomial, engine: CorrelatorEngine) -
         raise ValueError("negative descendent level")
     if any(x <= 0 for x in t.kappa_parts):
         raise ValueError("kappa index must be positive")
-    others, splits = expr._plan
+    # The terms and both stratum factors are stable of nonnegative genus
+    # (checked on construction) and the test is checked above, so every
+    # integral takes the engine's internal path with sorted exponents and
+    # kappa parts.
+    integrals, splits = expr._plan
+    psi_kappa = engine._psi_kappa
     sums = {}  # denominator -> integer numerator of the terms over it
-    for num, den, term in others:
-        if isinstance(term, InteriorTerm):
-            value = _pair_interior(term, t, expr.ambient, engine)
-        else:
-            value = _pair_nonseparating(term, t, engine)
+    for num, den, g, exps, node, kappa in integrals:
+        value = psi_kappa(g, tuple(sorted([x + y for x, y in zip(exps, t.psi_exps)] + node)),
+                          tuple(sorted(kappa + t.kappa_parts)))
         if value:
             d = den * value.denominator
             sums[d] = sums.get(d, 0) + num * value.numerator
-    # Both factors are stable of nonnegative genus (checked on construction)
-    # and the test is checked above, so the factor integrals take the
-    # engine's internal path with sorted exponents and kappa parts.
-    psi_kappa = engine._psi_kappa
     for left, right, groups in splits:
         for degree1, psi1, psi2, k1, k2, mult in _pullback_rows(t, left, right):
             for g1, g2, deco1, shift, by_a in groups:

@@ -15,8 +15,9 @@ splittings legitimately range over them.
 
 Each identity of the form (above-threshold vanishing ``conjC``, slot-swap
 ``symmetry``, string-field reduction ``sreduce``) is one residual function,
-exactly 0 where the identity holds; the single checks and the one grid
-driver :func:`sweep_report` evaluate the same residuals.
+exactly 0 where the identity holds; the residual of ``conjC`` is the form
+itself.  Every identity is checked over a grid of slot assignments by
+:func:`sweep_report`.
 """
 
 from __future__ import annotations
@@ -149,11 +150,6 @@ def render_slots(W, V) -> str:
     return f"[{left} | {right}]"
 
 
-def _conjc_residual(r, s, g, m, W, V, engine):
-    """The form itself, which vanishes at or above the conjecture threshold."""
-    return psi_eval(r, s, g, m, W, V, engine)
-
-
 def _symmetry_residual(r, s, g, m, W, V, engine):
     """The form minus (-1)^m times its slot-swapped mirror."""
     return psi_eval(r, s, g, m, W, V, engine) - (-1) ** m * psi_eval(s, r, g, m, V, W, engine)
@@ -175,7 +171,7 @@ def _sreduce_residual(r, s, g, m, W, V, engine):
 #: identity -> (residual, slots it fixes at the end of W, whether it is
 #: stated at (g, r, s, m))
 IDENTITIES = {
-    "conjC": (_conjc_residual, (), lambda g, r, s, m: m >= conjc_threshold(g, r, s)),
+    "conjC": (psi_eval, (), lambda g, r, s, m: m >= conjc_threshold(g, r, s)),
     "sreduce": (_sreduce_residual, (string_field_at_origin(),),
                 lambda g, r, s, m: r >= 1 and m >= 1),
     "symmetry": (_symmetry_residual, (), lambda g, r, s, m: True),
@@ -185,44 +181,6 @@ IDENTITIES = {
 def is_stated(relation: str, g: int, r: int, s: int, m: int) -> bool:
     """Whether the point-target identity ``relation`` is stated at (g, r, s, m)."""
     return IDENTITIES[relation][2](g, r, s, m)
-
-
-def verify_conjC(g: int, r: int, s: int, m: int, W, V,
-                 engine: CorrelatorEngine) -> VerificationReport:
-    """Check the above-threshold vanishing for one slot assignment."""
-    if m < conjc_threshold(g, r, s):
-        raise ValueError("below conjecture threshold")
-    start = time.perf_counter()
-    value = _conjc_residual(r, s, g, m, W, V, engine)
-    report = VerificationReport(
-        "conjC",
-        {"g": g, "r": r, "s": s, "m": m, "slots": render_slots(W, V)},
-        pairings=[(render_slots(W, V), value)],
-        passed=(value == 0),
-    )
-    report.millis = int((time.perf_counter() - start) * 1000)
-    return report
-
-
-def symmetry_check(r: int, s: int, g: int, m: int, W, V, engine: CorrelatorEngine) -> bool:
-    """Exact slot-swap symmetry: the form equals (-1)^m its mirror."""
-    return _symmetry_residual(r, s, g, m, W, V, engine) == 0
-
-
-def sreduce_check(r: int, s: int, g: int, m: int, W, V, engine: CorrelatorEngine) -> bool:
-    """String-field reduction: filling the last of r slots with the string
-    field lowers m by one, up to down-shift corrections of the other slots.
-
-    W supplies the r - 1 remaining slots; requires m >= 1.
-    """
-    W = list(W)
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if len(W) != r - 1:
-        raise ValueError("expected r - 1 fields in W")
-    return _sreduce_residual(r, s, g, m, W + [string_field_at_origin()], V, engine) == 0
 
 
 def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,

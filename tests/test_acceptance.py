@@ -26,7 +26,7 @@ from tautrr.relations import (
     xi_witness_expected,
 )
 from tautrr.strata import AmbientSpace, ClassExpr, InteriorTerm, TestMonomial, pair_with_test
-from tautrr.universal import conjc_threshold, psi_eval, tau, verify_conjC
+from tautrr.universal import conjc_threshold, psi_eval, sweep_report, tau
 
 ENGINE = CorrelatorEngine()
 
@@ -153,7 +153,7 @@ def test_criterion_7_point_target_identities():
         assert pieces == (Fraction(-1, 576), Fraction(-1, 1152), Fraction(1, 384))
         assert sum(pieces) == 0
         assert psi_eval(1, 0, 2, 2, [tau(1)], [], ENGINE) == 0
-        assert verify_conjC(2, 1, 0, 2, [tau(1)], [], ENGINE).passed
+        assert sweep_report("conjC", 2, 1, 0, 2, (1,), ENGINE).passed
 
         levels = range(0, 7)
         fields = {x: tau(x) for x in levels}

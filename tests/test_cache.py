@@ -602,9 +602,9 @@ def test_a_miss_writes_the_matched_lines_as_they_are(seed_bytes, tmp_path, capsy
     save_engine_cache(reference, expected)
     _refuse_line_load(monkeypatch)
     formatted = []
-    format_value = cache._format_value
-    monkeypatch.setattr(cache, "_format_value",
-                        lambda v: formatted.append(v) or format_value(v))
+    format_rational = cache.format_rational
+    monkeypatch.setattr(cache, "format_rational",
+                        lambda v: formatted.append(v) or format_rational(v))
     assert main(["integral", "-g", "10", "-d", "1,5,24", "--cache", str(path)]) == 0
     assert capsys.readouterr().out == f"{value}\n"
     # only the computed entry was formatted; every other line was copied

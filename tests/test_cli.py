@@ -480,6 +480,7 @@ def test_verify_sweep_report_digest(capsys, argv):
 GATE = "exceeds the desk-scale default"
 BEYOND = "is beyond desk scale; expect combinatorial growth"
 TOO_MANY = "pairs against more than 10000 test monomials"
+TOO_DEEP = "the recursion for this input runs deeper than the Python stack allows"
 
 # argv of `tautrr verify` -> (exit code, exact stderr)
 VERIFY_ERRORS = [
@@ -549,20 +550,40 @@ VERIFY_ERRORS = [
     (("variation", "--g", "12", "--n1", "4", "--n2", "4", "--r", "0", "--force"),
      2, f"warning: --g 12 {BEYOND}\nerror: --g 12 --n1 4 --n2 4 --r 0 {TOO_MANY}\n"),
     (("fqq", "--g", "6", "--r", "0"), 0, ""),
+    # every sweep counts its per-tuple work: xi-witness its 2g + r + 1
+    # terms, a point-target identity its slot assignments
+    (("xi-witness", "--g", "1000000000", "--r", "0", "--force"),
+     2, f"warning: --g 1000000000 {BEYOND}\nerror: --g 1000000000 --r 0 {TOO_MANY}\n"),
+    (("conjC", "--g", "0", "--r", "30", "--s", "0", "--m", "30", "--levels", "0..99", "--force"),
+     2, f"warning: --r 30 {BEYOND}\nwarning: --levels 99 {BEYOND}\n"
+        f"error: --g 0 --r 30 --s 0 --m 30 {TOO_MANY}\n"),
+    # inside FORCE_LIMITS, but C(14, 6) * C(12, 4) = 1,486,485 assignments
+    (("symmetry", "--r", "6", "--s", "4", "--levels", "0..8"),
+     2, f"error: --g 0 --r 6 --s 4 --m 0 {TOO_MANY}\n"),
+    (("xi-witness", "--g", "400", "--r", "0", "--force"),
+     2, f"warning: --g 400 {BEYOND}\nerror: {TOO_DEEP}\n"),
 ]
 
 
-@pytest.mark.parametrize("relation", [name for name, sweep in cli.SWEEPS.items() if sweep.tests])
-def test_counted_tests_are_the_tests_a_tuple_pairs(relation):
+@pytest.mark.parametrize("relation", list(cli.SWEEPS))
+def test_counted_tests_are_the_tests_a_tuple_pairs(relation, monkeypatch):
+    from tautrr import relations
     from tautrr.engine import CorrelatorEngine
-    from tautrr.strata import count_tests
 
     sweep = cli.SWEEPS[relation]
     engine = CorrelatorEngine()
-    args = cli.build_parser().parse_args(["verify", relation, "--g", "1..6", "--force"])
+    # xi-witness reports one value from its 2g + r + 1 pairings
+    pairings = []
+    pair_with_test = relations.pair_with_test
+    monkeypatch.setattr(relations, "pair_with_test",
+                        lambda *a: pairings.append(a) or pair_with_test(*a))
+    genera = "1..6" if sweep.r_values else "0..1"
+    args = cli.build_parser().parse_args(["verify", relation, "--g", genera, "--force"])
     for params in cli._param_tuples(args, sweep):
+        pairings.clear()
         report = sweep.run(relation, params, engine)
-        assert len(report.pairings) == count_tests(*sweep.tests(params), cli.MAX_TESTS)
+        done = len(pairings) if relation == "xi-witness" else len(report.pairings)
+        assert done == sweep.tests(relation, params), params
 
 
 def test_test_count_error_builds_nothing(capsys, monkeypatch):
@@ -576,6 +597,30 @@ def test_test_count_error_builds_nothing(capsys, monkeypatch):
     code = main(["verify", "vpe", "--g", "1000000000000", "--r", "1", "--force"])
     assert time.perf_counter() - start < 1.0
     assert code == 2 and capsys.readouterr().err.endswith(f"{TOO_MANY}\n")
+
+
+# runs that stop before they finish, one of them deep in the recursion:
+# argv -> exact stderr
+STOPPED_RUNS = [
+    (("integral", "-g", "200", "-d", "598"), f"error: {TOO_DEEP}\n"),
+    *((("verify", *argv), err) for argv, _, err in VERIFY_ERRORS[-4:]),
+]
+
+
+@pytest.mark.parametrize("argv,err", STOPPED_RUNS,
+                         ids=[" ".join(argv) for argv, _ in STOPPED_RUNS])
+def test_stopped_runs_leave_the_cache_as_it_is(capsys, tmp_path, argv, err):
+    import time
+
+    cache = tmp_path / "cache.txt"
+    assert main(["integral", "-g", "2", "-d", "4", "--cache", str(cache)]) == 0
+    before = cache.read_bytes()
+    capsys.readouterr()
+    start = time.perf_counter()
+    result = run(capsys, *argv, "--cache", str(cache))
+    assert time.perf_counter() - start < 1.0
+    assert result == (2, "", err)
+    assert cache.read_bytes() == before
 
 
 @pytest.mark.parametrize("argv,code,err", VERIFY_ERRORS,

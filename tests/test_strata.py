@@ -212,19 +212,35 @@ def test_factor_swap_symmetry(engine):
         assert v1 == v2, t
 
 
+def _keys_are_sorted(engine):
+    return all(list(key.psi_exps) == sorted(key.psi_exps)
+               and list(key.kappa_parts) == sorted(key.kappa_parts) for key in engine.entries())
+
+
 def test_interior_consistency_with_engine(engine):
+    # the pairing takes the engine's internal path, which sorts nothing
+    # itself, so it runs on its own engine against the public route
     rng = random.Random(5150)
     amb = AmbientSpace(2, 2)
-    for _ in range(10):
-        term = InteriorTerm((rng.randint(0, 2), rng.randint(0, 2)), (rng.randint(1, 2),))
+    reference = CorrelatorEngine()
+    terms = [InteriorTerm((rng.randint(0, 2), rng.randint(0, 2)), (rng.randint(1, 2),))
+             for _ in range(10)]
+    # two kappa parts out of order, paired against kappa tests
+    terms.append(InteriorTerm((0, 0), (2, 1)))
+    kappa_tests = 0
+    for term in terms:
         comp = amb.dim - term.degree
         if comp < 0:
             continue
         for t in enumerate_tests(amb, comp):
             expr = ClassExpr.make(amb, term.degree, [(1, term)])
             merged = tuple(x + y for x, y in zip(term.psi_exps, t.psi_exps))
-            direct = engine.psi_kappa_integral(amb.g, merged, term.kappa_parts + t.kappa_parts)
-            assert pair_with_test(expr, t, engine) == direct
+            direct = reference.psi_kappa_integral(amb.g, merged,
+                                                  term.kappa_parts + t.kappa_parts)
+            assert pair_with_test(expr, t, engine) == direct, (term, t)
+            kappa_tests += len(term.kappa_parts) == 2 and bool(t.kappa_parts) and direct != 0
+    assert kappa_tests > 0
+    assert _keys_are_sorted(engine)
 
 
 def test_nonseparating_pairing(engine):
@@ -234,7 +250,21 @@ def test_nonseparating_pairing(engine):
     term = NonSeparatingPushforward(1, (1, 0), ())
     expr = ClassExpr.make(amb, 2, [(1, term)])
     value = pair_with_test(expr, TestMonomial((), (1,)), engine)
-    assert value == engine.psi_kappa_integral(1, [1, 0], [1])
+    reference = CorrelatorEngine()
+    assert value == reference.psi_kappa_integral(1, [1, 0], [1])
+    # a gluing term with marking exponents: psi tests add to them, and the
+    # node exponents follow them out of order
+    amb = AmbientSpace(2, 2)
+    term = NonSeparatingPushforward(1, (1, 0), (0, 1))
+    expr = ClassExpr.make(amb, term.degree, [(1, term)])
+    nonzero = 0
+    for t in enumerate_tests(amb, amb.dim - term.degree):
+        d = tuple(x + y for x, y in zip(term.marking_exps, t.psi_exps)) + term.node_exps
+        direct = reference.psi_kappa_integral(term.source_g, d, t.kappa_parts)
+        assert pair_with_test(expr, t, engine) == direct, t
+        nonzero += direct != 0 and not t.kappa_parts
+    assert nonzero > 0
+    assert _keys_are_sorted(engine)
 
 
 def test_pushforward_irreducible_gate_and_value(engine):

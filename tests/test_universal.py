@@ -11,13 +11,10 @@ from tautrr.universal import (
     VectorFieldPt,
     conjc_threshold,
     psi_eval,
-    sreduce_check,
     string_field_at_origin,
     sweep_report,
-    symmetry_check,
     tau,
     tau_shift,
-    verify_conjC,
 )
 
 
@@ -132,14 +129,6 @@ def test_vanishing_small_sweep(engine):
                             assert psi_eval(r, s, g, m, W, V, engine) == 0, (g, r, s, m)
 
 
-def test_verify_conjc_report(engine):
-    report = verify_conjC(2, 1, 0, 2, [tau(1)], [], engine)
-    assert report.passed
-    assert report.params["m"] == 2
-    with pytest.raises(ValueError, match="below conjecture threshold"):
-        verify_conjC(2, 1, 0, 1, [tau(1)], [], engine)
-
-
 def test_symmetry_randomized(engine):
     rng = random.Random(777)
     for _ in range(30):
@@ -149,12 +138,13 @@ def test_symmetry_randomized(engine):
         m = rng.randint(0, 8)
         W = [tau(rng.randint(0, 5)) for _ in range(r)]
         V = [tau(rng.randint(0, 5)) for _ in range(s)]
-        assert symmetry_check(r, s, g, m, W, V, engine), (g, r, s, m)
+        mirror = psi_eval(s, r, g, m, V, W, engine)
+        assert psi_eval(r, s, g, m, W, V, engine) == (-1) ** m * mirror, (g, r, s, m)
 
 
 def test_symmetry_antisymmetric_self_pairing(engine):
     W = [tau(2)]
-    assert symmetry_check(1, 1, 2, 3, W, W, engine)
+    assert sweep_report("symmetry", 2, 1, 1, 3, (2,), engine).passed
     # odd m with equal slots forces the value itself to vanish
     assert psi_eval(1, 1, 2, 3, W, W, engine) == 0
 
@@ -166,7 +156,7 @@ def test_sreduce_single_slot_matches_shifted_instance(engine):
             lhs = psi_eval(1, 0, g, m, [string_field_at_origin()], [], engine)
             rhs = -psi_eval(0, 0, g, m - 1, [], [], engine)
             assert lhs == rhs, (g, m)
-    assert sreduce_check(1, 0, 2, 3, [], [], engine)
+    assert sweep_report("sreduce", 2, 1, 0, 3, (0,), engine).passed
 
 
 def test_sreduce_randomized(engine):
@@ -176,9 +166,9 @@ def test_sreduce_randomized(engine):
         r = rng.randint(1, 3)
         s = rng.randint(0, 2)
         m = rng.randint(1, 8)
-        W = [tau(rng.randint(0, 5)) for _ in range(r - 1)]
-        V = [tau(rng.randint(0, 5)) for _ in range(s)]
-        assert sreduce_check(r, s, g, m, W, V, engine), (g, r, s, m)
+        levels = tuple(rng.sample(range(0, 6), 2))
+        report = sweep_report("sreduce", g, r, s, m, levels, engine)
+        assert report.passed and report.pairings, (g, r, s, m, levels)
 
 
 def test_sreduce_primary_slots_drop_the_shift_sum(engine):
@@ -189,7 +179,7 @@ def test_sreduce_primary_slots_drop_the_shift_sum(engine):
     lhs = psi_eval(2, s, g, m, W + [string_field_at_origin()], [], engine)
     rhs = -psi_eval(1, s, g, m - 1, W, [], engine)
     assert lhs == rhs
-    assert sreduce_check(2, s, g, m, W, [], engine)
+    assert sweep_report("sreduce", g, 2, s, m, (0,), engine).passed
 
 
 def test_sweep_report_rejects_a_negative_level(engine):
@@ -197,15 +187,6 @@ def test_sweep_report_rejects_a_negative_level(engine):
     for levels in ((-1,), (0, -1, 2)):
         with pytest.raises(ValueError, match="negative descendent level"):
             sweep_report("conjC", 1, 1, 0, 0, levels, engine)
-
-
-def test_sreduce_validation(engine):
-    with pytest.raises(ValueError):
-        sreduce_check(0, 0, 1, 1, [], [], engine)
-    with pytest.raises(ValueError):
-        sreduce_check(1, 0, 1, 0, [], [], engine)
-    with pytest.raises(ValueError, match="r - 1"):
-        sreduce_check(1, 0, 1, 1, [tau(0)], [], engine)
 
 
 def _reference_point(r, s, g, m, w, v, engine):
