@@ -8,6 +8,7 @@ from .cache import (
     format_rational,
     load_engine_cache,
     parse_rational,
+    revalidate,
     save_engine_cache,
 )
 from .engine import (

@@ -33,7 +33,8 @@ matches, or when it is a legacy ``v1`` file, which has no trailer.
   ``0.5``) is decoded at load.  A trailer may end such a file.  A legacy
   ``v1`` file without one is trusted; any other file (another version, a
   ``v2`` file whose trailer is missing or wrong, a ``v1`` file with a
-  trailer) is quarantined, and its entries are revalidated on use.
+  trailer) is quarantined: its entries never reach an engine, and
+  :func:`revalidate` compares them with what an engine computed.
 """
 
 from __future__ import annotations
@@ -336,16 +337,34 @@ def save_engine_cache(engine: CorrelatorEngine, path) -> CacheStore:
 
 
 def load_engine_cache(engine: CorrelatorEngine, path) -> CacheStore:
-    """Load a cache file into an engine.
-
-    An untrusted file (see the module docstring) is loaded quarantined:
-    its entries are revalidated against a fresh computation on first use.
-    """
+    """Load a cache file, handing its entries to the engine only if it is
+    trusted (see the module docstring); an untrusted store is left for
+    :func:`revalidate`."""
     store = cache_load(path)
-    if not store.trusted:
+    if store.trusted:
+        engine.adopt(store.entries.raw)
+    else:
         why = ("cache checksum is missing or does not match"
                if store.version == CACHE_VERSION else
                f"cache version {store.version!r} does not match {CACHE_VERSION!r}")
         warnings.warn(f"{why}; entries will be revalidated on use")
-    engine.adopt(store.entries.raw, trusted=store.trusted)
     return store
+
+
+def revalidate(store: CacheStore, engine: CorrelatorEngine) -> int:
+    """Compare the store with the two base keys and every entry the engine
+    holds, warning once per store value that disagrees; returns how many
+    store entries the engine could not check."""
+    raw = store.entries.raw
+    fresh = {key_from_tuple((g, d, ())): engine.psi_integral(g, d)
+             for g, d in ((0, (0, 0, 0)), (1, (1,)))}
+    fresh.update(engine.entries())
+    checked = 0
+    for key, value in fresh.items():
+        old = raw.get(key)
+        if old is not None:
+            checked += 1
+            if _fraction(old) != value:
+                warnings.warn(f"stale cache entry for {key} disagreed with recomputation; "
+                              "using the fresh value")
+    return len(raw) - checked

@@ -35,6 +35,7 @@ from .cache import (
     cache_save,
     format_rational,
     load_engine_cache,
+    revalidate,
     save_engine_cache,
 )
 from .engine import CorrelatorEngine, ImpossibleEntryError, UnstableModuliError
@@ -170,8 +171,8 @@ class Sweep(NamedTuple):
     those the identity is stated at.  ``limited`` lists the parameters held
     to FORCE_LIMITS in the order the gate checks them; ``options`` are
     passed to every tuple between g and r.  ``tests(relation, params)``
-    counts what one tuple pairs against (test monomials, xi-witness terms
-    or slot assignments), stopping past MAX_TESTS at a number above it.
+    counts what one tuple pairs against, stopping past MAX_TESTS at a
+    number above it, and ``unit`` names what it counts.
     ``run(relation, params, engine)`` makes one verifier call.
     """
 
@@ -181,6 +182,7 @@ class Sweep(NamedTuple):
     run: Callable
     tests: Callable[[str, dict], int]
     options: tuple[str, ...] = ()
+    unit: str = "test monomials"
 
 
 def _slot_assignments(relation: str, p: dict) -> int:
@@ -196,7 +198,8 @@ def _slot_assignments(relation: str, p: dict) -> int:
 # looked up as module globals at call time and a wrapper bound onto this
 # module sees every call.
 _POINT_TARGET = Sweep(range(0, 3), None, ("g", "r", "s", "levels"),
-                      lambda rel, p, e: sweep_report(rel, engine=e, **p), _slot_assignments)
+                      lambda rel, p, e: sweep_report(rel, engine=e, **p), _slot_assignments,
+                      unit="slot assignments")
 
 #: relation -> its sweep, in the order ``verify --help`` lists them
 SWEEPS = {
@@ -219,7 +222,7 @@ SWEEPS = {
                  lambda rel, p: count_tests(0, p["g"] - p["r"], MAX_TESTS)),
     "xi-witness": Sweep(range(2, 6), lambda g: range(0, g - 1), ("g",),
                         lambda rel, p, e: verify_xi_witness(**p, engine=e),
-                        lambda rel, p: 2 * p["g"] + p["r"] + 1),
+                        lambda rel, p: 2 * p["g"] + p["r"] + 1, unit="witness terms"),
     "conjC": _POINT_TARGET,
     "sreduce": _POINT_TARGET,
     "symmetry": _POINT_TARGET,
@@ -265,7 +268,7 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
     for p in tuples:
         if sweep.tests(args.relation, p) > MAX_TESTS:
             named = " ".join(f"--{name} {value}" for name, value in p.items() if name != "levels")
-            raise ValueError(f"{named} pairs against more than {MAX_TESTS} test monomials")
+            raise ValueError(f"{named} pairs against more than {MAX_TESTS} {sweep.unit}")
     return tuples
 
 
@@ -296,16 +299,17 @@ def _run_cached(body, args) -> int:
     """Run ``body(args, engine)`` on an engine warmed from the ``--cache`` file.
 
     The file (``--cache`` or ``$TAUTRR_CACHE``) is loaded first, if it
-    exists.  After the body it is written back only when that changes it:
-    the file did not exist, it was loaded quarantined (another version, or
-    a checksum that is missing or does not match), or the run computed an
-    entry, which it does only for a key the file lacks.  The engine is
-    listed only for that save.  A usage error (exit 2) writes nothing, nor
-    does an input whose recursion overruns the stack (exit 2) or a file
-    holding a value no integral can take (exit 1).  A
-    quarantined file is rewritten only once every entry in it has been
-    revalidated; otherwise it is left as it is, because the rewrite would
-    drop the entries the run never checked.
+    exists; a quarantined one (another version, or a checksum that is
+    missing or does not match) warms nothing and is compared with what the
+    run computed (:func:`revalidate`).  After the body the file is written
+    back only when that changes it: the file did not exist, it was
+    quarantined, or the run computed an entry, which it does only for a
+    key the file lacks.  A usage error (exit 2) writes nothing, nor does an
+    input whose recursion overruns the stack (exit 2) or a file holding a
+    value no integral can take (exit 1).  A quarantined file is rewritten
+    only once the run has computed every entry in it; otherwise it is left
+    as it is, because the rewrite would drop the entries the run never
+    checked.
     """
     engine = CorrelatorEngine()
     path = args.cache or os.environ.get(CACHE_ENV_VAR)
@@ -324,8 +328,9 @@ def _run_cached(body, args) -> int:
     except RecursionError:
         print("error: the recursion for this input runs deeper than the Python stack allows",
               file=sys.stderr)
-        return 2
-    if path and code != 2 and not engine.quarantined() and (
+        code = 2
+    unchecked = 0 if loaded is None or loaded.trusted else revalidate(loaded, engine)
+    if path and code != 2 and not unchecked and (
             loaded is None or not loaded.trusted or engine.computed):
         try:
             save_engine_cache(engine, path)

@@ -68,7 +68,6 @@ Conventions:
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect
 from collections import ChainMap
 from collections.abc import Mapping
@@ -332,10 +331,8 @@ class CorrelatorEngine:
     def __init__(self):
         # psi values read so far and kappa values, as Fractions
         self._memo: dict[CorrelatorKey, Fraction] = {}
-        # trusted adopted entries, never changed here, and quarantined ones
-        # not revalidated yet
+        # trusted adopted entries, never changed here
         self._pending: Mapping[CorrelatorKey, Rational] = {}
-        self._stale: dict[CorrelatorKey, Rational] = {}
         # every computed or decoded psi value as its integer I(g, d), by
         # sorted d (d fixes g by the gate), and the two base cases
         self._ints: dict[tuple[int, ...], int] = dict(_BASE_INTS)
@@ -396,31 +393,19 @@ class CorrelatorEngine:
             listed[key_from_tuple((g, d, ()))] = Fraction(val, _normalization(g, d))
         return Entries(_Listing({**listed, **self._memo}, self._pending))
 
-    def adopt(self, entries: Mapping[CorrelatorKey, Rational], trusted: bool = True) -> None:
-        """Install externally loaded entries, whose values may still be text.
+    def adopt(self, entries: Mapping[CorrelatorKey, Rational]) -> None:
+        """Install trusted externally loaded entries, whose values may still
+        be text.
 
         The caller has checked the keys and the syntax of the values (the
-        cache loader does); the values are decoded on first use.  Trusted
+        cache loader does); the values are decoded on first use.  The
         entries wait in the pending table; the engine keeps the mapping
         given, when it is the first, and never changes it.  When one is
         first needed, a psi entry is converted once to its normalized
         integer, and one that is not a positive integer there raises
-        :class:`ImpossibleEntryError`.  Untrusted entries (e.g. from a
-        cache file with a mismatched version or checksum) are quarantined
-        and revalidated against a fresh computation the first time they
-        are needed; the two base keys, which are never computed, are
-        checked at once.
+        :class:`ImpossibleEntryError`.
         """
-        if trusted:
-            self._pending = {**self._pending, **entries} if self._pending else entries
-        else:
-            self._stale.update(entries)
-            for g, d in ((0, (0, 0, 0)), (1, (1,))):
-                self._revalidate(CorrelatorKey(g, d, ()), _BASE_VALUES[g])
-
-    def quarantined(self) -> int:
-        """How many quarantined entries have not been revalidated yet."""
-        return len(self._stale)
+        self._pending = {**self._pending, **entries} if self._pending else entries
 
     # ------------------------------------------------------------------
     # internals
@@ -432,15 +417,6 @@ class CorrelatorEngine:
         if g < 0 or 2 * g - 2 + len(levels) <= 0:
             return ZERO
         return self._psi(g, tuple(sorted(levels)))
-
-    def _revalidate(self, key: CorrelatorKey, val: Fraction) -> None:
-        """Drop any quarantined copy of key, warning if it is not val."""
-        old = self._stale.pop(key, None)
-        if old is not None and _fraction(old) != val:
-            warnings.warn(
-                f"stale cache entry for {key} disagreed with recomputation; "
-                "using the fresh value"
-            )
 
     def _psi(self, g: int, d: tuple[int, ...]) -> Fraction:
         # d is sorted ascending; gate before looking anything up
@@ -475,7 +451,7 @@ class CorrelatorEngine:
 
     def _compute(self, g: int, d: tuple[int, ...]) -> int:
         """Run one string, dilaton or DVV step for I(g, d) and store the
-        integer, revalidating any quarantined copy of the key."""
+        integer."""
         ints = self._ints
         if d[0] == 0:
             # string equation; (g, n-1) is stable for every non-base case.
@@ -496,8 +472,6 @@ class CorrelatorEngine:
             val = self._dvv(g, d)
         ints[d] = val
         self.computed += 1
-        if self._stale and (g, d, ()) in self._stale:
-            self._revalidate(key_from_tuple((g, d, ())), Fraction(val, _normalization(g, d)))
         return val
 
     def _dvv(self, g: int, d: tuple[int, ...]) -> int:
@@ -589,8 +563,6 @@ class CorrelatorEngine:
                 sums[den] = sums.get(den, 0) + sign * term.numerator
         value = _sum_by_denominator(sums)
         self.computed += 1
-        key = key_from_tuple((g, d, b))
-        self._revalidate(key, value)
-        self._memo[key] = value
+        self._memo[key_from_tuple((g, d, b))] = value
         return value
 

@@ -186,7 +186,7 @@ def is_stated(relation: str, g: int, r: int, s: int, m: int) -> bool:
 def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,
                  engine: CorrelatorEngine) -> VerificationReport:
     """One report of a point-target identity at a tuple where it is stated
-    (see :func:`is_stated`).
+    (see :func:`is_stated`); any other tuple raises ``ValueError``.
 
     Every multiset of coordinate fields with levels in ``levels`` fills the
     free slots; each assignment is one entry recording the residual, and
@@ -196,7 +196,9 @@ def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,
         raise ValueError("r, s, g, m must be nonnegative")
     if any(x < 0 for x in levels):
         raise ValueError("negative descendent level")
-    residual, fixed, _ = IDENTITIES[relation]
+    residual, fixed, stated = IDENTITIES[relation]
+    if not stated(g, r, s, m):
+        raise ValueError(f"{relation} is not stated at (g, r, s, m) = ({g}, {r}, {s}, {m})")
     start = time.perf_counter()
     report = VerificationReport(relation, {"g": g, "r": r, "s": s, "m": m})
     for wlv in itertools.combinations_with_replacement(levels, r - len(fixed)):

@@ -107,10 +107,12 @@ def test_version_mismatch_warns_and_revalidates(tmp_path):
     engine = CorrelatorEngine()
     with pytest.warns(UserWarning, match="revalidated"):
         store = load_engine_cache(engine, path)
-    assert not store.trusted
-    with pytest.warns(UserWarning, match="disagreed"):
-        value = engine.psi_integral(2, [4])
+    assert not store.trusted and len(engine.entries()) == 0
+    assert cache.revalidate(store, engine) == 1
+    value = engine.psi_integral(2, [4])
     assert value == Fraction(1, 1152)
+    with pytest.warns(UserWarning, match="disagreed"):
+        assert cache.revalidate(store, engine) == 0
 
 
 def test_warm_cache_matches_cold(tmp_path):
@@ -415,17 +417,17 @@ def test_stale_file_with_a_wrong_inner_value_warns_once(tmp_path):
     path.write_text("#taut-rr-cache v0\n3;4,4;;1/7\n")
     engine = CorrelatorEngine()
     with pytest.warns(UserWarning, match="revalidated"):
-        load_engine_cache(engine, path)
-    with pytest.warns(UserWarning) as caught:
-        value = engine.psi_integral(3, [1, 4, 4])
-        engine.psi_integral(3, [0, 1, 4, 5])
+        store = load_engine_cache(engine, path)
+    assert len(engine.entries()) == 0
+    value = engine.psi_integral(3, [1, 4, 4])
+    engine.psi_integral(3, [0, 1, 4, 5])
     assert value == 6 * CorrelatorEngine().psi_integral(3, [4, 4])
+    with pytest.warns(UserWarning) as caught:
+        assert cache.revalidate(store, engine) == 0
     assert [str(w.message) for w in caught] == [
         "stale cache entry for CorrelatorKey(genus=3, psi_exps=(4, 4), kappa_parts=()) "
         "disagreed with recomputation; using the fresh value"
     ]
-    assert engine.quarantined() == 0
-
 
 
 
@@ -670,6 +672,31 @@ def test_flipped_byte_is_quarantined(seed_bytes, tmp_path, capsys):
     ]
     assert main(["cache", "load", str(path)]) == 0
     assert capsys.readouterr().out == "loaded 1393 entries (version v2, quarantined)\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("-g", "1", "-d", "1"), ""),
+    (("-g", "1", "-d", "0", "--kappa", "0"), "error: kappa index must be positive\n"),
+    (("-g", "200", "-d", "598"),
+     "error: the recursion for this input runs deeper than the Python stack allows\n"),
+], ids=["return", "usage-error", "stack-overflow"])
+def test_stale_base_key_warns_on_every_exit(tmp_path, capsys, argv, err):
+    # a quarantined file is compared after a normal return, a usage error
+    # and a stack overflow alike; the base key is checked without being
+    # computed, and a file with an unchecked entry is left as it is
+    from tautrr.cli import main
+
+    path = tmp_path / "old.txt"
+    path.write_text("#taut-rr-cache v0\n1;1;;1/25\n2;4;;1/1152\n")
+    before = path.read_bytes()
+    with pytest.warns(UserWarning) as caught:
+        code = main(["integral", *argv, "--cache", str(path)])
+    assert (code, capsys.readouterr().err) == (2 if err else 0, err)
+    assert [str(w.message) for w in caught][1:] == [
+        "stale cache entry for CorrelatorKey(genus=1, psi_exps=(1,), kappa_parts=()) "
+        "disagreed with recomputation; using the fresh value"
+    ]
+    assert path.read_bytes() == before
 
 
 def test_legacy_file_is_trusted_as_before(seed_bytes, tmp_path, capsys):

@@ -349,7 +349,7 @@ def test_stale_cache_with_unrevalidated_entries_is_left_as_is(capsys, tmp_path):
 
 def test_stale_cache_with_base_keys_is_rewritten(capsys, tmp_path):
     # the engine never computes <tau_1>_1 or <tau_0^3>_0, so a quarantined
-    # base key is checked when it is adopted, and it cannot keep the file v0
+    # base key is checked without being computed, and it cannot keep the file v0
     cache = tmp_path / "old.txt"
     cache.write_text("#taut-rr-cache v0\n1;1;;1/24\n2;4;;1/1152\n")
     with pytest.warns(UserWarning, match="revalidated"):
@@ -480,6 +480,8 @@ def test_verify_sweep_report_digest(capsys, argv):
 GATE = "exceeds the desk-scale default"
 BEYOND = "is beyond desk scale; expect combinatorial growth"
 TOO_MANY = "pairs against more than 10000 test monomials"
+TOO_MANY_TERMS = "pairs against more than 10000 witness terms"
+TOO_MANY_SLOTS = "pairs against more than 10000 slot assignments"
 TOO_DEEP = "the recursion for this input runs deeper than the Python stack allows"
 
 # argv of `tautrr verify` -> (exit code, exact stderr)
@@ -553,13 +555,13 @@ VERIFY_ERRORS = [
     # every sweep counts its per-tuple work: xi-witness its 2g + r + 1
     # terms, a point-target identity its slot assignments
     (("xi-witness", "--g", "1000000000", "--r", "0", "--force"),
-     2, f"warning: --g 1000000000 {BEYOND}\nerror: --g 1000000000 --r 0 {TOO_MANY}\n"),
+     2, f"warning: --g 1000000000 {BEYOND}\nerror: --g 1000000000 --r 0 {TOO_MANY_TERMS}\n"),
     (("conjC", "--g", "0", "--r", "30", "--s", "0", "--m", "30", "--levels", "0..99", "--force"),
      2, f"warning: --r 30 {BEYOND}\nwarning: --levels 99 {BEYOND}\n"
-        f"error: --g 0 --r 30 --s 0 --m 30 {TOO_MANY}\n"),
+        f"error: --g 0 --r 30 --s 0 --m 30 {TOO_MANY_SLOTS}\n"),
     # inside FORCE_LIMITS, but C(14, 6) * C(12, 4) = 1,486,485 assignments
     (("symmetry", "--r", "6", "--s", "4", "--levels", "0..8"),
-     2, f"error: --g 0 --r 6 --s 4 --m 0 {TOO_MANY}\n"),
+     2, f"error: --g 0 --r 6 --s 4 --m 0 {TOO_MANY_SLOTS}\n"),
     (("xi-witness", "--g", "400", "--r", "0", "--force"),
      2, f"warning: --g 400 {BEYOND}\nerror: {TOO_DEEP}\n"),
 ]

@@ -207,3 +207,24 @@ def test_vyt_fails_when_the_swap_does_not_cancel_term_by_term(engine, monkeypatc
     report = verify_vyt(2, 1, engine)
     assert not report.passed and not report.trivial
     assert report.pairings and report.nonzero() == []
+
+
+def test_liu_xu_alternating_sum_vanishes_exactly_above_2g(engine):
+    # Liu-Xu (arXiv math/0701319), Witten-Kontsevich case: for K > 2g,
+    # sum_j (-1)^j <tau_j tau_{K-j} tau_{d_1} .. tau_{d_n}>_g = 0, and K = 2g
+    # is the negative control.  An odd K vanishes by j <-> K - j alone, so
+    # only even K count.
+    vanishing = controls = 0
+    for g, n in itertools.product(range(6), range(4)):
+        for d in itertools.combinations_with_replacement(range(7), n):
+            K = 3 * g - 1 + n - sum(d)  # fixed by the dimension
+            if K < 2 * g or K % 2:
+                continue
+            total = sum((-1) ** j * engine.correlator(g, (j, K - j) + d) for j in range(K + 1))
+            if K > 2 * g:
+                assert total == 0, (g, K, d)
+                vanishing += 1
+            else:
+                assert total != 0, (g, K, d)
+                controls += 1
+    assert (vanishing, controls) == (47, 50)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from tautrr.cache import load_engine_cache, revalidate
 from tautrr.engine import (
     CorrelatorEngine,
     CorrelatorKey,
@@ -215,6 +216,15 @@ def test_kappa_weil_petersson_anchor_values(engine):
     assert engine.psi_kappa_integral(0, [0] * 4, [1]) == 1
     assert engine.psi_kappa_integral(0, [0] * 5, [1, 1]) == 5
     assert engine.psi_kappa_integral(0, [0] * 6, [1, 1, 1]) == 61
+    # Zograf's recursion for v_n, the integral of kappa_1^(n-3) over M_{0,n}-bar
+    # (P. Zograf, Contemp. Math. 150, 1993)
+    v = {3: Fraction(1)}
+    for n in range(4, 21):
+        v[n] = sum(Fraction(i * (n - i - 2), n - 1) * math.comb(n - 4, i - 1)
+                   * math.comb(n, i + 1) * v[i + 2] * v[n - i] for i in range(1, n - 2)) / 2
+    assert [v[n] for n in range(4, 10)] == [1, 5, 61, 1379, 49946, 2648967]
+    for n in range(3, 21):
+        assert engine.psi_kappa_integral(0, [0] * n, [1] * (n - 3)) == v[n], n
 
 
 def test_kappa_powers_by_comparison_formula(engine):
@@ -344,33 +354,49 @@ def test_key_contract():
     assert CorrelatorKey(1, (1,), ()) < CorrelatorKey(2, (0,), ())
 
 
-def test_stale_entry_warning_text():
+def _load_stale(tmp_path, lines):
+    """A fresh engine and the store of a ``v0`` cache file of ``lines``,
+    loaded quarantined."""
+    path = tmp_path / "stale.txt"
+    path.write_text("#taut-rr-cache v0\n" + "".join(f"{line}\n" for line in lines))
     engine = CorrelatorEngine()
-    engine.adopt({CorrelatorKey(2, (4,), ()): Fraction(1, 9999)}, trusted=False)
-    assert engine.quarantined() == 1
+    with pytest.warns(UserWarning, match="revalidated"):
+        store = load_engine_cache(engine, path)
+    assert not store.trusted and len(engine.entries()) == 0
+    return engine, store
+
+
+def test_stale_entry_warning_text(tmp_path):
+    engine, store = _load_stale(tmp_path, ["2;4;;1/9999"])
+    assert revalidate(store, engine) == 1
+    assert engine.psi_integral(2, [4]) == Fraction(1, 1152)
     with pytest.warns(UserWarning) as caught:
-        assert engine.psi_integral(2, [4]) == Fraction(1, 1152)
-    assert engine.quarantined() == 0
+        assert revalidate(store, engine) == 0
     assert [str(w.message) for w in caught] == [
         "stale cache entry for CorrelatorKey(genus=2, psi_exps=(4,), kappa_parts=()) "
         "disagreed with recomputation; using the fresh value"
     ]
 
 
-def test_quarantined_base_keys_are_checked_on_adoption():
+def test_quarantined_base_keys_are_checked_on_adoption(tmp_path):
     # the engine answers the two base keys without computing them, so their
-    # quarantined copies are compared when adopted, not on first use
-    engine = CorrelatorEngine()
+    # quarantined copies are compared before anything is computed
+    engine, store = _load_stale(tmp_path, ["0;0,0,0;;1", "1;1;;1/25", "2;4;;1/1152"])
     with pytest.warns(UserWarning) as caught:
-        engine.adopt({CorrelatorKey(0, (0, 0, 0), ()): "1", CorrelatorKey(1, (1,), ()): "1/25",
-                      CorrelatorKey(2, (4,), ()): "1/1152"}, trusted=False)
+        assert revalidate(store, engine) == 1
     assert [str(w.message) for w in caught] == [
         "stale cache entry for CorrelatorKey(genus=1, psi_exps=(1,), kappa_parts=()) "
         "disagreed with recomputation; using the fresh value"
     ]
-    assert engine.quarantined() == 1
+    assert engine.computed == 0 and len(engine.entries()) == 0
     assert engine.psi_integral(2, [4]) == Fraction(1, 1152)
-    assert engine.quarantined() == 0
+    # the right inner value adds no warning to the wrong base key's
+    with pytest.warns(UserWarning) as caught:
+        assert revalidate(store, engine) == 0
+    assert [str(w.message) for w in caught] == [
+        "stale cache entry for CorrelatorKey(genus=1, psi_exps=(1,), kappa_parts=()) "
+        "disagreed with recomputation; using the fresh value"
+    ]
 
 
 def test_concurrent_lookups_are_consistent():
@@ -720,19 +746,18 @@ def test_base_keys_never_listed():
     assert engine.entries()[(1, (1,), ())] == Fraction(1, 24)
 
 
-def test_quarantined_inner_key_warns_once():
+def test_quarantined_inner_key_warns_once(tmp_path):
     # (3, (4, 4)) is reached only through the dilaton step of (3, (1, 4, 4))
-    engine = CorrelatorEngine()
-    engine.adopt({CorrelatorKey(3, (4, 4), ()): "1/7"}, trusted=False)
-    with pytest.warns(UserWarning) as caught:
-        value = engine.psi_integral(3, [1, 4, 4])
-        engine.psi_integral(3, [0, 1, 4, 5])
+    engine, store = _load_stale(tmp_path, ["3;4,4;;1/7"])
+    value = engine.psi_integral(3, [1, 4, 4])
+    engine.psi_integral(3, [0, 1, 4, 5])
     assert value == 6 * two_point_value(3, 4)
+    with pytest.warns(UserWarning) as caught:
+        assert revalidate(store, engine) == 0
     assert [str(w.message) for w in caught] == [
         "stale cache entry for CorrelatorKey(genus=3, psi_exps=(4, 4), kappa_parts=()) "
         "disagreed with recomputation; using the fresh value"
     ]
-    assert engine.quarantined() == 0
     assert engine.entries()[(3, (4, 4), ())] == two_point_value(3, 4)
 
 

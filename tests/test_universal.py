@@ -189,6 +189,19 @@ def test_sweep_report_rejects_a_negative_level(engine):
             sweep_report("conjC", 1, 1, 0, 0, levels, engine)
 
 
+@pytest.mark.parametrize("relation,g,r,s,m", [
+    ("conjC", 1, 1, 1, 0),  # below the threshold 1: a failing report, not a counterexample
+    ("sreduce", 1, 0, 0, 1),  # no W slot for the string field
+    ("sreduce", 1, 1, 0, 0),  # the reduction steps down to m = -1
+])
+def test_sweep_report_refuses_a_tuple_where_the_identity_is_not_stated(engine, relation,
+                                                                       g, r, s, m):
+    levels = (0, 1, 2) if relation == "conjC" else (0,)
+    with pytest.raises(ValueError) as caught:
+        sweep_report(relation, g, r, s, m, levels, engine)
+    assert str(caught.value) == f"{relation} is not stated at (g, r, s, m) = ({g}, {r}, {s}, {m})"
+
+
 def _reference_point(r, s, g, m, w, v, engine):
     """The form at coordinate slots with every split genus g1 in 0..g tried,
     each factor through the public total-function correlator."""
