@@ -236,17 +236,13 @@ def _key_problem(genus: int, d: tuple[int, ...], b: tuple[int, ...]) -> str | No
 
 
 def _split_saved(raw: Mapping) -> tuple[SavedLines | None, dict]:
-    """The checksum-matched file that ``raw`` (say an engine's listing,
-    a ChainMap over what it adopted) extends, if any, and the entries of
-    ``raw`` that file lacks."""
-    maps = list(raw.maps) if isinstance(raw, ChainMap) else [raw]
-    saved = maps.pop() if type(maps[-1]) is SavedLines else None
-    new = {}
-    for layer in reversed(maps):
-        new.update(layer)
-    if saved is not None:
-        new = {key: value for key, value in new.items() if key not in saved}
-    return saved, new
+    """The checksum-matched file that ``raw`` (a store's own mapping, or an
+    engine's listing: its own entries over what it adopted) extends, if
+    any, and the entries of ``raw`` that file lacks."""
+    own, adopted = raw.maps if isinstance(raw, ChainMap) else ({}, raw)
+    if type(adopted) is not SavedLines:
+        return None, {**adopted, **own}
+    return adopted, {key: value for key, value in own.items() if key not in adopted}
 
 
 def cache_save(store: CacheStore, path) -> None:

@@ -339,10 +339,6 @@ def _run_cached(body, args) -> int:
     return code
 
 
-def cmd_integral(args) -> int:
-    return _run_cached(_integral, args)
-
-
 def _integral(args, engine) -> int:
     try:
         d = _parse_int_list(args.d)
@@ -356,10 +352,6 @@ def _integral(args, engine) -> int:
         return 2
     print(format_rational(value))
     return 0
-
-
-def cmd_verify(args) -> int:
-    return _run_cached(_verify, args)
 
 
 def _verify(args, engine) -> int:
@@ -453,9 +445,9 @@ def main(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # looked up at call time, so a wrapper bound onto this module sees the call
-    command = {"integral": cmd_integral, "verify": cmd_verify, "cache": cmd_cache}
-    return command[args.command](args)
+    if args.command == "cache":
+        return cmd_cache(args)
+    return _run_cached(_integral if args.command == "integral" else _verify, args)
 
 
 def console_main() -> None:

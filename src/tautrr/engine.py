@@ -193,9 +193,7 @@ _ODD_DFACT = [1, 3]  # _ODD_DFACT[m] == (2m+1)!!
 
 
 def odd_double_factorial(m: int) -> int:
-    """(2m+1)!! with the empty-product convention (-1)!! == 1."""
-    if m < 0:
-        return 1
+    """(2m+1)!! for m >= 0."""
     while len(_ODD_DFACT) <= m:
         k = len(_ODD_DFACT)
         _ODD_DFACT.append(_ODD_DFACT[-1] * (2 * k + 1))
@@ -317,6 +315,23 @@ _BASE_INTS = {(0, 0, 0): 1, (1,): 1}
 _BASE_VALUES = (ONE, Fraction(1, _normalization(1, (1,))))
 
 
+def _checked(g, d, b) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The public entry points' arguments as ints, d and b sorted, raising
+    for the first bad one: genus, psi level, kappa index, then stability."""
+    g = int(g)
+    d = tuple(sorted(int(x) for x in d))
+    b = tuple(sorted(int(x) for x in b))
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
+    if d and d[0] < 0:
+        raise ValueError("negative descendent level")
+    if b and b[0] <= 0:
+        raise ValueError("kappa index must be positive")
+    if not is_stable(g, len(d)):
+        raise UnstableModuliError("unstable moduli space")
+    return g, d, b
+
+
 class CorrelatorEngine:
     """Memoized exact evaluator for psi and psi-kappa integrals.
 
@@ -345,30 +360,12 @@ class CorrelatorEngine:
 
     def psi_integral(self, g: int, d) -> Fraction:
         """Integral of psi_1^{d_1} ... psi_n^{d_n} over the (g, n) space."""
-        g = int(g)
-        d = tuple(int(x) for x in d)
-        if g < 0:
-            raise ValueError("genus must be nonnegative")
-        if any(x < 0 for x in d):
-            raise ValueError("negative descendent level")
-        if not is_stable(g, len(d)):
-            raise UnstableModuliError("unstable moduli space")
-        return self._psi(g, tuple(sorted(d)))
+        g, d, _ = _checked(g, d, ())
+        return self._psi(g, d)
 
     def psi_kappa_integral(self, g: int, d, b) -> Fraction:
         """Integral of a psi monomial times kappa_{b_1} ... kappa_{b_k}."""
-        g = int(g)
-        d = tuple(int(x) for x in d)
-        b = tuple(int(x) for x in b)
-        if g < 0:
-            raise ValueError("genus must be nonnegative")
-        if any(x < 0 for x in d):
-            raise ValueError("negative descendent level")
-        if any(x <= 0 for x in b):
-            raise ValueError("kappa index must be positive")
-        if not is_stable(g, len(d)):
-            raise UnstableModuliError("unstable moduli space")
-        return self._psi_kappa(g, tuple(sorted(d)), tuple(sorted(b)))
+        return self._psi_kappa(*_checked(g, d, b))
 
     def correlator(self, g: int, levels) -> Fraction:
         """Total-function variant: 0 for unstable spaces or negative levels."""

@@ -1,10 +1,11 @@
 """Builders for the boundary recursion relations and pairing-level verifiers.
 
 Each builder returns the relation as a single class expression (left side
-minus right side), so one verifier covers all of them: enumerate every
-test monomial of complementary degree, pair, and report.  A relation whose
-codimension exceeds the ambient dimension yields a trivial report (no
-pairings to check).
+minus right side), which :func:`verify` pairs against every test monomial
+of complementary degree.  It, :func:`verify_vyt` and the point-target
+``universal.sweep_report`` share one report loop, which passes iff every
+value is exactly 0 and every row's own check held.  A relation whose
+codimension exceeds the ambient dimension yields a trivial report.
 
 Verification here is pairing-level evidence against the psi/kappa test
 family, not a Chow-ring proof; every report carries that caveat.
@@ -146,6 +147,19 @@ def build_vpe(g: int, r: int) -> ClassExpr:
     return ClassExpr.make(ambient, degree, [(1, InteriorTerm((), (degree,)))] + boundary)
 
 
+def _report(relation: str, params: dict, rows, trivial: bool = False) -> VerificationReport:
+    """A report over ``rows`` of (label, value, whether the row's own check
+    held), consumed inside the timer; it passes iff every value is exactly
+    0 and every row's check held."""
+    start = time.perf_counter()
+    report = VerificationReport(relation, dict(params), trivial=trivial)
+    for label, value, check in rows:
+        report.pairings.append((label, value))
+        report.passed = report.passed and check and value == 0
+    report.millis = int((time.perf_counter() - start) * 1000)
+    return report
+
+
 def verify(expr: ClassExpr, relation: str, params: dict,
            engine: CorrelatorEngine) -> VerificationReport:
     """Pair the expression against every complementary-degree test monomial.
@@ -153,18 +167,13 @@ def verify(expr: ClassExpr, relation: str, params: dict,
     Passes iff every pairing is exactly 0.  If the expression degree
     exceeds the ambient dimension the report is trivially passing.
     """
-    start = time.perf_counter()
-    report = VerificationReport(relation, dict(params))
     complement = expr.ambient.dim - expr.degree
-    if complement < 0:
-        report.trivial = True
-    else:
-        for t in enumerate_tests(expr.ambient, complement):
-            value = pair_with_test(expr, t, engine)
-            report.pairings.append((t.render(), value))
-        report.passed = all(value == 0 for _, value in report.pairings)
-    report.millis = int((time.perf_counter() - start) * 1000)
-    return report
+
+    def rows():
+        for t in enumerate_tests(expr.ambient, complement) if complement >= 0 else ():
+            yield t.render(), pair_with_test(expr, t, engine), True
+
+    return _report(relation, params, rows(), trivial=complement < 0)
 
 
 def xi_witness(g: int, r: int, engine: CorrelatorEngine) -> Fraction:
@@ -216,35 +225,25 @@ def verify_vyt(g: int, r: int, engine: CorrelatorEngine) -> VerificationReport:
     """
     if g < 1 or r < 1:
         raise ValueError("need g >= 1 and r >= 1")
-    start = time.perf_counter()
-    report = VerificationReport("vyt", {"g": g, "r": r})
     target = 2 * g + r + 1
     target_dim = 3 * (g + 1) - 3
     if target > target_dim:
-        report.trivial = True
-        report.millis = int((time.perf_counter() - start) * 1000)
-        return report
-    ambient = AmbientSpace(g + 1, 0)
-    span = 2 * g + r
-    term_exprs = [
-        (Fraction((-1) ** a),
-         ClassExpr.make(ambient, target,
-                        [(Fraction(1), NonSeparatingPushforward(g, (a, span - a), ()))]))
-        for a in range(0, span + 1)
-    ]
-    passed = True
-    for t in enumerate_tests(ambient, target_dim - target):
-        values = [coeff * pair_with_test(expr, t, engine) for coeff, expr in term_exprs]
-        total = sum(values, ZERO)
-        report.pairings.append((t.render(), total))
-        if total != 0:
-            passed = False
-        if r % 2 == 1:
-            # the swap pairs (a, b) with (b, a); their contributions must
-            # cancel individually, not just in the overall sum
-            for a in range(0, (span + 1) // 2):
-                if values[a] + values[span - a] != 0:
-                    passed = False
-    report.passed = passed
-    report.millis = int((time.perf_counter() - start) * 1000)
-    return report
+        return _report("vyt", {"g": g, "r": r}, (), trivial=True)
+
+    def rows():
+        ambient = AmbientSpace(g + 1, 0)
+        span = 2 * g + r
+        term_exprs = [
+            (Fraction((-1) ** a),
+             ClassExpr.make(ambient, target,
+                            [(Fraction(1), NonSeparatingPushforward(g, (a, span - a), ()))]))
+            for a in range(0, span + 1)
+        ]
+        for t in enumerate_tests(ambient, target_dim - target):
+            values = [coeff * pair_with_test(expr, t, engine) for coeff, expr in term_exprs]
+            # for odd r the swap pairs (a, b) with (b, a); their contributions
+            # must cancel individually, not just in the overall sum
+            yield t.render(), sum(values, ZERO), r % 2 == 0 or all(
+                values[a] + values[span - a] == 0 for a in range((span + 1) // 2))
+
+    return _report("vyt", {"g": g, "r": r}, rows())

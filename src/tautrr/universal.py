@@ -23,13 +23,12 @@ itself.  Every identity is checked over a grid of slot assignments by
 from __future__ import annotations
 
 import itertools
-import time
 from fractions import Fraction
 from typing import NamedTuple
 
 from .cache import format_rational
 from .engine import CorrelatorEngine
-from .relations import VerificationReport
+from .relations import VerificationReport, _report
 
 ZERO = Fraction(0)
 
@@ -199,13 +198,12 @@ def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,
     residual, fixed, stated = IDENTITIES[relation]
     if not stated(g, r, s, m):
         raise ValueError(f"{relation} is not stated at (g, r, s, m) = ({g}, {r}, {s}, {m})")
-    start = time.perf_counter()
-    report = VerificationReport(relation, {"g": g, "r": r, "s": s, "m": m})
-    for wlv in itertools.combinations_with_replacement(levels, r - len(fixed)):
-        W = [tau(x) for x in wlv] + list(fixed)
-        for vlv in itertools.combinations_with_replacement(levels, s):
-            V = [tau(x) for x in vlv]
-            report.pairings.append((render_slots(W, V), residual(r, s, g, m, W, V, engine)))
-    report.passed = all(value == 0 for _, value in report.pairings)
-    report.millis = int((time.perf_counter() - start) * 1000)
-    return report
+
+    def rows():
+        for wlv in itertools.combinations_with_replacement(levels, r - len(fixed)):
+            W = [tau(x) for x in wlv] + list(fixed)
+            for vlv in itertools.combinations_with_replacement(levels, s):
+                V = [tau(x) for x in vlv]
+                yield render_slots(W, V), residual(r, s, g, m, W, V, engine), True
+
+    return _report(relation, {"g": g, "r": r, "s": s, "m": m}, rows())

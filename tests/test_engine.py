@@ -262,6 +262,119 @@ def test_kappa_empty_agrees_with_psi(engine):
         assert engine.psi_kappa_integral(g, d, []) == engine.psi_integral(g, d)
 
 
+# Virasoro form of kappa integrals: psi correlators at the point shifted by
+# the kappa indices (Kaufmann-Manin-Zagier, CMP 181, 1996; Liu-Xu, IMRN
+# 2009), a recursion that never turns a kappa index into a marking.  The
+# engine's convention is kappa_a = pi_* psi^{a+1}.
+
+
+def _vir_corr(engine, g, d, b):
+    """<tau_d kappa_b>_g; 0 for negative genus, an unstable (g, n), a
+    negative level or a dimension mismatch."""
+    n = len(d)
+    if g < 0 or not is_stable(g, n) or min(d, default=0) < 0 or sum(d) + sum(b) != 3 * g - 3 + n:
+        return 0
+    return engine.psi_kappa_integral(g, d, b)
+
+
+def _index_splits(items):
+    """(chosen, others) for every index subset of ``items``."""
+    idx = range(len(items))
+    for size in range(len(items) + 1):
+        for chosen in itertools.combinations(idx, size):
+            yield (tuple(items[i] for i in chosen),
+                   tuple(items[i] for i in idx if i not in chosen))
+
+
+def _kappa_absorbed(engine, g, k, S, b, weight):
+    """sum over nonempty index subsets B of b, #B indices summing to s(B):
+    (-1)^(#B+1) weight(s(B)) <tau_{k+s(B)} S kappa_{b minus B}>_g."""
+    return sum((-1) ** (len(B) + 1) * weight(sum(B))
+               * _vir_corr(engine, g, (k + sum(B),) + S, rest)
+               for B, rest in _index_splits(b) if B)
+
+
+def string_kappa_residual(engine, g, S, b):
+    """<tau_0 S kappa_b>_g minus its string form
+    sum_j <(S with d_j - 1) kappa_b>_g + sum_B (-1)^(#B+1) <tau_{s(B)} S kappa_{b minus B}>_g."""
+    rhs = _kappa_absorbed(engine, g, 0, S, b, lambda s: 1)
+    for j in range(len(S)):
+        rhs += _vir_corr(engine, g, S[:j] + (S[j] - 1,) + S[j + 1:], b)
+    return _vir_corr(engine, g, (0,) + S, b) - rhs
+
+
+def virasoro_kappa_residual(engine, g, k, S, b):
+    """(2k+1)!! <tau_k S kappa_b>_g minus its Virasoro form, k >= 2:
+
+        sum_j (2k+2d_j-1)!!/(2d_j-1)!! <tau_{k+d_j-1} (S minus d_j) kappa_b>_g
+        + sum_B (-1)^(#B+1) (2k+2s(B)+1)!!/(2s(B)+1)!! <tau_{k+s(B)} S kappa_{b minus B}>_g
+        + 1/2 sum_{a+c=k-2} (2a+1)!! (2c+1)!! ( <tau_a tau_c S kappa_b>_{g-1}
+              + sum over g1, S = I + J, b = B1 + B2 of
+                <tau_a I kappa_B1>_{g1} <tau_c J kappa_B2>_{g-g1} )
+
+    with (2d-1)!! == 1 at d = 0; the splits run over index subsets."""
+    rhs = _kappa_absorbed(engine, g, k, S, b,
+                          lambda s: Fraction(_odd_dfact(k + s), _odd_dfact(s)))
+    for j, dj in enumerate(S):
+        rhs += Fraction(_odd_dfact(k + dj - 1), _odd_dfact(dj - 1)) * _vir_corr(
+            engine, g, (k + dj - 1,) + S[:j] + S[j + 1:], b)
+    bracket = 0
+    for a in range(k - 1):
+        c = k - 2 - a
+        inner = _vir_corr(engine, g - 1, (a, c) + S, b)
+        for g1 in range(g + 1):
+            for I, J in _index_splits(S):
+                for B1, B2 in _index_splits(b):
+                    inner += (_vir_corr(engine, g1, (a,) + I, B1)
+                              * _vir_corr(engine, g - g1, (c,) + J, B2))
+        bracket += _odd_dfact(a) * _odd_dfact(c) * inner
+    return _odd_dfact(k) * _vir_corr(engine, g, (k,) + S, b) - rhs - Fraction(bracket, 2)
+
+
+def _kappa_grid():
+    """(g, k, S, b) over g <= 3, up to two other levels S and up to three
+    kappa indices b, with k fixed by the dimension."""
+    for g, size_s, size_b in itertools.product(range(4), range(3), range(4)):
+        dim = moduli_dim(g, size_s + 1)
+        if not is_stable(g, size_s + 1):
+            continue
+        for S in itertools.combinations_with_replacement(range(dim + 1), size_s):
+            for b in itertools.combinations_with_replacement(range(1, dim + 1), size_b):
+                yield g, dim - sum(S) - sum(b), S, b
+
+
+#: the string form's target <tau_0^3>_0 is unstable, so it is left out
+STRING_KAPPA_GRID = [(g, S, b) for g, k, S, b in _kappa_grid()
+                     if k == 0 and (g, S, b) != (0, (0, 0), ())]
+VIRASORO_KAPPA_GRID = [(g, k, S, b) for g, k, S, b in _kappa_grid() if k >= 2]
+
+
+def _kappa_form_failures(engine):
+    return (sum(1 for case in STRING_KAPPA_GRID if string_kappa_residual(engine, *case))
+            + sum(1 for case in VIRASORO_KAPPA_GRID if virasoro_kappa_residual(engine, *case)))
+
+
+def test_kappa_virasoro_forms_hold_on_the_grid():
+    engine = CorrelatorEngine()
+    assert (len(STRING_KAPPA_GRID), len(VIRASORO_KAPPA_GRID)) == (231, 288)
+    assert _kappa_form_failures(engine) == 0
+    # every case with a kappa index has a nonzero left side
+    assert sum(1 for g, S, b in STRING_KAPPA_GRID if b and _vir_corr(engine, g, (0,) + S, b)) == 217
+    assert sum(1 for g, k, S, b in VIRASORO_KAPPA_GRID
+               if b and _vir_corr(engine, g, (k,) + S, b)) == 243
+
+
+# a key with no psi insertion, such as <kappa_3>_2, is no control: neither
+# form reads it
+@pytest.mark.parametrize("g, d, b, failures", [(1, (0,), (1,), 151), (2, (2,), (2,), 32)])
+def test_kappa_virasoro_forms_catch_one_raised_value(g, d, b, failures):
+    true = CorrelatorEngine().psi_kappa_integral(g, d, b)
+    poisoned = CorrelatorEngine()
+    poisoned.adopt({CorrelatorKey(g, d, b): true + Fraction(1, 1000)})
+    assert _kappa_form_failures(poisoned) == failures
+    assert poisoned.psi_kappa_integral(g, d, b) != true
+
+
 # ----------------------------------------------------------------------
 # linear identities, randomized with a fixed seed
 # ----------------------------------------------------------------------
