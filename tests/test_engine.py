@@ -335,9 +335,9 @@ def _kappa_grid():
     """(g, k, S, b) over g <= 3, up to two other levels S and up to three
     kappa indices b, with k fixed by the dimension."""
     for g, size_s, size_b in itertools.product(range(4), range(3), range(4)):
-        dim = moduli_dim(g, size_s + 1)
         if not is_stable(g, size_s + 1):
             continue
+        dim = moduli_dim(g, size_s + 1)
         for S in itertools.combinations_with_replacement(range(dim + 1), size_s):
             for b in itertools.combinations_with_replacement(range(1, dim + 1), size_b):
                 yield g, dim - sum(S) - sum(b), S, b
