@@ -57,6 +57,7 @@ from .engine import (
     SlotRecord,
     _fraction,
     key_from_tuple,
+    one_point_value,
     rational_parts,
 )
 
@@ -347,14 +348,16 @@ def load_engine_cache(engine: CorrelatorEngine, path) -> CacheStore:
     return store
 
 
-def revalidate(store: CacheStore, engine: CorrelatorEngine) -> int:
-    """Compare the store with the two base keys and every entry the engine
-    holds, warning once per store value that disagrees; returns how many
-    store entries the engine could not check."""
+def revalidate(store: CacheStore, entries: Mapping[CorrelatorKey, Fraction]) -> int:
+    """Compare the store with the two base keys and ``entries``, an engine's
+    listing (``CorrelatorEngine.entries()``), warning once per store value
+    that disagrees; returns how many store entries the listing could not
+    check.  The caller can save the same listing afterwards."""
     raw = store.entries.raw
-    fresh = {key_from_tuple((g, d, ())): engine.psi_integral(g, d)
-             for g, d in ((0, (0, 0, 0)), (1, (1,)))}
-    fresh.update(engine.entries())
+    # the base keys are answered without being stored, so no listing holds them
+    fresh = {key_from_tuple((0, (0, 0, 0), ())): Fraction(1),
+             key_from_tuple((1, (1,), ())): one_point_value(1)}
+    fresh.update(entries)
     checked = 0
     for key, value in fresh.items():
         old = raw.get(key)

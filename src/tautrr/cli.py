@@ -36,7 +36,6 @@ from .cache import (
     format_rational,
     load_engine_cache,
     revalidate,
-    save_engine_cache,
 )
 from .engine import CorrelatorEngine, ImpossibleEntryError, UnstableModuliError
 from .relations import (
@@ -329,11 +328,15 @@ def _run_cached(body, args) -> int:
         print("error: the recursion for this input runs deeper than the Python stack allows",
               file=sys.stderr)
         code = 2
-    unchecked = 0 if loaded is None or loaded.trusted else revalidate(loaded, engine)
+    # a quarantined file is checked against the listing that replaces it,
+    # so the engine divides its values for one listing, not two
+    quarantined = loaded is not None and not loaded.trusted
+    listing = engine.entries() if quarantined else None
+    unchecked = revalidate(loaded, listing) if quarantined else 0
     if path and code != 2 and not unchecked and (
-            loaded is None or not loaded.trusted or engine.computed):
+            loaded is None or quarantined or engine.computed):
         try:
-            save_engine_cache(engine, path)
+            cache_save(CacheStore(engine.entries() if listing is None else listing), path)
         except OSError as exc:
             return _write_error(path, exc)
     return code

@@ -7,7 +7,10 @@ paths and one memo table per engine.  Integrals with kappa classes reduce to
 pure psi integrals by trading one kappa index at a time for an extra
 marked point carrying one descendent; each remaining kappa index may
 merge into the new insertion, so one trade is a signed sum over
-sub-multisets of the other indices.
+sub-multisets of the other indices.  Each engine builds a trade's terms
+once per kappa multiset and inserts the new level in place.
+`_psi_kappa`, the path of every pairing integral, reads the memo first: a
+memoized key has passed the dimension gate, so a hit is one dict lookup.
 
 Conventions:
   * kappa_a is the forgetful pushforward of psi_{n+1}^{a+1}; kappa_0 never
@@ -353,6 +356,8 @@ class CorrelatorEngine:
         self._ints: dict[tuple[int, ...], int] = dict(_BASE_INTS)
         # how many values were computed: recursion steps and kappa trades
         self.computed = 0
+        # each kappa trade's terms (new level, kept kappa parts, sign) by b
+        self._trades: dict[tuple[int, ...], list] = {}
 
     # ------------------------------------------------------------------
     # public operations
@@ -534,14 +539,14 @@ class CorrelatorEngine:
         return total + half
 
     def _psi_kappa(self, g: int, d: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
-        n = len(d)
-        if sum(d) + sum(b) != 3 * g - 3 + n:
-            return ZERO
-        if not b:
-            return self._psi(g, d)
+        # a memoized key has passed the gate, so look it up first
         hit = self._memo.get((g, d, b))
         if hit is not None:
             return hit
+        if sum(d) + sum(b) != 3 * g - 3 + len(d):
+            return ZERO
+        if not b:
+            return self._psi(g, d)
         value = self._pending.get((g, d, b))
         if value is not None:
             value = self._memo[key_from_tuple((g, d, b))] = _fraction(value)
@@ -550,16 +555,19 @@ class CorrelatorEngine:
         # of the remaining indices may merge into the new insertion, with
         # sign (-1)^size, once per index subset giving it; the terms are
         # summed as integer numerators per denominator and divided once
+        trades = self._trades.get(b)
+        if trades is None:
+            trades = self._trades[b] = [
+                (b[-1] + 1 + sum(merged), kept, -weight if len(merged) % 2 else weight)
+                for merged, kept, weight in _submultisets(b[:-1])]
         sums = {}
-        for merged, kept, weight in _submultisets(b[:-1]):
-            level = b[-1] + 1 + sum(merged)
-            term = self._psi_kappa(g, tuple(sorted(d + (level,))), kept)
+        for level, kept, sign in trades:
+            i = bisect(d, level)
+            term = self._psi_kappa(g, d[:i] + (level,) + d[i:], kept)
             if term:
                 den = term.denominator
-                sign = -weight if len(merged) % 2 else weight
                 sums[den] = sums.get(den, 0) + sign * term.numerator
         value = _sum_by_denominator(sums)
         self.computed += 1
         self._memo[key_from_tuple((g, d, b))] = value
         return value
-

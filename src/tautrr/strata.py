@@ -21,7 +21,9 @@ denominator and divided once per pairing.  An interior or gluing term is
 planned as one integral (genus, marking exponents, node exponents, kappa
 parts).  The test is checked once per pairing, so every integral, of a term
 or of a stratum factor, takes the engine's internal gated path
-(`CorrelatorEngine._psi_kappa`) with sorted exponents and kappa parts.
+(`CorrelatorEngine._psi_kappa`) with sorted exponents and kappa parts.  A
+stratum factor without marking decorations (every builder's) takes the
+test exponents sorted once per split, its node exponent inserted in place.
 
 Canonical text grammar for rendered terms (stable across releases):
 
@@ -34,6 +36,7 @@ with `1` for the empty monomial and coefficients rendered as num/den.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -366,6 +369,12 @@ def _pullback_rows(t: TestMonomial, left, right):
             for k2, k1, weight in _submultisets(tuple(sorted(t.kappa_parts)))]
 
 
+def _decoration(exps: tuple[int, ...], labels) -> tuple[int, ...] | None:
+    """A factor's marking exponents, or None when they are all 0."""
+    deco = tuple([exps[i - 1] for i in labels])
+    return deco if any(deco) else None
+
+
 def _pairing_plan(expr: ClassExpr):
     """The terms of ``expr`` arranged for pairing; built once per expression.
 
@@ -378,8 +387,10 @@ def _pairing_plan(expr: ClassExpr):
     split of the separating terms.  A group gathers the strata sharing
     factor 1 (genus g1 and its marking decorations deco1) as
     (g1, g2, deco1, shift, strata by node exponent a), each stratum kept as
-    (coefficient numerator, denominator, factor-2 decorations, b).  Factor
-    1's dimension gate solves a = shift - (factor-1 test degree).
+    (coefficient numerator, denominator, factor-2 decorations, b).  A
+    factor's decorations are None when they are all 0 (as every builder
+    makes them).  Factor 1's dimension gate solves
+    a = shift - (factor-1 test degree).
     """
     integrals = []
     splits = {}  # markings1 -> (left, right, groups, marking_exps -> (deco1, deco2))
@@ -398,12 +409,11 @@ def _pairing_plan(expr: ClassExpr):
         left, right, groups, decos = split
         deco = decos.get(exps)
         if deco is None:
-            deco = decos[exps] = (tuple([exps[i - 1] for i in left]),
-                                  tuple([exps[i - 1] for i in right]))
+            deco = decos[exps] = (_decoration(exps, left), _decoration(exps, right))
         deco1, deco2 = deco
         group = groups.get((g1, deco1))
         if group is None:
-            shift = 3 * g1 - 2 + len(deco1) - sum(deco1)
+            shift = 3 * g1 - 2 + len(left) - (0 if deco1 is None else sum(deco1))
             group = groups[g1, deco1] = (g1, g2, deco1, shift, {})
         group[4].setdefault(a, []).append((coeff.numerator, coeff.denominator, deco2, b))
     return integrals, [(left, right, list(groups.values()))
@@ -441,20 +451,32 @@ def pair_with_test(expr: ClassExpr, t: TestMonomial, engine: CorrelatorEngine) -
             d = den * value.denominator
             sums[d] = sums.get(d, 0) + num * value.numerator
     for left, right, groups in splits:
-        for degree1, psi1, psi2, k1, k2, mult in _pullback_rows(t, left, right):
+        rows = _pullback_rows(t, left, right)
+        # the rows of a split differ only in their kappa parts, so an
+        # undecorated factor's psi exponents are sorted once per split
+        sorted1, sorted2 = (tuple(sorted(psi)) for psi in rows[0][1:3])
+        for degree1, psi1, psi2, k1, k2, mult in rows:
             for g1, g2, deco1, shift, by_a in groups:
                 a = shift - degree1
                 strata = by_a.get(a)
                 if strata is None:
                     continue
-                f1 = psi_kappa(g1, tuple(sorted([x + y for x, y in zip(deco1, psi1)] + [a])),
-                               k1)
+                if deco1 is None:
+                    i = bisect(sorted1, a)
+                    f1 = psi_kappa(g1, sorted1[:i] + (a,) + sorted1[i:], k1)
+                else:
+                    f1 = psi_kappa(g1, tuple(sorted([x + y for x, y in zip(deco1, psi1)] + [a])),
+                                   k1)
                 if not f1:
                     continue
                 num1, den1 = mult * f1.numerator, f1.denominator
                 for num, den, deco2, b in strata:
-                    f2 = psi_kappa(g2, tuple(sorted([x + y for x, y in zip(deco2, psi2)] + [b])),
-                                   k2)
+                    if deco2 is None:
+                        i = bisect(sorted2, b)
+                        f2 = psi_kappa(g2, sorted2[:i] + (b,) + sorted2[i:], k2)
+                    else:
+                        f2 = psi_kappa(g2, tuple(sorted([x + y for x, y in zip(deco2, psi2)]
+                                                        + [b])), k2)
                     if f2:
                         d = den * den1 * f2.denominator
                         sums[d] = sums.get(d, 0) + num * num1 * f2.numerator

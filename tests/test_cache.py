@@ -108,11 +108,11 @@ def test_version_mismatch_warns_and_revalidates(tmp_path):
     with pytest.warns(UserWarning, match="revalidated"):
         store = load_engine_cache(engine, path)
     assert not store.trusted and len(engine.entries()) == 0
-    assert cache.revalidate(store, engine) == 1
+    assert cache.revalidate(store, engine.entries()) == 1
     value = engine.psi_integral(2, [4])
     assert value == Fraction(1, 1152)
     with pytest.warns(UserWarning, match="disagreed"):
-        assert cache.revalidate(store, engine) == 0
+        assert cache.revalidate(store, engine.entries()) == 0
 
 
 def test_warm_cache_matches_cold(tmp_path):
@@ -423,7 +423,7 @@ def test_stale_file_with_a_wrong_inner_value_warns_once(tmp_path):
     engine.psi_integral(3, [0, 1, 4, 5])
     assert value == 6 * CorrelatorEngine().psi_integral(3, [4, 4])
     with pytest.warns(UserWarning) as caught:
-        assert cache.revalidate(store, engine) == 0
+        assert cache.revalidate(store, engine.entries()) == 0
     assert [str(w.message) for w in caught] == [
         "stale cache entry for CorrelatorKey(genus=3, psi_exps=(4, 4), kappa_parts=()) "
         "disagreed with recomputation; using the fresh value"

@@ -359,6 +359,24 @@ def test_stale_cache_with_base_keys_is_rewritten(capsys, tmp_path):
     assert lines[0] == "#taut-rr-cache v2" and "2;4;;1/1152" in lines
 
 
+def test_stale_cache_rewrite_lists_the_engine_once(capsys, tmp_path, monkeypatch):
+    # the listing that revalidates a quarantined file is the one saved over it
+    from tautrr.engine import CorrelatorEngine
+
+    cache = tmp_path / "cache.txt"
+    assert run(capsys, "integral", "-g", "5", "-d", "13", "--cache", str(cache))[0] == 0
+    cold = cache.read_bytes()
+    cache.write_bytes(cold.replace(b"v2", b"v0", 1))
+    listings = []
+    entries = CorrelatorEngine.entries
+    monkeypatch.setattr(CorrelatorEngine, "entries",
+                        lambda self: listings.append(self) or entries(self))
+    with pytest.warns(UserWarning, match="revalidated"):
+        code, out, _ = run(capsys, "integral", "-g", "5", "-d", "13", "--cache", str(cache))
+    assert code == 0 and out == "1/955514880\n"
+    assert len(listings) == 1 and cache.read_bytes() == cold
+
+
 def test_integral_hit_decodes_only_what_it_reads(capsys, tmp_path, monkeypatch):
     import tautrr.cli
     from tautrr.engine import CorrelatorEngine

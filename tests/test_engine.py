@@ -481,10 +481,10 @@ def _load_stale(tmp_path, lines):
 
 def test_stale_entry_warning_text(tmp_path):
     engine, store = _load_stale(tmp_path, ["2;4;;1/9999"])
-    assert revalidate(store, engine) == 1
+    assert revalidate(store, engine.entries()) == 1
     assert engine.psi_integral(2, [4]) == Fraction(1, 1152)
     with pytest.warns(UserWarning) as caught:
-        assert revalidate(store, engine) == 0
+        assert revalidate(store, engine.entries()) == 0
     assert [str(w.message) for w in caught] == [
         "stale cache entry for CorrelatorKey(genus=2, psi_exps=(4,), kappa_parts=()) "
         "disagreed with recomputation; using the fresh value"
@@ -496,7 +496,7 @@ def test_quarantined_base_keys_are_checked_on_adoption(tmp_path):
     # quarantined copies are compared before anything is computed
     engine, store = _load_stale(tmp_path, ["0;0,0,0;;1", "1;1;;1/25", "2;4;;1/1152"])
     with pytest.warns(UserWarning) as caught:
-        assert revalidate(store, engine) == 1
+        assert revalidate(store, engine.entries()) == 1
     assert [str(w.message) for w in caught] == [
         "stale cache entry for CorrelatorKey(genus=1, psi_exps=(1,), kappa_parts=()) "
         "disagreed with recomputation; using the fresh value"
@@ -505,7 +505,7 @@ def test_quarantined_base_keys_are_checked_on_adoption(tmp_path):
     assert engine.psi_integral(2, [4]) == Fraction(1, 1152)
     # the right inner value adds no warning to the wrong base key's
     with pytest.warns(UserWarning) as caught:
-        assert revalidate(store, engine) == 0
+        assert revalidate(store, engine.entries()) == 0
     assert [str(w.message) for w in caught] == [
         "stale cache entry for CorrelatorKey(genus=1, psi_exps=(1,), kappa_parts=()) "
         "disagreed with recomputation; using the fresh value"
@@ -866,7 +866,7 @@ def test_quarantined_inner_key_warns_once(tmp_path):
     engine.psi_integral(3, [0, 1, 4, 5])
     assert value == 6 * two_point_value(3, 4)
     with pytest.warns(UserWarning) as caught:
-        assert revalidate(store, engine) == 0
+        assert revalidate(store, engine.entries()) == 0
     assert [str(w.message) for w in caught] == [
         "stale cache entry for CorrelatorKey(genus=3, psi_exps=(4, 4), kappa_parts=()) "
         "disagreed with recomputation; using the fresh value"

@@ -429,6 +429,31 @@ def test_pairing_matches_term_by_term_reference():
     assert engine.entries() == reference.entries()
 
 
+def test_pairing_through_adopted_entries_matches_cold_reference(tmp_path):
+    # an engine warmed from a checksum-matched save of the reference's psi
+    # and kappa entries answers every integral from them, through the
+    # memo-first lookup that sits in front of its pending table
+    from tautrr.cache import SavedLines, load_engine_cache, save_engine_cache
+
+    reference = CorrelatorEngine()
+    pairs = []
+    for expr in _parity_expressions():
+        complement = expr.ambient.dim - expr.degree
+        if complement >= 0:
+            pairs += [(expr, t, _reference_pair(expr, t, reference))
+                      for t in enumerate_tests(expr.ambient, complement)]
+    path = tmp_path / "reference.txt"
+    save_engine_cache(reference, path)
+    adopted = CorrelatorEngine()
+    assert type(load_engine_cache(adopted, path).entries.raw) is SavedLines
+    kappa = sum(1 for key in adopted.entries() if key.kappa_parts)
+    assert 0 < kappa < len(adopted.entries())
+    for expr, t, value in pairs:
+        assert pair_with_test(expr, t, adopted) == value, (expr.render(), t)
+    assert adopted.computed == 0
+    assert adopted.entries() == reference.entries()
+
+
 MALFORMED_TESTS = [
     (TestMonomial((0,), (0, 1)), "kappa index must be positive"),
     (TestMonomial((-1,), (2,)), "negative descendent level"),
