@@ -46,7 +46,6 @@ from .universal import (
     VectorFieldPt,
     psi_eval,
     tau,
-    tau_shift,
 )
 
 __version__ = "0.1.0"

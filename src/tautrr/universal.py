@@ -7,17 +7,19 @@ the origin of the coordinate space, where each double bracket collapses to
 a single correlator and the shifted-coordinate sums collapse to their
 level-1 term with value -1.
 
-Vector fields are finite rational combinations of coordinate fields
-``tau_n`` (n >= 0); terms whose level would become negative are dropped at
-construction, and the form is multilinear in every slot.  Unstable or
-dimension-violating correlators contribute 0 silently, since the genus
-splittings legitimately range over them.
+The form is computed on level tuples: a slot holds the level n of the
+coordinate field ``tau_n``.  Unstable or dimension-violating correlators
+contribute 0 silently, since the genus splittings legitimately range over
+them.  Vector fields, finite rational combinations of coordinate fields
+(terms whose level would become negative are dropped at construction),
+exist only for :func:`psi_eval`, which expands them multilinearly onto
+level tuples.
 
 Each identity of the form (above-threshold vanishing ``conjC``, slot-swap
-``symmetry``, string-field reduction ``sreduce``) is one residual function,
-exactly 0 where the identity holds; the residual of ``conjC`` is the form
-itself.  Every identity is checked over a grid of slot assignments by
-:func:`sweep_report`.
+``symmetry``, string-field reduction ``sreduce``) is one residual function
+on level tuples, exactly 0 where the identity holds; the residual of
+``conjC`` is the form itself.  Every identity is checked over a grid of
+level assignments by :func:`sweep_report`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cache import format_rational
 from .engine import CorrelatorEngine
 from .relations import VerificationReport, _report
 
@@ -53,28 +54,10 @@ class VectorFieldPt(NamedTuple):
     def __add__(self, other: "VectorFieldPt") -> "VectorFieldPt":
         return VectorFieldPt.make(self.terms + other.terms)
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for lv, c in self.terms:
-            pieces.append(f"tau_{lv}" if c == 1 else f"{format_rational(c)}*tau_{lv}")
-        return " + ".join(pieces)
-
 
 def tau(n: int) -> VectorFieldPt:
     """The coordinate field at descendent level n (zero field for n < 0)."""
     return VectorFieldPt.make([(n, Fraction(1))])
-
-
-def tau_shift(w: VectorFieldPt, k: int) -> VectorFieldPt:
-    """Shift every descendent level by k, dropping levels that go negative."""
-    return VectorFieldPt.make((lv + k, c) for lv, c in w.terms)
-
-
-def string_field_at_origin() -> VectorFieldPt:
-    """The string vector field evaluated at the origin: the level-0 field."""
-    return tau(0)
 
 
 def _expand(fields) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -143,36 +126,29 @@ def conjc_threshold(g: int, r: int, s: int) -> int:
     return 2 * g + r + s - 3
 
 
-def render_slots(W, V) -> str:
-    left = " ".join(w.render() for w in W) or "-"
-    right = " ".join(v.render() for v in V) or "-"
-    return f"[{left} | {right}]"
-
-
-def _symmetry_residual(r, s, g, m, W, V, engine):
+def _symmetry_residual(r, s, g, m, w, v, engine):
     """The form minus (-1)^m times its slot-swapped mirror."""
-    return psi_eval(r, s, g, m, W, V, engine) - (-1) ** m * psi_eval(s, r, g, m, V, W, engine)
+    return _psi_point(r, s, g, m, w, v, engine) - (-1) ** m * _psi_point(s, r, g, m, v, w, engine)
 
 
-def _sreduce_residual(r, s, g, m, W, V, engine):
-    """String-field reduction with the string field in the last slot of W:
-    the form minus (-(the form at m - 1 without that slot) plus one
-    down-shift term per remaining slot)."""
-    rest = W[:-1]
-    lhs = psi_eval(r, s, g, m, W, V, engine)
-    rhs = -psi_eval(r - 1, s, g, m - 1, rest, V, engine)
-    for i in range(len(rest)):
-        shifted = rest[:i] + [tau_shift(rest[i], -1)] + rest[i + 1:]
-        rhs += psi_eval(r - 1, s, g, m, shifted, V, engine)
-    return lhs - rhs
+def _sreduce_residual(r, s, g, m, w, v, engine):
+    """String-field reduction with the string field (level 0) in the last
+    slot of w: the form minus (-(the form at m - 1 without that slot) plus
+    one term per remaining slot with its level lowered by one).  A level-0
+    slot lowers to the zero field, so its term is 0 and skipped."""
+    rest = w[:-1]
+    rhs = -_psi_point(r - 1, s, g, m - 1, rest, v, engine)
+    for i, x in enumerate(rest):
+        if x:
+            rhs += _psi_point(r - 1, s, g, m, rest[:i] + (x - 1,) + rest[i + 1:], v, engine)
+    return _psi_point(r, s, g, m, w, v, engine) - rhs
 
 
-#: identity -> (residual, slots it fixes at the end of W, whether it is
-#: stated at (g, r, s, m))
+#: identity -> (residual on level tuples, levels it fixes at the end of w,
+#: whether it is stated at (g, r, s, m))
 IDENTITIES = {
-    "conjC": (psi_eval, (), lambda g, r, s, m: m >= conjc_threshold(g, r, s)),
-    "sreduce": (_sreduce_residual, (string_field_at_origin(),),
-                lambda g, r, s, m: r >= 1 and m >= 1),
+    "conjC": (_psi_point, (), lambda g, r, s, m: m >= conjc_threshold(g, r, s)),
+    "sreduce": (_sreduce_residual, (0,), lambda g, r, s, m: r >= 1 and m >= 1),
     "symmetry": (_symmetry_residual, (), lambda g, r, s, m: True),
 }
 
@@ -187,23 +163,28 @@ def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,
     """One report of a point-target identity at a tuple where it is stated
     (see :func:`is_stated`); any other tuple raises ``ValueError``.
 
-    Every multiset of coordinate fields with levels in ``levels`` fills the
-    free slots; each assignment is one entry recording the residual, and
-    the report passes iff every residual is 0.
+    Every multiset of ``levels`` (ints >= 0) fills the free slots; each
+    assignment is one entry, labelled ``[tau_a tau_b | tau_c]``, recording
+    the residual, and the report passes iff every residual is 0.
     """
     if min(r, s, g, m) < 0:
         raise ValueError("r, s, g, m must be nonnegative")
-    if any(x < 0 for x in levels):
-        raise ValueError("negative descendent level")
+    for x in levels:
+        if type(x) is not int:
+            raise ValueError(f"non-integer descendent level {x!r}")
+        if x < 0:
+            raise ValueError("negative descendent level")
     residual, fixed, stated = IDENTITIES[relation]
     if not stated(g, r, s, m):
         raise ValueError(f"{relation} is not stated at (g, r, s, m) = ({g}, {r}, {s}, {m})")
 
+    def side(lv):
+        return " ".join(f"tau_{x}" for x in lv) or "-"
+
     def rows():
-        for wlv in itertools.combinations_with_replacement(levels, r - len(fixed)):
-            W = [tau(x) for x in wlv] + list(fixed)
-            for vlv in itertools.combinations_with_replacement(levels, s):
-                V = [tau(x) for x in vlv]
-                yield render_slots(W, V), residual(r, s, g, m, W, V, engine), True
+        for w in itertools.combinations_with_replacement(levels, r - len(fixed)):
+            w += fixed
+            for v in itertools.combinations_with_replacement(levels, s):
+                yield f"[{side(w)} | {side(v)}]", residual(r, s, g, m, w, v, engine), True
 
     return _report(relation, {"g": g, "r": r, "s": s, "m": m}, rows())
