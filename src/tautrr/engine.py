@@ -318,16 +318,25 @@ _BASE_INTS = {(0, 0, 0): 1, (1,): 1}
 _BASE_VALUES = (ONE, Fraction(1, _normalization(1, (1,))))
 
 
+def _integers(what: str, values) -> tuple[int, ...]:
+    """``values`` as a tuple, refusing (not truncating) any that is not an int."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"non-integer {what} {x!r}")
+    return values
+
+
 def _checked(g, d, b) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The public entry points' arguments as ints, d and b sorted, raising
-    for the first bad one: genus, psi level, kappa index, then stability."""
-    g = int(g)
-    d = tuple(sorted(int(x) for x in d))
-    b = tuple(sorted(int(x) for x in b))
+    """The public entry points' arguments, d and b sorted, raising for the first
+    bad one: genus, psi level, kappa index (not an int, then out of range), stability."""
+    _integers("genus", (g,))
     if g < 0:
         raise ValueError("genus must be nonnegative")
+    d = tuple(sorted(_integers("descendent level", d)))
     if d and d[0] < 0:
         raise ValueError("negative descendent level")
+    b = tuple(sorted(_integers("kappa index", b)))
     if b and b[0] <= 0:
         raise ValueError("kappa index must be positive")
     if not is_stable(g, len(d)):
@@ -373,9 +382,9 @@ class CorrelatorEngine:
         return self._psi_kappa(*_checked(g, d, b))
 
     def correlator(self, g: int, levels) -> Fraction:
-        """Total-function variant: 0 for unstable spaces or negative levels."""
-        g = int(g)
-        levels = tuple(int(x) for x in levels)
+        """Total over int arguments: 0 for unstable spaces or negative levels."""
+        _integers("genus", (g,))
+        levels = _integers("descendent level", levels)
         if any(x < 0 for x in levels):
             return ZERO
         return self._corr(g, levels)

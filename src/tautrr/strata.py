@@ -14,16 +14,17 @@ strata grouped by marking split, then by factor 1 (genus and marking
 decorations), then by node exponent a.  Split- and group-level work is done
 once per split or group, not per term: labels sort once per split, the
 node-exponent shift once per group.  The pullback of a test is computed once
-per split.  For each pullback row and group, factor 1's dimension gate
-solves for a, so the factor-1 integral is taken once and only the strata
-with that a are visited.  Products are summed as integer numerators per
-denominator and divided once per pairing.  An interior or gluing term is
-planned as one integral (genus, marking exponents, node exponents, kappa
-parts).  The test is checked once per pairing, so every integral, of a term
-or of a stratum factor, takes the engine's internal gated path
-(`CorrelatorEngine._psi_kappa`) with sorted exponents and kappa parts.  A
-stratum factor without marking decorations (every builder's) takes the
-test exponents sorted once per split, its node exponent inserted in place.
+per split, and its rows differ only in their kappa parts, so each factor
+decoration of the split is added to the test exponents and sorted once.
+For each pullback row and group, factor 1's dimension gate solves for a, so
+the factor-1 integral is taken once and only the strata with that a are
+visited; every factor inserts its node exponent into its sorted exponents
+in place.  Products are summed as integer numerators per denominator and
+divided once per pairing.  An interior or gluing term is planned as one
+integral (genus, marking exponents, node exponents, kappa parts).  The test
+is checked once per pairing, so every integral, of a term or of a stratum
+factor, takes the engine's internal gated path
+(`CorrelatorEngine._psi_kappa`) with sorted exponents and kappa parts.
 
 Canonical text grammar for rendered terms (stable across releases):
 
@@ -39,7 +40,8 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from itertools import islice
+from operator import add
 from typing import NamedTuple
 
 from .cache import format_rational
@@ -279,71 +281,55 @@ def _term_marking_count(term: Term) -> int:
 
 
 def _exponent_vectors(total: int, n: int):
-    """All length-n vectors of nonnegative integers with the given sum,
-    in descending lexicographic order."""
-    if n == 0:
-        if total == 0:
-            yield ()
+    """The length-n vectors of nonnegative integers summing to total, descending lex."""
+    if n <= 1:
+        if n or not total:
+            yield (total,) * n
         return
     for first in range(total, -1, -1):
         for tail in _exponent_vectors(total - first, n - 1):
             yield (first,) + tail
 
 
-def _partitions(total: int, max_part: int | None = None):
-    """Partitions into parts >= 1, parts descending, partitions in
-    descending lexicographic order."""
-    if total == 0:
-        yield ()
-        return
-    if max_part is None or max_part > total:
-        max_part = total
-    for first in range(max_part, 0, -1):
-        for tail in _partitions(total - first, first):
-            yield (first,) + tail
+def _partitions(total: int):
+    """Partitions into descending parts >= 1, in descending lex order: each
+    lowers the last part above 1 of the one before and refills greedily."""
+    parts, ones = ([total], 0) if total > 1 else ([], total)
+    yield tuple(parts) + (1,) * ones
+    while parts:
+        v = parts.pop()
+        if v == 2:
+            ones += 2
+        else:
+            q, rest = divmod(v + ones, v - 1)
+            parts += [v - 1] * q + [rest] * (rest > 1)
+            ones = int(rest == 1)
+        yield tuple(parts) + (1,) * ones
+
+
+def _tests(n: int, degree: int):
+    """(psi exponents, kappa parts) of each test in enumerate_tests' order;
+    with no markings only the kappa degree ``degree`` lists anything."""
+    for kappa_degree in range(degree + 1) if n else (degree,):
+        for psi in _exponent_vectors(degree - kappa_degree, n):
+            for kappa in _partitions(kappa_degree):
+                yield psi, kappa
 
 
 def count_tests(n: int, degree: int, ceiling: int) -> int:
-    """How many tests enumerate_tests lists on a space with n markings: the
-    sum over kappa degree k of the psi exponent vectors of degree
-    ``degree - k`` times the partitions of k, built from none of them.  Past
-    ``ceiling`` the count stops early, at a number above it.
-
-    The partition numbers p(k) come from Euler's pentagonal recurrence.
-    They never decrease, and every term carries p(k) at least once when
-    n > 0, so a p(k) above the ceiling ends the count either way.
-    """
-    p = []
-    total = 0
-    for k in range(degree + 1):
-        p_k = 1 if k == 0 else 0
-        j = 1
-        while j * (3 * j - 1) // 2 <= k:
-            sign = 1 if j % 2 else -1
-            p_k += sign * p[k - j * (3 * j - 1) // 2]
-            if j * (3 * j + 1) // 2 <= k:
-                p_k += sign * p[k - j * (3 * j + 1) // 2]
-            j += 1
-        p.append(p_k)
-        psi = comb(degree - k + n - 1, n - 1) if n else int(k == degree)
-        total += psi * p_k
-        if total > ceiling or p_k > ceiling:
-            return ceiling + 1
-    return total
+    """How many tests enumerate_tests lists on a space with n markings (0
+    for a negative degree), counted from the same listing without building
+    a TestMonomial.  Past ``ceiling`` the count stops at ``ceiling + 1``."""
+    if degree < 0:
+        return 0
+    return len(list(islice(_tests(n, degree), ceiling + 1)))
 
 
 def enumerate_tests(ambient: AmbientSpace, degree: int) -> list[TestMonomial]:
-    """All psi/kappa test monomials of the given total degree, in a fixed
-    deterministic order (psi-heavy first, then by descending lex)."""
+    """All psi/kappa test monomials of the given degree, psi-heavy first, then descending lex."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    out = []
-    for kappa_degree in range(degree + 1):
-        psi_degree = degree - kappa_degree
-        for psi in _exponent_vectors(psi_degree, ambient.n):
-            for kappa in _partitions(kappa_degree):
-                out.append(TestMonomial(psi, kappa))
-    return out
+    return [TestMonomial(psi, kappa) for psi, kappa in _tests(ambient.n, degree)]
 
 
 # ----------------------------------------------------------------------
@@ -369,12 +355,6 @@ def _pullback_rows(t: TestMonomial, left, right):
             for k2, k1, weight in _submultisets(tuple(sorted(t.kappa_parts)))]
 
 
-def _decoration(exps: tuple[int, ...], labels) -> tuple[int, ...] | None:
-    """A factor's marking exponents, or None when they are all 0."""
-    deco = tuple([exps[i - 1] for i in labels])
-    return deco if any(deco) else None
-
-
 def _pairing_plan(expr: ClassExpr):
     """The terms of ``expr`` arranged for pairing; built once per expression.
 
@@ -383,17 +363,16 @@ def _pairing_plan(expr: ClassExpr):
     marking exponents, node exponents, kappa parts): test psi classes add to
     the marking exponents and test kappa parts join the kappa parts, since
     kappa classes pull back unchanged along the gluing.  ``splits`` lists
-    one entry (labels on factor 1, labels on factor 2, groups) per marking
-    split of the separating terms.  A group gathers the strata sharing
-    factor 1 (genus g1 and its marking decorations deco1) as
-    (g1, g2, deco1, shift, strata by node exponent a), each stratum kept as
-    (coefficient numerator, denominator, factor-2 decorations, b).  A
-    factor's decorations are None when they are all 0 (as every builder
-    makes them).  Factor 1's dimension gate solves
-    a = shift - (factor-1 test degree).
+    (factor-1 labels, factor-2 labels, decorations, groups) per marking
+    split of the separating terms, each distinct decoration listed once as
+    (factor 1 or 2, its marking exponents on that factor's labels, zeros
+    included).  A group gathers the strata sharing factor 1 (genus g1,
+    decoration index i1) as (g1, g2, i1, shift, strata by node exponent a),
+    each stratum as (numerator, denominator, factor-2 decoration index, b).
+    Factor 1's dimension gate solves a = shift - (factor-1 test degree).
     """
     integrals = []
-    splits = {}  # markings1 -> (left, right, groups, marking_exps -> (deco1, deco2))
+    splits = {}  # markings1 -> (left, right, decos, groups, marking_exps -> deco indices)
     for coeff, term in expr.terms:
         if not isinstance(term, SeparatingStratum):
             g, exps, node, kappa = ((expr.ambient.g, term.psi_exps, (), term.kappa_parts)
@@ -405,19 +384,20 @@ def _pairing_plan(expr: ClassExpr):
         g1, g2, markings1, (a, b), exps = term
         split = splits.get(markings1)
         if split is None:
-            split = splits[markings1] = (sorted(markings1), sorted(term.markings2()), {}, {})
-        left, right, groups, decos = split
-        deco = decos.get(exps)
-        if deco is None:
-            deco = decos[exps] = (_decoration(exps, left), _decoration(exps, right))
-        deco1, deco2 = deco
-        group = groups.get((g1, deco1))
+            split = splits[markings1] = (sorted(markings1), sorted(term.markings2()), {}, {}, {})
+        left, right, decos, groups, known = split
+        ids = known.get(exps)
+        if ids is None:
+            deco1, deco2 = tuple([exps[i - 1] for i in left]), tuple([exps[i - 1] for i in right])
+            ids = known[exps] = (decos.setdefault((1, deco1), len(decos)),
+                                 decos.setdefault((2, deco2), len(decos)), sum(deco1))
+        i1, i2, deco_sum = ids
+        group = groups.get((g1, i1))
         if group is None:
-            shift = 3 * g1 - 2 + len(left) - (0 if deco1 is None else sum(deco1))
-            group = groups[g1, deco1] = (g1, g2, deco1, shift, {})
-        group[4].setdefault(a, []).append((coeff.numerator, coeff.denominator, deco2, b))
-    return integrals, [(left, right, list(groups.values()))
-                       for left, right, groups, _ in splits.values()]
+            group = groups[g1, i1] = (g1, g2, i1, 3 * g1 - 2 + len(left) - deco_sum, {})
+        group[4].setdefault(a, []).append((coeff.numerator, coeff.denominator, i2, b))
+    return integrals, [(left, right, list(decos), list(groups.values()))
+                       for left, right, decos, groups, _ in splits.values()]
 
 
 def pair_with_test(expr: ClassExpr, t: TestMonomial, engine: CorrelatorEngine) -> Fraction:
@@ -426,6 +406,7 @@ def pair_with_test(expr: ClassExpr, t: TestMonomial, engine: CorrelatorEngine) -
     Returns 0 whenever the degrees are not complementary (the trivial
     pairing); the value is linear in the expression.  A test with a
     negative psi exponent or a kappa index below 1 raises ``ValueError``.
+    A stratum factor's exponents sort once per split; its node exponent is inserted.
     """
     if len(t.psi_exps) != expr.ambient.n:
         raise ValueError("marking referenced by the test is absent from the ambient space")
@@ -450,33 +431,27 @@ def pair_with_test(expr: ClassExpr, t: TestMonomial, engine: CorrelatorEngine) -
         if value:
             d = den * value.denominator
             sums[d] = sums.get(d, 0) + num * value.numerator
-    for left, right, groups in splits:
+    for left, right, decos, groups in splits:
         rows = _pullback_rows(t, left, right)
-        # the rows of a split differ only in their kappa parts, so an
-        # undecorated factor's psi exponents are sorted once per split
-        sorted1, sorted2 = (tuple(sorted(psi)) for psi in rows[0][1:3])
-        for degree1, psi1, psi2, k1, k2, mult in rows:
-            for g1, g2, deco1, shift, by_a in groups:
+        # the rows of a split differ only in their kappa parts; rows[0][f] is
+        # factor f's test psi exponents
+        factor_exps = [tuple(sorted(map(add, deco, rows[0][f]))) for f, deco in decos]
+        for degree1, _, _, k1, k2, mult in rows:
+            for g1, g2, i1, shift, by_a in groups:
                 a = shift - degree1
                 strata = by_a.get(a)
                 if strata is None:
                     continue
-                if deco1 is None:
-                    i = bisect(sorted1, a)
-                    f1 = psi_kappa(g1, sorted1[:i] + (a,) + sorted1[i:], k1)
-                else:
-                    f1 = psi_kappa(g1, tuple(sorted([x + y for x, y in zip(deco1, psi1)] + [a])),
-                                   k1)
+                d1 = factor_exps[i1]
+                i = bisect(d1, a)
+                f1 = psi_kappa(g1, d1[:i] + (a,) + d1[i:], k1)
                 if not f1:
                     continue
                 num1, den1 = mult * f1.numerator, f1.denominator
-                for num, den, deco2, b in strata:
-                    if deco2 is None:
-                        i = bisect(sorted2, b)
-                        f2 = psi_kappa(g2, sorted2[:i] + (b,) + sorted2[i:], k2)
-                    else:
-                        f2 = psi_kappa(g2, tuple(sorted([x + y for x, y in zip(deco2, psi2)]
-                                                        + [b])), k2)
+                for num, den, i2, b in strata:
+                    d2 = factor_exps[i2]
+                    i = bisect(d2, b)
+                    f2 = psi_kappa(g2, d2[:i] + (b,) + d2[i:], k2)
                     if f2:
                         d = den * den1 * f2.denominator
                         sums[d] = sums.get(d, 0) + num * num1 * f2.numerator

@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .engine import CorrelatorEngine
+from .engine import CorrelatorEngine, _integers
 from .relations import VerificationReport, _report
 
 ZERO = Fraction(0)
@@ -43,7 +43,7 @@ class VectorFieldPt(NamedTuple):
     def make(cls, pairs) -> "VectorFieldPt":
         acc: dict[int, Fraction] = {}
         for level, coeff in pairs:
-            level = int(level)
+            _integers("descendent level", (level,))
             coeff = Fraction(coeff)
             if level < 0 or coeff == 0:
                 continue
@@ -56,7 +56,8 @@ class VectorFieldPt(NamedTuple):
 
 
 def tau(n: int) -> VectorFieldPt:
-    """The coordinate field at descendent level n (zero field for n < 0)."""
+    """The coordinate field at descendent level n (zero field for n < 0);
+    a non-integer n raises ``ValueError``."""
     return VectorFieldPt.make([(n, Fraction(1))])
 
 
@@ -169,11 +170,9 @@ def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,
     """
     if min(r, s, g, m) < 0:
         raise ValueError("r, s, g, m must be nonnegative")
-    for x in levels:
-        if type(x) is not int:
-            raise ValueError(f"non-integer descendent level {x!r}")
-        if x < 0:
-            raise ValueError("negative descendent level")
+    levels = _integers("descendent level", levels)
+    if min(levels, default=0) < 0:
+        raise ValueError("negative descendent level")
     residual, fixed, stated = IDENTITIES[relation]
     if not stated(g, r, s, m):
         raise ValueError(f"{relation} is not stated at (g, r, s, m) = ({g}, {r}, {s}, {m})")
@@ -185,6 +184,7 @@ def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,
         for w in itertools.combinations_with_replacement(levels, r - len(fixed)):
             w += fixed
             for v in itertools.combinations_with_replacement(levels, s):
-                yield f"[{side(w)} | {side(v)}]", residual(r, s, g, m, w, v, engine), True
+                value = residual(r, s, g, m, w, v, engine)
+                yield f"[{side(w)} | {side(v)}]", value, value == 0
 
     return _report(relation, {"g": g, "r": r, "s": s, "m": m}, rows())

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from tautrr import relations
 from tautrr.engine import CorrelatorEngine
 from tautrr.relations import (
+    _report,
     build_bbt,
     build_fqq,
     build_variation,
@@ -24,6 +26,8 @@ from tautrr.strata import (
     TestMonomial,
     pair_with_test,
 )
+
+ZERO = Fraction(0)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +175,27 @@ def test_xi_witness_report(engine):
     }
 
 
+def test_report_passes_iff_every_row_check_held():
+    # the report reads only the rows' own checks; a verifier puts value == 0
+    # into its check, and the xi-witness closed-form row checks nothing
+    assert _report("r", {}, [("a", Fraction(1, 3), True), ("b", ZERO, True)]).passed
+    assert not _report("r", {}, [("a", ZERO, True), ("b", ZERO, False)]).passed
+    assert _report("r", {}, (), trivial=True).passed
+
+
+@pytest.mark.parametrize("value, expected, passed", [
+    (Fraction(1, 7), Fraction(1, 7), True),
+    (Fraction(1, 7), Fraction(1, 8), False),
+    (ZERO, ZERO, False),  # a witness must be nonzero
+])
+def test_xi_witness_report_checks_the_witness_row(monkeypatch, engine, value, expected, passed):
+    monkeypatch.setattr(relations, "xi_witness", lambda g, r, engine: value)
+    monkeypatch.setattr(relations, "xi_witness_expected", lambda g: expected)
+    report = verify_xi_witness(3, 0, engine)
+    assert report.passed is passed and not report.trivial
+    assert report.pairings == [("witness-integral", value), ("closed-form", expected)]
+
+
 def test_vyt_flagship_two_point_sum(engine):
     report = verify_vyt(3, 2, engine)
     assert report.passed and not report.trivial
@@ -185,6 +210,12 @@ def test_vyt_flagship_two_point_sum(engine):
 def test_vyt_trivial_cases(engine):
     assert verify_vyt(1, 1, engine).trivial
     assert verify_vyt(2, 2, engine).trivial
+
+
+def test_vyt_trivial_report_is_empty_and_passing(engine):
+    for g, r in ((1, 1), (2, 2), (3, 5)):
+        report = verify_vyt(g, r, engine)
+        assert (report.trivial, report.passed, report.pairings) == (True, True, []), (g, r)
 
 
 def test_vyt_sweep(engine):

@@ -1,6 +1,8 @@
 """Class expressions, test enumeration, pullback expansion, exact pairing."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -100,6 +102,76 @@ def test_count_tests_counts_what_enumerate_tests_lists():
     # p(12) = 77 and the first p(k) above 100 is p(13) = 101
     assert count_tests(0, 12, 100) == 77 and count_tests(0, 13, 100) == 101
     assert count_tests(0, 10**12, 100) == 101 and count_tests(3, 10**12, 100) == 101
+
+
+def _pentagonal_count(n, degree, ceiling):
+    """Reference count of the tests on a space with n markings: the sum over
+    kappa degree k of the psi exponent vectors of degree ``degree - k`` times
+    the partition number p(k), from Euler's pentagonal recurrence.  p never
+    decreases, and every term carries p(k) at least once when n > 0, so the
+    count stops at ``ceiling + 1`` once the sum or a p(k) passes the ceiling."""
+    p = []
+    total = 0
+    for k in range(degree + 1):
+        p_k = 1 if k == 0 else 0
+        j = 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            p_k += sign * p[k - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= k:
+                p_k += sign * p[k - j * (3 * j + 1) // 2]
+            j += 1
+        p.append(p_k)
+        total += (math.comb(degree - k + n - 1, n - 1) if n else int(k == degree)) * p_k
+        if total > ceiling or p_k > ceiling:
+            return ceiling + 1
+    return total
+
+
+def test_count_tests_matches_the_pentagonal_count():
+    # the ceiling is the CLI's 10,000 tests: at 10**6 the same grid lists
+    # about 93 million tests
+    for n in range(5):
+        for degree in range(-1, 41):
+            listed = _pentagonal_count(n, degree, 10**4)
+            for ceiling in {10**4, listed - 1, listed // 2} - {-1}:
+                expected = _pentagonal_count(n, degree, ceiling)
+                assert count_tests(n, degree, ceiling) == expected, (n, degree, ceiling)
+
+
+@pytest.mark.parametrize("n, degree", [(0, 10**12), (1, 10**6)])
+def test_count_tests_stops_at_the_ceiling_on_huge_degrees(n, degree):
+    start = time.perf_counter()
+    assert count_tests(n, degree, 10_000) == 10_001
+    assert time.perf_counter() - start < 0.5
+
+
+def _recursive_tests(n, degree):
+    """Reference listing: nested recursive loops in enumerate_tests' order."""
+    def vectors(total, n):
+        if n == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(total, -1, -1):
+            for tail in vectors(total - first, n - 1):
+                yield (first,) + tail
+
+    def partitions(total, most):
+        if total == 0:
+            yield ()
+        for first in range(min(total, most), 0, -1):
+            for tail in partitions(total - first, first):
+                yield (first,) + tail
+
+    return [TestMonomial(psi, kappa) for k in range(degree + 1)
+            for psi in vectors(degree - k, n) for kappa in partitions(k, k)]
+
+
+def test_enumerate_tests_matches_the_recursive_listing():
+    for n in range(4):
+        for degree in range(13):
+            assert enumerate_tests(AmbientSpace(4, n), degree) == _recursive_tests(n, degree)
 
 
 def test_pullback_routes_marking_classes():

@@ -1,6 +1,8 @@
 """Argument checks of the public entry points: each rejects bad input with a
 plain ValueError whose message names the problem."""
 
+from fractions import Fraction
+
 import pytest
 
 from tautrr.engine import CorrelatorEngine, genus0_closed_form
@@ -13,7 +15,7 @@ from tautrr.strata import (
     SeparatingStratum,
     enumerate_tests,
 )
-from tautrr.universal import psi_eval
+from tautrr.universal import VectorFieldPt, psi_eval, tau
 
 ENGINE = CorrelatorEngine()
 
@@ -100,3 +102,41 @@ def test_invalid_arguments_raise_a_named_value_error(call, message):
 def test_valid_separating_strata_construct(g1, g2, markings1, marking_exps):
     stratum = SeparatingStratum(g1, g2, markings1, (1, 0), marking_exps)
     assert stratum.degree == 2 + sum(marking_exps)
+
+
+#: (id, call, message); a non-integer genus, level or kappa index is refused
+#: with a ValueError that names it, where int() used to truncate it
+NON_INTEGER = [
+    ("psi-genus", lambda: ENGINE.psi_integral(1.9, [1]), "non-integer genus 1.9"),
+    ("psi-level", lambda: ENGINE.psi_integral(1, [1.5]), "non-integer descendent level 1.5"),
+    ("psi-level-text", lambda: ENGINE.psi_integral(1, ["1"]),
+     "non-integer descendent level '1'"),
+    ("psi-kappa-genus", lambda: ENGINE.psi_kappa_integral(1.0, [0], [1]),
+     "non-integer genus 1.0"),
+    ("psi-kappa-index", lambda: ENGINE.psi_kappa_integral(1, [0], [1.7]),
+     "non-integer kappa index 1.7"),
+    ("correlator-level", lambda: ENGINE.correlator(1, [1.2]), "non-integer descendent level 1.2"),
+    ("correlator-genus", lambda: ENGINE.correlator(1.5, [1]), "non-integer genus 1.5"),
+    ("tau-level", lambda: tau(1.5), "non-integer descendent level 1.5"),
+    ("tau-level-text", lambda: tau("1"), "non-integer descendent level '1'"),
+    ("field-level", lambda: VectorFieldPt.make([(2.0, 1)]), "non-integer descendent level 2.0"),
+    ("psi-eval-field", lambda: psi_eval(1, 0, 2, 3, [tau(1.9)], [], ENGINE),
+     "non-integer descendent level 1.9"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in NON_INTEGER],
+                         ids=[row[0] for row in NON_INTEGER])
+def test_non_integer_arguments_are_refused_not_truncated(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_integer_arguments_still_evaluate():
+    assert ENGINE.psi_integral(1, [1]) == ENGINE.correlator(1, [1]) == Fraction(1, 24)
+    assert ENGINE.psi_kappa_integral(1, [0], [1]) == Fraction(1, 24)
+    assert tau(1) == VectorFieldPt(((1, Fraction(1)),))
+    # the first bad argument is named: a negative genus before a float level
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        ENGINE.psi_integral(-1, [1.5])
