@@ -225,10 +225,10 @@ def verify_vyt(g: int, r: int, engine: CorrelatorEngine) -> VerificationReport:
     if g < 1 or r < 1:
         raise ValueError("need g >= 1 and r >= 1")
     target = 2 * g + r + 1
-    complement = 3 * (g + 1) - 3 - target
+    ambient = AmbientSpace(g + 1, 0)
+    complement = ambient.dim - target
 
     def rows():
-        ambient = AmbientSpace(g + 1, 0)
         span = 2 * g + r
         term_exprs = [
             (Fraction((-1) ** a),
