@@ -96,6 +96,15 @@ def moduli_dim(g: int, n: int) -> int:
     return 3 * g - 3 + n
 
 
+def _integers(what: str, values) -> tuple[int, ...]:
+    """``values`` as a tuple, refusing (not truncating) any that is not an int."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"non-integer {what} {x!r}")
+    return values
+
+
 class CorrelatorKey(NamedTuple):
     """Canonical (order-independent) key for a memoized integral.
 
@@ -111,11 +120,10 @@ class CorrelatorKey(NamedTuple):
 
     @classmethod
     def make(cls, genus, psi_exps, kappa_parts=()) -> "CorrelatorKey":
-        return cls(
-            int(genus),
-            tuple(sorted(int(x) for x in psi_exps)),
-            tuple(sorted(int(x) for x in kappa_parts)),
-        )
+        """The key with sorted exponents and kappa parts; a non-int field raises ValueError."""
+        return cls(*_integers("genus", (genus,)),
+                   tuple(sorted(_integers("descendent level", psi_exps))),
+                   tuple(sorted(_integers("kappa index", kappa_parts))))
 
 
 #: builds a CorrelatorKey from a ``(genus, psi_exps, kappa_parts)`` tuple of
@@ -208,7 +216,7 @@ def genus0_closed_form(d) -> Fraction:
 
     Independent of the recursive evaluator; used as an oracle against it.
     """
-    d = [int(x) for x in d]
+    d = _integers("descendent level", d)
     n = len(d)
     if n < 3:
         raise ValueError("need at least three markings in genus 0")
@@ -221,7 +229,7 @@ def genus0_closed_form(d) -> Fraction:
 
 def one_point_value(g: int) -> Fraction:
     """Closed form 1/(24^g g!) for the one-point integral at the top level."""
-    g = int(g)
+    _integers("genus", (g,))
     if g < 1:
         raise ValueError("one-point closed form needs g >= 1")
     return Fraction(1, 24**g * factorial(g))
@@ -235,7 +243,8 @@ def two_point_value(g: int, a: int) -> Fraction:
 
     Independent of the recursive evaluator; used as an oracle against it.
     """
-    g, a = int(g), int(a)
+    _integers("genus", (g,))
+    _integers("descendent level", (a,))
     if g < 1:
         raise ValueError("two-point closed form needs g >= 1")
     if not 0 <= a <= 3 * g - 1:
@@ -316,15 +325,6 @@ def _label(g: int, d: tuple[int, ...]) -> str:
 #: 2g - 2 + n == 1; both have I == 1
 _BASE_INTS = {(0, 0, 0): 1, (1,): 1}
 _BASE_VALUES = (ONE, Fraction(1, _normalization(1, (1,))))
-
-
-def _integers(what: str, values) -> tuple[int, ...]:
-    """``values`` as a tuple, refusing (not truncating) any that is not an int."""
-    values = tuple(values)
-    for x in values:
-        if type(x) is not int:
-            raise ValueError(f"non-integer {what} {x!r}")
-    return values
 
 
 def _checked(g, d, b) -> tuple[int, tuple[int, ...], tuple[int, ...]]:

@@ -21,9 +21,9 @@ the factor-1 integral is taken once and only the strata with that a are
 visited; every factor inserts its node exponent into its sorted exponents
 in place.  Products are summed as integer numerators per denominator and
 divided once per pairing.  An interior or gluing term is planned as one
-integral (genus, marking exponents, node exponents, kappa parts).  The test
-is checked once per pairing, so every integral, of a term or of a stratum
-factor, takes the engine's internal gated path
+integral (genus, marking exponents, node exponents, kappa parts).  Every
+record, the test too, checks its fields once, when it is built, so every
+integral takes the engine's internal gated path
 (`CorrelatorEngine._psi_kappa`) with sorted exponents and kappa parts.
 
 Canonical text grammar for rendered terms (stable across releases):
@@ -45,12 +45,13 @@ from operator import add
 from typing import NamedTuple
 
 from .cache import format_rational
-from .engine import CorrelatorEngine, _submultisets, _sum_by_denominator, is_stable, moduli_dim
+from .engine import (CorrelatorEngine, _integers, _submultisets, _sum_by_denominator, is_stable,
+                     moduli_dim)
 
 ZERO = Fraction(0)
 
-# Records are named tuples (equality, hash, repr and read-only fields); one that
-# checks its fields does so in __new__ of a subclass of a private named tuple.
+# Records are named tuples (equality, hash, repr and read-only fields); each checks
+# its fields, ints first (engine._integers), in __new__ of a private tuple's subclass.
 
 
 class _AmbientSpace(NamedTuple):
@@ -64,6 +65,8 @@ class AmbientSpace(_AmbientSpace):
     __slots__ = ()
 
     def __new__(cls, g: int, n: int):
+        _integers("genus", (g,))
+        _integers("marking count", (n,))
         if g < 0 or n < 0:
             raise ValueError("genus and marking count must be nonnegative")
         if not is_stable(g, n):
@@ -75,11 +78,7 @@ class AmbientSpace(_AmbientSpace):
         return moduli_dim(self.g, self.n)
 
 
-class TestMonomial(NamedTuple):
-    """A psi exponent vector plus a kappa partition, used as a pairing probe."""
-
-    __test__ = False  # not a pytest collection target
-
+class _Monomial(NamedTuple):
     psi_exps: tuple[int, ...]
     kappa_parts: tuple[int, ...] = ()
 
@@ -88,40 +87,40 @@ class TestMonomial(NamedTuple):
         return sum(self.psi_exps) + sum(self.kappa_parts)
 
     def render(self) -> str:
-        pieces = []
-        for i, e in enumerate(self.psi_exps, start=1):
-            if e == 1:
-                pieces.append(f"psi_{i}")
-            elif e > 1:
-                pieces.append(f"psi_{i}^{e}")
-        for b in self.kappa_parts:
-            pieces.append(f"kappa_{b}")
-        return " ".join(pieces) if pieces else "1"
+        pieces = [f"psi_{i}" if e == 1 else f"psi_{i}^{e}"
+                  for i, e in enumerate(self.psi_exps, start=1) if e]
+        pieces += [f"kappa_{b}" for b in self.kappa_parts]
+        return " ".join(pieces) or "1"
 
 
-class _InteriorTerm(NamedTuple):
-    psi_exps: tuple[int, ...]
-    kappa_parts: tuple[int, ...] = ()
-
-
-class InteriorTerm(_InteriorTerm):
-    """A psi/kappa monomial supported on all of the ambient space."""
+class _CheckedMonomial(_Monomial):
+    """Nonnegative int exponents (``_exponent`` in errors), positive int kappa indices."""
 
     __slots__ = ()
+    _exponent = "decoration exponent"
 
     def __new__(cls, psi_exps: tuple[int, ...], kappa_parts: tuple[int, ...] = ()):
-        if any(e < 0 for e in psi_exps):
-            raise ValueError("negative decoration exponent")
-        if any(b < 1 for b in kappa_parts):
+        psi_exps = _integers(cls._exponent, psi_exps)
+        if min(psi_exps, default=0) < 0:
+            raise ValueError(f"negative {cls._exponent}")
+        kappa_parts = _integers("kappa index", kappa_parts)
+        if min(kappa_parts, default=1) < 1:
             raise ValueError("kappa index must be positive")
         return super().__new__(cls, psi_exps, kappa_parts)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.psi_exps) + sum(self.kappa_parts)
 
-    def render(self) -> str:
-        return TestMonomial(self.psi_exps, self.kappa_parts).render()
+class TestMonomial(_CheckedMonomial):
+    """A psi exponent vector plus a kappa partition, used as a pairing probe."""
+
+    __slots__ = ()
+    __test__ = False  # not a pytest collection target
+    _exponent = "descendent level"
+
+
+class InteriorTerm(_CheckedMonomial):
+    """A psi/kappa monomial supported on all of the ambient space."""
+
+    __slots__ = ()
 
 
 class _SeparatingStratum(NamedTuple):
@@ -145,12 +144,11 @@ class SeparatingStratum(_SeparatingStratum):
 
     def __new__(cls, g1: int, g2: int, markings1: frozenset[int], node_exps: tuple[int, int],
                 marking_exps: tuple[int, ...]):
-        if min(node_exps) < 0 or min(marking_exps, default=0) < 0:
-            raise ValueError("negative decoration exponent")
-        if g1 < 0 or g2 < 0:
+        node_exps, marking_exps = _decorations(node_exps, marking_exps)
+        if min(_integers("genus", (g1, g2))) < 0:
             raise ValueError("genus must be nonnegative")
         n = len(marking_exps)
-        if markings1 and (min(markings1) < 1 or max(markings1) > n):
+        if markings1 and (min(_integers("marking label", markings1)) < 1 or max(markings1) > n):
             raise ValueError("marking label outside the ambient marking set")
         n1 = len(markings1)
         # both factors stable: is_stable(g1, n1 + 1) and is_stable(g2, n - n1 + 1)
@@ -179,7 +177,7 @@ class SeparatingStratum(_SeparatingStratum):
         labels = "{" + ",".join(str(i) for i in sorted(self.markings1)) + "}"
         a, b = self.node_exps
         body = f"Delta[{self.g1},{self.g2}|{labels}](psi*1^{a}, psi*2^{b})"
-        deco = TestMonomial(self.marking_exps).render()
+        deco = _Monomial(self.marking_exps).render()
         return body if deco == "1" else f"{deco} {body}"
 
 
@@ -200,9 +198,8 @@ class NonSeparatingPushforward(_NonSeparatingPushforward):
     __slots__ = ()
 
     def __new__(cls, source_g: int, node_exps: tuple[int, int], marking_exps: tuple[int, ...]):
-        if min(node_exps) < 0 or any(e < 0 for e in marking_exps):
-            raise ValueError("negative decoration exponent")
-        if source_g < 0:
+        node_exps, marking_exps = _decorations(node_exps, marking_exps)
+        if min(_integers("genus", (source_g,))) < 0:
             raise ValueError("genus must be nonnegative")
         if not is_stable(source_g, len(marking_exps) + 2):
             raise ValueError("unstable gluing source")
@@ -215,8 +212,17 @@ class NonSeparatingPushforward(_NonSeparatingPushforward):
     def render(self) -> str:
         a, b = self.node_exps
         body = f"iota[{self.source_g},{len(self.marking_exps) + 2}](psi*1^{a}, psi*2^{b})"
-        deco = TestMonomial(self.marking_exps).render()
+        deco = _Monomial(self.marking_exps).render()
         return body if deco == "1" else f"{deco} {body}"
+
+
+def _decorations(node_exps, marking_exps) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Node and marking exponents as tuples, refusing one that is not an int or is negative."""
+    node_exps = _integers("node exponent", node_exps)
+    marking_exps = _integers("decoration exponent", marking_exps)
+    if min(node_exps) < 0 or min(marking_exps, default=0) < 0:
+        raise ValueError("negative decoration exponent")
+    return node_exps, marking_exps
 
 
 Term = InteriorTerm | SeparatingStratum | NonSeparatingPushforward
@@ -235,13 +241,13 @@ class ClassExpr(_ClassExpr):
 
     def __new__(cls, ambient: AmbientSpace, degree: int,
                 terms: tuple[tuple[Fraction, Term], ...]):
+        _integers("degree", (degree,))
         for coeff, term in terms:
             if term.degree != degree:
-                raise ValueError(
-                    f"term degree {term.degree} differs from expression degree {degree}"
-                )
-            n_term = _term_marking_count(term)
-            if n_term != ambient.n:
+                raise ValueError(f"term degree {term.degree} differs from expression degree "
+                                 f"{degree}")
+            exps = term.psi_exps if isinstance(term, InteriorTerm) else term.marking_exps
+            if len(exps) != ambient.n:
                 raise ValueError("term marking count differs from the ambient space")
             if isinstance(term, SeparatingStratum) and term.g1 + term.g2 != ambient.g:
                 raise ValueError("stratum genera do not add up to the ambient genus")
@@ -269,10 +275,6 @@ class ClassExpr(_ClassExpr):
         return " + ".join(
             f"{format_rational(coeff)} * {term.render()}" for coeff, term in self.terms
         )
-
-
-def _term_marking_count(term: Term) -> int:
-    return len(term.psi_exps) if isinstance(term, InteriorTerm) else len(term.marking_exps)
 
 
 # ----------------------------------------------------------------------
@@ -378,8 +380,7 @@ def _pairing_plan(expr: ClassExpr):
             g, exps, node, kappa = ((expr.ambient.g, term.psi_exps, (), term.kappa_parts)
                                     if isinstance(term, InteriorTerm) else
                                     (term.source_g, term.marking_exps, term.node_exps, ()))
-            integrals.append((coeff.numerator, coeff.denominator, g, tuple(map(int, exps)),
-                              list(map(int, node)), tuple(map(int, kappa))))
+            integrals.append((coeff.numerator, coeff.denominator, g, exps, list(node), kappa))
             continue
         g1, g2, markings1, (a, b), exps = term
         split = splits.get(markings1)
@@ -404,24 +405,14 @@ def pair_with_test(expr: ClassExpr, t: TestMonomial, engine: CorrelatorEngine) -
     """Exact pairing of a class expression against a test monomial.
 
     Returns 0 whenever the degrees are not complementary (the trivial
-    pairing); the value is linear in the expression.  A test with a
-    negative psi exponent or a kappa index below 1 raises ``ValueError``.
-    A stratum factor's exponents sort once per split; its node exponent is inserted.
+    pairing); the value is linear in the expression.  A stratum factor's
+    exponents sort once per split; its node exponent is inserted.
     """
     if len(t.psi_exps) != expr.ambient.n:
         raise ValueError("marking referenced by the test is absent from the ambient space")
     if expr.degree + t.degree != expr.ambient.dim:
         return ZERO
-    # coerce and check the test once, as the public engine call would per integral
-    t = TestMonomial(tuple(map(int, t.psi_exps)), tuple(map(int, t.kappa_parts)))
-    if any(x < 0 for x in t.psi_exps):
-        raise ValueError("negative descendent level")
-    if any(x <= 0 for x in t.kappa_parts):
-        raise ValueError("kappa index must be positive")
-    # The terms and both stratum factors are stable of nonnegative genus
-    # (checked on construction) and the test is checked above, so every
-    # integral takes the engine's internal path with sorted exponents and
-    # kappa parts.
+    # records are checked when built: every integral takes the engine's internal path
     integrals, splits = expr._plan
     psi_kappa = engine._psi_kappa
     sums = {}  # denominator -> integer numerator of the terms over it

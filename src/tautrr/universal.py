@@ -102,18 +102,25 @@ def _psi_point(r: int, s: int, g: int, m: int,
     return total
 
 
+def _check_rsgm(r, s, g, m) -> None:
+    """Refuse r, s, g, m unless each is a nonnegative int, naming the first bad one."""
+    if not type(r) is type(s) is type(g) is type(m) is int:
+        for name, x in zip("rsgm", (r, s, g, m)):
+            _integers(name, (x,))
+    if min(r, s, g, m) < 0:
+        raise ValueError("r, s, g, m must be nonnegative")
+
+
 def psi_eval(r: int, s: int, g: int, m: int, W, V, engine: CorrelatorEngine) -> Fraction:
     """Exact value of the alternating genus-split form at the origin.
 
     W and V are sequences of r and s vector fields; the result is
     multilinear in every slot.
     """
-    W = list(W)
-    V = list(V)
+    _check_rsgm(r, s, g, m)
+    W, V = list(W), list(V)
     if len(W) != r or len(V) != s:
         raise ValueError("slot count does not match r, s")
-    if min(r, s, g, m) < 0:
-        raise ValueError("r, s, g, m must be nonnegative")
     total = ZERO
     for wlv, wc in _expand(W):
         for vlv, vc in _expand(V):
@@ -168,8 +175,7 @@ def sweep_report(relation: str, g: int, r: int, s: int, m: int, levels,
     assignment is one entry, labelled ``[tau_a tau_b | tau_c]``, recording
     the residual, and the report passes iff every residual is 0.
     """
-    if min(r, s, g, m) < 0:
-        raise ValueError("r, s, g, m must be nonnegative")
+    _check_rsgm(r, s, g, m)
     levels = _integers("descendent level", levels)
     if min(levels, default=0) < 0:
         raise ValueError("negative descendent level")

@@ -448,10 +448,12 @@ def test_key_contract():
     key = CorrelatorKey(2, (4,), ())
     assert repr(key) == str(key) == "CorrelatorKey(genus=2, psi_exps=(4,), kappa_parts=())"
     assert (key.genus, key.psi_exps, key.kappa_parts) == (2, (4,), ())
-    made = CorrelatorKey.make(2.0, [5, 0.0], (2, 1))
+    made = CorrelatorKey.make(2, [5, 0], (2, 1))
     assert made == CorrelatorKey(2, (0, 5), (1, 2)) and type(made) is CorrelatorKey
     assert hash(made) == hash(CorrelatorKey.make(2, (0, 5), [2, 1]))
-    assert all(type(x) is int for x in (made.genus,) + made.psi_exps + made.kappa_parts)
+    # integral-valued floats are refused, not truncated into int fields
+    with pytest.raises(ValueError, match="non-integer genus 2.0"):
+        CorrelatorKey.make(2.0, [5, 0.0], (2, 1))
     assert CorrelatorKey.make(2, [4]) == key != CorrelatorKey.make(2, [4], [1])
     assert {key: 1}[(2, (4,), ())] == 1
     with pytest.raises(AttributeError):

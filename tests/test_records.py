@@ -35,7 +35,8 @@ ONE = (Fraction(1), InteriorTerm((1,)))
 RECORDS = [
     (AmbientSpace, {"g": 1, "n": 1}, ("n", 2), True,
      ({"g": -1, "n": 0}, "genus and marking count must be nonnegative")),
-    (TestMonomial, {"psi_exps": (1, 0), "kappa_parts": (2,)}, ("kappa_parts", ()), True, None),
+    (TestMonomial, {"psi_exps": (1, 0), "kappa_parts": (2,)}, ("kappa_parts", ()), True,
+     ({"psi_exps": (-1, 0), "kappa_parts": (0,)}, "negative descendent level")),
     (InteriorTerm, {"psi_exps": (1,), "kappa_parts": (1,)}, ("psi_exps", (2,)), True,
      ({"psi_exps": (-1,), "kappa_parts": (0,)}, "negative decoration exponent")),
     (SeparatingStratum,

@@ -526,10 +526,11 @@ def test_pairing_through_adopted_entries_matches_cold_reference(tmp_path):
     assert adopted.entries() == reference.entries()
 
 
+#: (psi exponents, kappa parts, message) of tests that cannot be built
 MALFORMED_TESTS = [
-    (TestMonomial((0,), (0, 1)), "kappa index must be positive"),
-    (TestMonomial((-1,), (2,)), "negative descendent level"),
-    (TestMonomial((2,), (-1,)), "kappa index must be positive"),
+    ((0,), (0, 1), "kappa index must be positive"),
+    ((-1,), (2,), "negative descendent level"),
+    ((2,), (-1,), "kappa index must be positive"),
 ]
 
 
@@ -539,12 +540,16 @@ MALFORMED_TESTS = [
 ])
 def test_pair_rejects_malformed_test(engine, term):
     expr = ClassExpr.make(AmbientSpace(2, 1), 3, [(1, term)])
-    for t, message in MALFORMED_TESTS:
+    for psi, kappa, message in MALFORMED_TESTS:
         with pytest.raises(ValueError, match=message):
-            pair_with_test(expr, t, engine)
-    # the degree check comes first: a mismatched malformed test pairs to 0
-    assert pair_with_test(expr, TestMonomial((0,), (0, 2)), engine) == 0
-    assert pair_with_test(expr, TestMonomial((-1,), (0,)), engine) == 0
+            pair_with_test(expr, TestMonomial(psi, kappa), engine)
+    # a malformed test is refused when it is built, so one of the wrong
+    # degree cannot reach the pairing's degree check and pair to 0
+    with pytest.raises(ValueError, match="kappa index must be positive"):
+        TestMonomial((0,), (0, 2))
+    with pytest.raises(ValueError, match="negative descendent level"):
+        TestMonomial((-1,), (0,))
+    assert engine.entries() == {}
 
 
 def test_separating_stratum_rejects_negative_factor_genus():
@@ -576,11 +581,16 @@ def test_interior_term_rejects_malformed_monomials():
 
 
 def test_pair_coerces_test_exponents_once(engine):
-    # integral-valued floats pair like ints and leave only int keys behind
+    # a test is checked once, when it is built: integral-valued floats are
+    # refused there, not coerced by every pairing
+    for psi, kappa, message in (((0.0,), (1,), "non-integer descendent level 0.0"),
+                                ((0,), (1.0,), "non-integer kappa index 1.0"),
+                                ((0.0,), (1.0,), "non-integer descendent level 0.0")):
+        with pytest.raises(ValueError) as info:
+            TestMonomial(psi, kappa)
+        assert str(info.value) == message
     s = SeparatingStratum(1, 1, frozenset({1}), (2, 0), (0,))
     expr = ClassExpr.make(AmbientSpace(2, 1), 3, [(1, s), (1, InteriorTerm((3,)))])
-    value = pair_with_test(expr, TestMonomial((0.0,), (1.0,)), engine)
-    assert value == pair_with_test(expr, TestMonomial((0,), (1,)), CorrelatorEngine())
-    assert value != 0
+    assert pair_with_test(expr, TestMonomial((0,), (1,)), engine) != 0
     assert all(type(x) is int for key in engine.entries()
                for x in key.psi_exps + key.kappa_parts)

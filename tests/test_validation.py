@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from tautrr.engine import CorrelatorEngine, genus0_closed_form
+from tautrr.engine import (
+    CorrelatorEngine,
+    CorrelatorKey,
+    genus0_closed_form,
+    one_point_value,
+    two_point_value,
+)
 from tautrr.relations import build_bbt, build_fqq, build_variation, build_xi, verify_vyt
 from tautrr.strata import (
     AmbientSpace,
@@ -13,9 +19,10 @@ from tautrr.strata import (
     InteriorTerm,
     NonSeparatingPushforward,
     SeparatingStratum,
+    TestMonomial,
     enumerate_tests,
 )
-from tautrr.universal import VectorFieldPt, psi_eval, tau
+from tautrr.universal import VectorFieldPt, psi_eval, sweep_report, tau
 
 ENGINE = CorrelatorEngine()
 
@@ -93,7 +100,6 @@ def test_invalid_arguments_raise_a_named_value_error(call, message):
     assert type(info.value) is ValueError and str(info.value) == message
 
 
-
 @pytest.mark.parametrize("g1, g2, markings1, marking_exps", [
     (1, 1, frozenset(), ()),                # no markings at all
     (1, 0, frozenset(), (0, 0)),            # factor 2 stable with its node and two markings
@@ -140,3 +146,56 @@ def test_integer_arguments_still_evaluate():
     # the first bad argument is named: a negative genus before a float level
     with pytest.raises(ValueError, match="genus must be nonnegative"):
         ENGINE.psi_integral(-1, [1.5])
+
+
+#: (id, call taking the bad value, the name the error gives it): every record
+#: field, a test monomial, psi_eval's and sweep_report's r, s, g, m, the three
+#: closed-form oracles and CorrelatorKey.make
+FIELDS = [
+    ("ambient-g", lambda x: AmbientSpace(x, 1), "genus"),
+    ("ambient-n", lambda x: AmbientSpace(1, x), "marking count"),
+    ("test-psi", lambda x: TestMonomial((x, 0)), "descendent level"),
+    ("test-kappa", lambda x: TestMonomial((0,), (x,)), "kappa index"),
+    # InteriorTerm((1.5, 0.5)) on the (2, 2) space used to pair to 0 against every test
+    ("interior-psi", lambda x: InteriorTerm((x, 0.5)), "decoration exponent"),
+    ("interior-kappa", lambda x: InteriorTerm((0,), (x,)), "kappa index"),
+    ("stratum-g1", lambda x: SeparatingStratum(x, 1, frozenset({1}), (0, 0), (0,)), "genus"),
+    ("stratum-g2", lambda x: SeparatingStratum(1, x, frozenset({1}), (0, 0), (0,)), "genus"),
+    ("stratum-markings1", lambda x: SeparatingStratum(1, 1, frozenset({x}), (0, 0), (0,)),
+     "marking label"),
+    ("stratum-node", lambda x: SeparatingStratum(1, 1, frozenset({1}), (x, 0), (0,)),
+     "node exponent"),
+    ("stratum-marking-exps", lambda x: SeparatingStratum(1, 1, frozenset({1}), (0, 0), (x,)),
+     "decoration exponent"),
+    ("glue-source-g", lambda x: NonSeparatingPushforward(x, (0, 0), (0,)), "genus"),
+    ("glue-node", lambda x: NonSeparatingPushforward(0, (0, x), (0,)), "node exponent"),
+    ("glue-marking-exps", lambda x: NonSeparatingPushforward(0, (0, 0), (x,)),
+     "decoration exponent"),
+    ("expr-degree", lambda x: ClassExpr.zero(AmbientSpace(1, 1), x), "degree"),
+    ("psi-eval-r", lambda x: psi_eval(x, 0, 2, 3, [tau(1)], [], ENGINE), "r"),
+    ("psi-eval-s", lambda x: psi_eval(1, x, 2, 3, [tau(1)], [], ENGINE), "s"),
+    ("psi-eval-g", lambda x: psi_eval(1, 0, x, 3, [tau(1)], [], ENGINE), "g"),
+    ("psi-eval-m", lambda x: psi_eval(1, 0, 2, x, [tau(1)], [], ENGINE), "m"),
+    # a genus of 1.5 used to give a passing symmetry report
+    ("sweep-g", lambda x: sweep_report("symmetry", x, 1, 1, 3, (0, 1), ENGINE), "g"),
+    ("sweep-r", lambda x: sweep_report("symmetry", 1, x, 1, 3, (0, 1), ENGINE), "r"),
+    ("sweep-s", lambda x: sweep_report("symmetry", 1, 1, x, 3, (0, 1), ENGINE), "s"),
+    ("sweep-m", lambda x: sweep_report("symmetry", 1, 1, 1, x, (0, 1), ENGINE), "m"),
+    ("one-point-g", lambda x: one_point_value(x), "genus"),
+    ("two-point-g", lambda x: two_point_value(x, 1), "genus"),
+    ("two-point-a", lambda x: two_point_value(2, x), "descendent level"),
+    ("genus0-level", lambda x: genus0_closed_form([0, 0, x]), "descendent level"),
+    ("key-genus", lambda x: CorrelatorKey.make(x, [1]), "genus"),
+    ("key-level", lambda x: CorrelatorKey.make(1, [x]), "descendent level"),
+    ("key-kappa", lambda x: CorrelatorKey.make(1, [0], [x]), "kappa index"),
+]
+
+
+@pytest.mark.parametrize("call, bad, name", [
+    pytest.param(call, bad, name, id=f"{row}-{bad!r}")
+    for row, call, name in FIELDS for bad in (1.5, 2.0, "1")
+])
+def test_non_integer_fields_are_refused_by_name(call, bad, name):
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert type(info.value) is ValueError and str(info.value) == f"non-integer {name} {bad!r}"
