@@ -101,10 +101,10 @@ class _CheckedMonomial(_Monomial):
 
     def __new__(cls, psi_exps: tuple[int, ...], kappa_parts: tuple[int, ...] = ()):
         psi_exps = _integers(cls._exponent, psi_exps)
-        if min(psi_exps, default=0) < 0:
+        if psi_exps and min(psi_exps) < 0:
             raise ValueError(f"negative {cls._exponent}")
         kappa_parts = _integers("kappa index", kappa_parts)
-        if min(kappa_parts, default=1) < 1:
+        if kappa_parts and min(kappa_parts) < 1:
             raise ValueError("kappa index must be positive")
         return super().__new__(cls, psi_exps, kappa_parts)
 
@@ -220,7 +220,7 @@ def _decorations(node_exps, marking_exps) -> tuple[tuple[int, ...], tuple[int, .
     """Node and marking exponents as tuples, refusing one that is not an int or is negative."""
     node_exps = _integers("node exponent", node_exps)
     marking_exps = _integers("decoration exponent", marking_exps)
-    if min(node_exps) < 0 or min(marking_exps, default=0) < 0:
+    if min(node_exps) < 0 or marking_exps and min(marking_exps) < 0:
         raise ValueError("negative decoration exponent")
     return node_exps, marking_exps
 
