@@ -244,8 +244,9 @@ class ClassExpr(_ClassExpr):
         _integers("degree", (degree,))
         for coeff, term in terms:
             if term.degree != degree:
-                raise ValueError(f"term degree {term.degree} differs from expression degree "
-                                 f"{degree}")
+                raise ValueError(
+                    f"term degree {term.degree} differs from expression degree {degree}"
+                )
             exps = term.psi_exps if isinstance(term, InteriorTerm) else term.marking_exps
             if len(exps) != ambient.n:
                 raise ValueError("term marking count differs from the ambient space")

@@ -118,7 +118,8 @@ def psi_eval(r: int, s: int, g: int, m: int, W, V, engine: CorrelatorEngine) -> 
     multilinear in every slot.
     """
     _check_rsgm(r, s, g, m)
-    W, V = list(W), list(V)
+    W = list(W)
+    V = list(V)
     if len(W) != r or len(V) != s:
         raise ValueError("slot count does not match r, s")
     total = ZERO
