@@ -2,7 +2,9 @@
 
 Each builder returns the relation as a single class expression (left side
 minus right side), which :func:`verify` pairs against every test monomial
-of complementary degree.  Every verifier here and the point-target
+of complementary degree, in one ``strata.pair_with_tests`` call; the
+witness and ``vyt`` also pair each of their expressions in one call.
+Every verifier here and the point-target
 ``universal.sweep_report`` share one report loop, which passes iff every
 row's own check held (for a relation, that its value is exactly 0).  A
 relation whose codimension exceeds the ambient dimension yields a trivial
@@ -17,7 +19,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .engine import CorrelatorEngine, SlotRecord, one_point_value
+from .engine import CorrelatorEngine, SlotRecord, _integers, _sum_by_denominator, one_point_value
 from .strata import (
     AmbientSpace,
     ClassExpr,
@@ -26,10 +28,8 @@ from .strata import (
     SeparatingStratum,
     TestMonomial,
     enumerate_tests,
-    pair_with_test,
+    pair_with_tests,
 )
-
-ZERO = Fraction(0)
 
 PAIRING_CAVEAT = (
     "pairing-level evidence against psi/kappa test classes; "
@@ -83,7 +83,7 @@ def build_bbt(g: int, r: int) -> ClassExpr:
     2g - 1 + r of (-1)^a (g2/g) times the decorated separating stratum
     carrying marking 1 on the genus-g1 factor.
     """
-    if g < 1 or r < 0:
+    if g < 1 or min(_integers("r", (r,))) < 0:
         raise ValueError("need g >= 1 and r >= 0")
     ambient = AmbientSpace(g, 1)
     degree = 2 * g + r
@@ -98,7 +98,7 @@ def build_variation(g: int, n1: int, n2: int, r: int) -> ClassExpr:
     asserts it vanishes."""
     if n1 < 2 or n2 < 2:
         raise ValueError("need n1 >= 2 and n2 >= 2")
-    if g < 0 or r < 0:
+    if g < 0 or min(_integers("r", (r,))) < 0:
         raise ValueError("need g >= 0 and r >= 0")
     ambient = AmbientSpace(g, n1 + n2)
     node_total = 2 * g + n1 + n2 - 3 + r
@@ -112,7 +112,7 @@ def build_fqq(g: int, r: int) -> ClassExpr:
     -psi_1^{2g+r} + (-1)^r psi_2^{2g+r} plus the alternating boundary sum
     over positive genus splittings separating the two markings.
     """
-    if g < 1 or r < 0:
+    if g < 1 or min(_integers("r", (r,))) < 0:
         raise ValueError("need g >= 1 and r >= 0")
     ambient = AmbientSpace(g, 2)
     degree = 2 * g + r
@@ -123,7 +123,7 @@ def build_fqq(g: int, r: int) -> ClassExpr:
 
 def build_xi(g: int, r: int) -> ClassExpr:
     """Interior alternating sum of split cotangent powers at the two markings."""
-    if g < 1 or r < 1:
+    if g < 1 or min(_integers("r", (r,))) < 1:
         raise ValueError("need g >= 1 and r >= 1")
     ambient = AmbientSpace(g, 2)
     degree = 2 * g + r
@@ -137,7 +137,7 @@ def build_xi(g: int, r: int) -> ClassExpr:
 def build_vpe(g: int, r: int) -> ClassExpr:
     """Kappa class plus half the alternating unmarked boundary sum on the
     genus-(g+1) space; stated for odd r only."""
-    if g < 1 or r < 1:
+    if g < 1 or min(_integers("r", (r,))) < 1:
         raise ValueError("need g >= 1 and r >= 1")
     if r % 2 == 0:
         raise ValueError("vpe stated for odd r only")
@@ -170,8 +170,8 @@ def verify(expr: ClassExpr, relation: str, params: dict,
     complement = expr.ambient.dim - expr.degree
 
     def rows():
-        for t in enumerate_tests(expr.ambient, complement) if complement >= 0 else ():
-            value = pair_with_test(expr, t, engine)
+        tests = enumerate_tests(expr.ambient, complement) if complement >= 0 else []
+        for t, value in zip(tests, pair_with_tests(expr, tests, engine)):
             yield t.render(), value, value == 0
 
     return _report(relation, params, rows(), trivial=complement < 0)
@@ -185,18 +185,17 @@ def xi_witness(g: int, r: int, engine: CorrelatorEngine) -> Fraction:
     and splits into a product of two integrals.  Equals
     (1/24) * 1/(24^{g-1} (g-1)!) for every 0 <= r <= g - 2.
     """
-    if g < 2 or r < 0 or r > g - 2:
+    if g < 2 or min(_integers("r", (r,))) < 0 or r > g - 2:
         raise ValueError("witness out of range")
     ambient = AmbientSpace(g, 2)
     stratum = SeparatingStratum(1, g - 1, frozenset({1}), (0, 0), (0, 0))
     carrier = ClassExpr.make(ambient, 1, [(Fraction(1), stratum)])
-    extra = g - 2 - r
-    total = ZERO
-    for a in range(0, 2 * g + r + 1):
-        b = 2 * g + r - a
-        t = TestMonomial((a, b + extra))
-        total += (-1) ** a * pair_with_test(carrier, t, engine)
-    return total
+    span, extra = 2 * g + r, g - 2 - r
+    tests = [TestMonomial((a, span - a + extra)) for a in range(span + 1)]
+    sums = {}  # denominator -> signed integer numerator of the pairings over it
+    for a, value in enumerate(pair_with_tests(carrier, tests, engine)):
+        sums[value.denominator] = sums.get(value.denominator, 0) + (-1) ** a * value.numerator
+    return _sum_by_denominator(sums)
 
 
 def xi_witness_expected(g: int) -> Fraction:
@@ -219,29 +218,29 @@ def verify_vyt(g: int, r: int, engine: CorrelatorEngine) -> VerificationReport:
     """Certify that the pushforward of the alternating split-power class
     along the irreducible gluing pairs to zero against every kappa monomial.
 
-    For odd r the report additionally requires term-by-term cancellation
-    under the marking swap (a, b) <-> (b, a).
+    Each row's value is the pairing of one expression, the alternating sum
+    of the gluing terms.  For odd r the report additionally requires
+    term-by-term cancellation under the marking swap (a, b) <-> (b, a),
+    with each term from its own engine integral, a route beside the pairing.
     """
-    if g < 1 or r < 1:
+    if g < 1 or min(_integers("r", (r,))) < 1:
         raise ValueError("need g >= 1 and r >= 1")
-    target = 2 * g + r + 1
+    span = 2 * g + r
     ambient = AmbientSpace(g + 1, 0)
-    complement = ambient.dim - target
+    complement = ambient.dim - span - 1
+
+    def cancels(t: TestMonomial) -> bool:
+        # at odd r the swap pairs (a, b) with (b, a), of opposite sign: each pair's
+        # terms, from their own integrals, must cancel, not just the overall sum
+        integral = engine.psi_kappa_integral
+        return all(integral(g, (a, span - a), t.kappa_parts)
+                   == integral(g, (span - a, a), t.kappa_parts) for a in range((span + 1) // 2))
 
     def rows():
-        span = 2 * g + r
-        term_exprs = [
-            (Fraction((-1) ** a),
-             ClassExpr.make(ambient, target,
-                            [(Fraction(1), NonSeparatingPushforward(g, (a, span - a), ()))]))
-            for a in range(0, span + 1)
-        ]
-        for t in enumerate_tests(ambient, complement) if complement >= 0 else ():
-            values = [coeff * pair_with_test(expr, t, engine) for coeff, expr in term_exprs]
-            total = sum(values, ZERO)
-            # for odd r the swap pairs (a, b) with (b, a); their contributions
-            # must cancel individually, not just in the overall sum
-            yield t.render(), total, total == 0 and (r % 2 == 0 or all(
-                values[a] + values[span - a] == 0 for a in range((span + 1) // 2)))
+        expr = ClassExpr.make(ambient, span + 1, [((-1) ** a, NonSeparatingPushforward(
+            g, (a, span - a), ())) for a in range(span + 1)])
+        tests = enumerate_tests(ambient, complement) if complement >= 0 else []
+        for t, total in zip(tests, pair_with_tests(expr, tests, engine)):
+            yield t.render(), total, total == 0 and (r % 2 == 0 or cancels(t))
 
     return _report("vyt", {"g": g, "r": r}, rows(), trivial=complement < 0)

@@ -20,11 +20,14 @@ For each pullback row and group, factor 1's dimension gate solves for a, so
 the factor-1 integral is taken once and only the strata with that a are
 visited; every factor inserts its node exponent into its sorted exponents
 in place.  Products are summed as integer numerators per denominator and
-divided once per pairing.  An interior or gluing term is planned as one
+divided once per test.  An interior or gluing term is planned as one
 integral (genus, marking exponents, node exponents, kappa parts).  Every
-record, the test too, checks its fields once, when it is built, so every
-integral takes the engine's internal gated path
-(`CorrelatorEngine._psi_kappa`) with sorted exponents and kappa parts.
+record, the test too, checks its fields once, when it is built (by its
+`_make` and `_replace` as well), so every integral takes the engine's
+internal gated path (`CorrelatorEngine._psi_kappa`) with sorted exponents
+and kappa parts.  `pair_with_tests` pairs an expression against a list of
+tests in one call, reading the plan and that path once; `pair_with_test`
+is its one-test call.
 
 Canonical text grammar for rendered terms (stable across releases):
 
@@ -54,12 +57,18 @@ ZERO = Fraction(0)
 # its fields, ints first (engine._integers), in __new__ of a private tuple's subclass.
 
 
+class _Checked:
+    """Makes a record's ``_make``, and so its ``_replace``, build through its checked __new__."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class _AmbientSpace(NamedTuple):
     g: int
     n: int
 
 
-class AmbientSpace(_AmbientSpace):
+class AmbientSpace(_Checked, _AmbientSpace):
     """A stable (g, n) moduli space; dimension 3g - 3 + n."""
 
     __slots__ = ()
@@ -93,7 +102,7 @@ class _Monomial(NamedTuple):
         return " ".join(pieces) or "1"
 
 
-class _CheckedMonomial(_Monomial):
+class _CheckedMonomial(_Checked, _Monomial):
     """Nonnegative int exponents (``_exponent`` in errors), positive int kappa indices."""
 
     __slots__ = ()
@@ -131,7 +140,7 @@ class _SeparatingStratum(NamedTuple):
     marking_exps: tuple[int, ...]
 
 
-class SeparatingStratum(_SeparatingStratum):
+class SeparatingStratum(_Checked, _SeparatingStratum):
     """A one-node separating stratum decorated with node and marking exponents.
 
     The first factor has genus ``g1`` and carries the markings in
@@ -187,7 +196,7 @@ class _NonSeparatingPushforward(NamedTuple):
     marking_exps: tuple[int, ...]
 
 
-class NonSeparatingPushforward(_NonSeparatingPushforward):
+class NonSeparatingPushforward(_Checked, _NonSeparatingPushforward):
     """Pushforward along the gluing of two markings into one node.
 
     The source space is (source_g, n + 2) with the two glued markings
@@ -234,7 +243,7 @@ class _ClassExpr(NamedTuple):
     terms: tuple[tuple[Fraction, Term], ...]
 
 
-class ClassExpr(_ClassExpr):
+class ClassExpr(_Checked, _ClassExpr):
     """A rational combination of same-codimension terms on one ambient space."""
 
     # no __slots__: the instance dict holds the cached _plan
@@ -330,7 +339,7 @@ def count_tests(n: int, degree: int, ceiling: int) -> int:
 
 def enumerate_tests(ambient: AmbientSpace, degree: int) -> list[TestMonomial]:
     """All psi/kappa test monomials of the given degree, psi-heavy first, then descending lex."""
-    if degree < 0:
+    if min(_integers("degree", (degree,))) < 0:
         raise ValueError("degree must be nonnegative")
     return [TestMonomial(psi, kappa) for psi, kappa in _tests(ambient.n, degree)]
 
@@ -402,49 +411,60 @@ def _pairing_plan(expr: ClassExpr):
                        for left, right, decos, groups, _ in splits.values()]
 
 
-def pair_with_test(expr: ClassExpr, t: TestMonomial, engine: CorrelatorEngine) -> Fraction:
-    """Exact pairing of a class expression against a test monomial.
+def pair_with_tests(expr: ClassExpr, tests, engine: CorrelatorEngine) -> list[Fraction]:
+    """Exact pairings of a class expression against a sequence of test monomials, in order.
 
-    Returns 0 whenever the degrees are not complementary (the trivial
-    pairing); the value is linear in the expression.  A stratum factor's
-    exponents sort once per split; its node exponent is inserted.
+    A test whose degree is not complementary pairs to 0 (the trivial
+    pairing); each value is linear in the expression.  The plan and the
+    engine path are read once per call.  A stratum factor's exponents sort
+    once per split and test; its node exponent is inserted.
     """
-    if len(t.psi_exps) != expr.ambient.n:
-        raise ValueError("marking referenced by the test is absent from the ambient space")
-    if expr.degree + t.degree != expr.ambient.dim:
-        return ZERO
-    # records are checked when built: every integral takes the engine's internal path
-    integrals, splits = expr._plan
+    # an empty list builds no plan; checked records take the engine's internal path
+    integrals, splits = expr._plan if tests else ((), ())
     psi_kappa = engine._psi_kappa
-    sums = {}  # denominator -> integer numerator of the terms over it
-    for num, den, g, exps, node, kappa in integrals:
-        value = psi_kappa(g, tuple(sorted([x + y for x, y in zip(exps, t.psi_exps)] + node)),
-                          tuple(sorted(kappa + t.kappa_parts)))
-        if value:
-            d = den * value.denominator
-            sums[d] = sums.get(d, 0) + num * value.numerator
-    for left, right, decos, groups in splits:
-        rows = _pullback_rows(t, left, right)
-        # the rows of a split differ only in their kappa parts; rows[0][f] is
-        # factor f's test psi exponents
-        factor_exps = [tuple(sorted(map(add, deco, rows[0][f]))) for f, deco in decos]
-        for degree1, _, _, k1, k2, mult in rows:
-            for g1, g2, i1, shift, by_a in groups:
-                a = shift - degree1
-                strata = by_a.get(a)
-                if strata is None:
-                    continue
-                d1 = factor_exps[i1]
-                i = bisect(d1, a)
-                f1 = psi_kappa(g1, d1[:i] + (a,) + d1[i:], k1)
-                if not f1:
-                    continue
-                num1, den1 = mult * f1.numerator, f1.denominator
-                for num, den, i2, b in strata:
-                    d2 = factor_exps[i2]
-                    i = bisect(d2, b)
-                    f2 = psi_kappa(g2, d2[:i] + (b,) + d2[i:], k2)
-                    if f2:
-                        d = den * den1 * f2.denominator
-                        sums[d] = sums.get(d, 0) + num * num1 * f2.numerator
-    return _sum_by_denominator(sums)
+    n, complement = expr.ambient.n, expr.ambient.dim - expr.degree
+    values = []
+    for t in tests:
+        if len(t.psi_exps) != n:
+            raise ValueError("marking referenced by the test is absent from the ambient space")
+        if t.degree != complement:
+            values.append(ZERO)
+            continue
+        sums = {}  # denominator -> integer numerator of the terms over it
+        for num, den, g, exps, node, kappa in integrals:
+            value = psi_kappa(g, tuple(sorted([x + y for x, y in zip(exps, t.psi_exps)] + node)),
+                              tuple(sorted(kappa + t.kappa_parts)))
+            if value:
+                d = den * value.denominator
+                sums[d] = sums.get(d, 0) + num * value.numerator
+        for left, right, decos, groups in splits:
+            rows = _pullback_rows(t, left, right)
+            # the rows of a split differ only in their kappa parts; rows[0][f] is
+            # factor f's test psi exponents
+            factor_exps = [tuple(sorted(map(add, deco, rows[0][f]))) for f, deco in decos]
+            for degree1, _, _, k1, k2, mult in rows:
+                for g1, g2, i1, shift, by_a in groups:
+                    a = shift - degree1
+                    strata = by_a.get(a)
+                    if strata is None:
+                        continue
+                    d1 = factor_exps[i1]
+                    i = bisect(d1, a)
+                    f1 = psi_kappa(g1, d1[:i] + (a,) + d1[i:], k1)
+                    if not f1:
+                        continue
+                    num1, den1 = mult * f1.numerator, f1.denominator
+                    for num, den, i2, b in strata:
+                        d2 = factor_exps[i2]
+                        i = bisect(d2, b)
+                        f2 = psi_kappa(g2, d2[:i] + (b,) + d2[i:], k2)
+                        if f2:
+                            d = den * den1 * f2.denominator
+                            sums[d] = sums.get(d, 0) + num * num1 * f2.numerator
+        values.append(_sum_by_denominator(sums) if sums else ZERO)
+    return values
+
+
+def pair_with_test(expr: ClassExpr, t: TestMonomial, engine: CorrelatorEngine) -> Fraction:
+    """Exact pairing of a class expression against one test monomial (see pair_with_tests)."""
+    return pair_with_tests(expr, (t,), engine)[0]

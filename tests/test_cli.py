@@ -592,11 +592,11 @@ def test_counted_tests_are_the_tests_a_tuple_pairs(relation, monkeypatch):
 
     sweep = cli.SWEEPS[relation]
     engine = CorrelatorEngine()
-    # xi-witness reports one value from its 2g + r + 1 pairings
+    # xi-witness reports one value from its 2g + r + 1 pairings, all made in one call
     pairings = []
-    pair_with_test = relations.pair_with_test
-    monkeypatch.setattr(relations, "pair_with_test",
-                        lambda *a: pairings.append(a) or pair_with_test(*a))
+    pair_with_tests = relations.pair_with_tests
+    monkeypatch.setattr(relations, "pair_with_tests", lambda expr, tests, e: (
+        pairings.extend(tests) or pair_with_tests(expr, tests, e)))
     genera = "1..6" if sweep.r_values else "0..1"
     args = cli.build_parser().parse_args(["verify", relation, "--g", genera, "--force"])
     for params in cli._param_tuples(args, sweep):

@@ -178,32 +178,29 @@ def test_conjc_fails_one_step_below_its_threshold(engine):
     assert vanishing == {(2, 0, 0): 0, (3, 0, 0): 2, (4, 0, 0): 4}
 
 
-def _perturb_vyt_terms(monkeypatch, shifts: dict):
-    """Add ``shifts[a]`` to the pairing of the vyt term with node exponents
-    (a, span - a), before verify_vyt signs it by (-1)^a."""
-    exact = relations.pair_with_test
-
-    def perturbed(expr, t, engine):
-        a = expr.terms[0][1].node_exps[0]
-        return exact(expr, t, engine) + shifts.get(a, 0)
-
-    monkeypatch.setattr(relations, "pair_with_test", perturbed)
-
-
 def test_vyt_fails_when_one_term_is_off(engine, monkeypatch):
-    # at even r only the summed check runs
+    # at even r only the summed check runs; every row value moves by 1/7
     assert verify_vyt(3, 2, engine).passed
-    _perturb_vyt_terms(monkeypatch, {0: Fraction(1, 7)})
+    exact = relations.pair_with_tests
+    monkeypatch.setattr(relations, "pair_with_tests", lambda expr, tests, e: [
+        value + Fraction(1, 7) for value in exact(expr, tests, e)])
     report = verify_vyt(3, 2, engine)
     assert not report.passed and not report.trivial
     assert [value for _, value in report.pairings] == [Fraction(1, 7)]
 
 
 def test_vyt_fails_when_the_swap_does_not_cancel_term_by_term(engine, monkeypatch):
-    # at odd r the signed terms a = 0 and a = 1 move by +x and -x: the sum
-    # still vanishes, but neither swap pair (0, span) nor (1, span - 1) cancels
+    # at odd r only the per-term route (engine.psi_kappa_integral) moves, for
+    # the terms a = 0 and a = 1: every row value, from the pairing layer, is
+    # still 0, but neither swap pair (0, span) nor (1, span - 1) cancels
     assert verify_vyt(2, 1, engine).passed
-    _perturb_vyt_terms(monkeypatch, {0: Fraction(1, 7), 1: Fraction(1, 7)})
+    exact = engine.psi_kappa_integral
+
+    def perturbed(g, d, b):
+        # d is the term's (a, span - a), as verify_vyt passes it
+        return exact(g, d, b) + (Fraction(1, 7) if d[0] in (0, 1) else 0)
+
+    monkeypatch.setattr(engine, "psi_kappa_integral", perturbed)
     report = verify_vyt(2, 1, engine)
     assert not report.passed and not report.trivial
     assert report.pairings and report.nonzero() == []

@@ -85,6 +85,32 @@ def test_record_semantics(cls, fields, change, frozen, invalid):
             cls(**bad)
 
 
+@pytest.mark.parametrize("cls, fields, invalid",
+                         [(row[0], row[1], row[4]) for row in RECORDS if row[4] is not None],
+                         ids=[row[0].__name__ for row in RECORDS if row[4] is not None])
+def test_make_and_replace_check_like_the_constructor(cls, fields, invalid):
+    bad, message = invalid
+    with pytest.raises(ValueError) as direct:
+        cls(**bad)
+    assert str(direct.value) == message
+    record = cls(**fields)
+    for call in (lambda: record._replace(**bad), lambda: cls._make({**fields, **bad}.values())):
+        with pytest.raises(ValueError) as made:
+            call()
+        assert type(made.value) is ValueError and str(made.value) == message
+    # a valid change still builds the record, checked, as its own class
+    assert type(record._replace(**fields)) is cls and record._replace(**fields) == record
+    assert cls._make(fields.values()) == record
+
+
+def test_make_and_replace_refuse_a_non_integer_test():
+    # both used to build the record without its checks
+    with pytest.raises(ValueError, match="non-integer descendent level 1.5"):
+        TestMonomial((1,))._replace(psi_exps=(1.5,))
+    with pytest.raises(ValueError, match="non-integer descendent level 2.5"):
+        TestMonomial._make([(2.5,), ()])
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # both are costly imports that no tautrr module needs
     src = str(Path(tautrr.__file__).resolve().parent.parent)

@@ -159,6 +159,13 @@ def test_xi_witness_closed_form_sweep(engine):
             assert xi_witness(g, r, engine) == xi_witness_expected(g), (g, r)
 
 
+def test_xi_witness_closed_form_through_genus_10(engine):
+    # the witness pairs its 2g + r + 1 tests in one call and sums them once
+    for g in range(2, 11):
+        for r in range(0, g - 1):
+            assert xi_witness(g, r, engine) == xi_witness_expected(g) != 0, (g, r)
+
+
 def test_xi_witness_out_of_range(engine):
     with pytest.raises(ValueError, match="witness out of range"):
         xi_witness(3, 2, engine)

@@ -9,6 +9,7 @@ import pytest
 
 from tautrr.engine import CorrelatorEngine, moduli_dim
 from tautrr.strata import (
+    ZERO,
     AmbientSpace,
     ClassExpr,
     InteriorTerm,
@@ -19,6 +20,7 @@ from tautrr.strata import (
     count_tests,
     enumerate_tests,
     pair_with_test,
+    pair_with_tests,
 )
 
 
@@ -524,6 +526,46 @@ def test_pairing_through_adopted_entries_matches_cold_reference(tmp_path):
         assert pair_with_test(expr, t, adopted) == value, (expr.render(), t)
     assert adopted.computed == 0
     assert adopted.entries() == reference.entries()
+
+
+def test_pair_with_tests_matches_term_by_term_reference_over_each_test_list():
+    # one call pairs an expression's whole test list, each value as the
+    # term-by-term reference gives it; a test of the wrong degree pairs to 0
+    engine, reference = CorrelatorEngine(), CorrelatorEngine()
+    listed = 0
+    for expr in _parity_expressions():
+        complement = expr.ambient.dim - expr.degree
+        if complement < 0:
+            continue
+        tests = enumerate_tests(expr.ambient, complement)
+        wrong = enumerate_tests(expr.ambient, complement + 1)[-1]
+        expected = [_reference_pair(expr, t, reference) for t in tests]
+        assert pair_with_tests(expr, [wrong] + tests + [wrong], engine) == [0, *expected, 0], \
+            expr.render()
+        listed += len(tests)
+    assert listed > 100
+    # the same integrals were computed, under the same canonical keys
+    assert engine.entries() == reference.entries()
+
+
+def test_pair_with_tests_gives_the_shared_zero_and_refuses_another_marking_count(engine):
+    amb = AmbientSpace(2, 1)
+    expr = ClassExpr.make(amb, 3, [(1, SeparatingStratum(1, 1, frozenset({1}), (2, 0), (0,)))])
+    t = TestMonomial((0,), (1,))
+    assert pair_with_tests(expr, [t, t], engine) == [pair_with_test(expr, t, engine)] * 2
+    assert pair_with_test(expr, t, engine) == Fraction(1, 576)
+    # a wrong degree, a sum with no nonzero integral and an expression with
+    # no terms give the shared ZERO
+    for e, u in ((expr, TestMonomial((2,))), (expr, TestMonomial((1,))),
+                 (ClassExpr.zero(amb, 3), t)):
+        assert pair_with_tests(e, [u], engine)[0] is ZERO
+    # an empty list builds no plan, as for a trivial report
+    fresh = ClassExpr.make(amb, 3, [(1, SeparatingStratum(1, 1, frozenset({1}), (2, 0), (0,)))])
+    assert pair_with_tests(fresh, [], engine) == [] and "_plan" not in vars(fresh)
+    # the marking count is checked before the degree, on every test of the list
+    for tests in ([TestMonomial((0, 0))], [t, TestMonomial((1, 0))]):
+        with pytest.raises(ValueError, match="marking referenced by the test is absent"):
+            pair_with_tests(expr, tests, engine)
 
 
 #: (psi exponents, kappa parts, message) of tests that cannot be built

@@ -12,7 +12,15 @@ from tautrr.engine import (
     one_point_value,
     two_point_value,
 )
-from tautrr.relations import build_bbt, build_fqq, build_variation, build_xi, verify_vyt
+from tautrr.relations import (
+    build_bbt,
+    build_fqq,
+    build_variation,
+    build_vpe,
+    build_xi,
+    verify_vyt,
+    xi_witness,
+)
 from tautrr.strata import (
     AmbientSpace,
     ClassExpr,
@@ -150,7 +158,8 @@ def test_integer_arguments_still_evaluate():
 
 #: (id, call taking the bad value, the name the error gives it): every record
 #: field, a test monomial, psi_eval's and sweep_report's r, s, g, m, the three
-#: closed-form oracles and CorrelatorKey.make
+#: closed-form oracles, CorrelatorKey.make, each relation builder's and
+#: verifier's r and enumerate_tests' degree
 FIELDS = [
     ("ambient-g", lambda x: AmbientSpace(x, 1), "genus"),
     ("ambient-n", lambda x: AmbientSpace(1, x), "marking count"),
@@ -185,6 +194,16 @@ FIELDS = [
     ("two-point-g", lambda x: two_point_value(x, 1), "genus"),
     ("two-point-a", lambda x: two_point_value(2, x), "descendent level"),
     ("genus0-level", lambda x: genus0_closed_form([0, 0, x]), "descendent level"),
+    # a float r or degree used to end in a TypeError from range, and
+    # build_fqq's r to be named as a decoration exponent
+    ("bbt-r", lambda x: build_bbt(2, x), "r"),
+    ("variation-r", lambda x: build_variation(1, 2, 2, x), "r"),
+    ("fqq-r", lambda x: build_fqq(2, x), "r"),
+    ("xi-r", lambda x: build_xi(2, x), "r"),
+    ("vpe-r", lambda x: build_vpe(1, x), "r"),
+    ("vyt-r", lambda x: verify_vyt(1, x, ENGINE), "r"),
+    ("xi-witness-r", lambda x: xi_witness(3, x, ENGINE), "r"),
+    ("tests-degree", lambda x: enumerate_tests(AmbientSpace(1, 1), x), "degree"),
     ("key-genus", lambda x: CorrelatorKey.make(x, [1]), "genus"),
     ("key-level", lambda x: CorrelatorKey.make(1, [x]), "descendent level"),
     ("key-kappa", lambda x: CorrelatorKey.make(1, [0], [x]), "kappa index"),
