@@ -25,6 +25,7 @@ from .relations import (
     build_fqq,
     build_variation,
     build_vpe,
+    build_vyt,
     build_xi,
     verify,
     verify_vyt,

@@ -105,6 +105,13 @@ def _integers(what: str, values) -> tuple[int, ...]:
     return values
 
 
+def _exact(coeff):
+    """``coeff``, refusing (not converting) anything but an int or a Fraction."""
+    if type(coeff) is not int and type(coeff) is not Fraction:
+        raise ValueError(f"coefficient {coeff!r} is not an int or a Fraction")
+    return coeff
+
+
 class CorrelatorKey(NamedTuple):
     """Canonical (order-independent) key for a memoized integral.
 

@@ -2,9 +2,9 @@
 
 Each builder returns the relation as a single class expression (left side
 minus right side), which :func:`verify` pairs against every test monomial
-of complementary degree, in one ``strata.pair_with_tests`` call; the
-witness and ``vyt`` also pair each of their expressions in one call.
-Every verifier here and the point-target
+of complementary degree, in one ``strata.pair_with_tests`` call;
+:func:`verify_vyt` pairs :func:`build_vyt`, the pushforward of ``build_xi``,
+the same way.  Every verifier here and the point-target
 ``universal.sweep_report`` share one report loop, which passes iff every
 row's own check held (for a relation, that its value is exactly 0).  A
 relation whose codimension exceeds the ambient dimension yields a trivial
@@ -83,7 +83,7 @@ def build_bbt(g: int, r: int) -> ClassExpr:
     2g - 1 + r of (-1)^a (g2/g) times the decorated separating stratum
     carrying marking 1 on the genus-g1 factor.
     """
-    if g < 1 or min(_integers("r", (r,))) < 0:
+    if min(_integers("g", (g,))) < 1 or min(_integers("r", (r,))) < 0:
         raise ValueError("need g >= 1 and r >= 0")
     ambient = AmbientSpace(g, 1)
     degree = 2 * g + r
@@ -96,9 +96,9 @@ def build_variation(g: int, n1: int, n2: int, r: int) -> ClassExpr:
     """Alternating boundary sum over all genus splittings with the first n1
     markings on one factor and the remaining n2 on the other; the relation
     asserts it vanishes."""
-    if n1 < 2 or n2 < 2:
+    if min(_integers("n1", (n1,))) < 2 or min(_integers("n2", (n2,))) < 2:
         raise ValueError("need n1 >= 2 and n2 >= 2")
-    if g < 0 or min(_integers("r", (r,))) < 0:
+    if min(_integers("g", (g,))) < 0 or min(_integers("r", (r,))) < 0:
         raise ValueError("need g >= 0 and r >= 0")
     ambient = AmbientSpace(g, n1 + n2)
     node_total = 2 * g + n1 + n2 - 3 + r
@@ -112,7 +112,7 @@ def build_fqq(g: int, r: int) -> ClassExpr:
     -psi_1^{2g+r} + (-1)^r psi_2^{2g+r} plus the alternating boundary sum
     over positive genus splittings separating the two markings.
     """
-    if g < 1 or min(_integers("r", (r,))) < 0:
+    if min(_integers("g", (g,))) < 1 or min(_integers("r", (r,))) < 0:
         raise ValueError("need g >= 1 and r >= 0")
     ambient = AmbientSpace(g, 2)
     degree = 2 * g + r
@@ -123,7 +123,7 @@ def build_fqq(g: int, r: int) -> ClassExpr:
 
 def build_xi(g: int, r: int) -> ClassExpr:
     """Interior alternating sum of split cotangent powers at the two markings."""
-    if g < 1 or min(_integers("r", (r,))) < 1:
+    if min(_integers("g", (g,))) < 1 or min(_integers("r", (r,))) < 1:
         raise ValueError("need g >= 1 and r >= 1")
     ambient = AmbientSpace(g, 2)
     degree = 2 * g + r
@@ -134,10 +134,19 @@ def build_xi(g: int, r: int) -> ClassExpr:
     return ClassExpr.make(ambient, degree, terms)
 
 
+def build_vyt(g: int, r: int) -> ClassExpr:
+    """The pushforward of :func:`build_xi` along the irreducible gluing: each
+    term psi_1^a psi_2^b becomes iota[g,2](psi*1^a, psi*2^b), with the same
+    coefficient, on the unmarked genus-(g+1) space, one degree higher."""
+    xi = build_xi(g, r)
+    return ClassExpr(AmbientSpace(g + 1, 0), xi.degree + 1, tuple(
+        (coeff, NonSeparatingPushforward(g, term.psi_exps, ())) for coeff, term in xi.terms))
+
+
 def build_vpe(g: int, r: int) -> ClassExpr:
     """Kappa class plus half the alternating unmarked boundary sum on the
     genus-(g+1) space; stated for odd r only."""
-    if g < 1 or min(_integers("r", (r,))) < 1:
+    if min(_integers("g", (g,))) < 1 or min(_integers("r", (r,))) < 1:
         raise ValueError("need g >= 1 and r >= 1")
     if r % 2 == 0:
         raise ValueError("vpe stated for odd r only")
@@ -160,13 +169,9 @@ def _report(relation: str, params: dict, rows, trivial: bool = False) -> Verific
     return report
 
 
-def verify(expr: ClassExpr, relation: str, params: dict,
-           engine: CorrelatorEngine) -> VerificationReport:
-    """Pair the expression against every complementary-degree test monomial.
-
-    Passes iff every pairing is exactly 0.  If the expression degree
-    exceeds the ambient dimension the report is trivially passing.
-    """
+def _pairing_report(expr: ClassExpr, relation: str, params: dict,
+                    engine: CorrelatorEngine) -> VerificationReport:
+    """The body of :func:`verify`, which :func:`verify_vyt` calls as well."""
     complement = expr.ambient.dim - expr.degree
 
     def rows():
@@ -177,6 +182,14 @@ def verify(expr: ClassExpr, relation: str, params: dict,
     return _report(relation, params, rows(), trivial=complement < 0)
 
 
+def verify(expr: ClassExpr, relation: str, params: dict,
+           engine: CorrelatorEngine) -> VerificationReport:
+    """Pair the expression against every complementary-degree test monomial;
+    passes iff every pairing is exactly 0, and trivially if the expression
+    degree exceeds the ambient dimension."""
+    return _pairing_report(expr, relation, params, engine)
+
+
 def xi_witness(g: int, r: int, engine: CorrelatorEngine) -> Fraction:
     """Integral certifying that the alternating split-power class is nonzero.
 
@@ -185,7 +198,7 @@ def xi_witness(g: int, r: int, engine: CorrelatorEngine) -> Fraction:
     and splits into a product of two integrals.  Equals
     (1/24) * 1/(24^{g-1} (g-1)!) for every 0 <= r <= g - 2.
     """
-    if g < 2 or min(_integers("r", (r,))) < 0 or r > g - 2:
+    if min(_integers("g", (g,))) < 2 or min(_integers("r", (r,))) < 0 or r > g - 2:
         raise ValueError("witness out of range")
     ambient = AmbientSpace(g, 2)
     stratum = SeparatingStratum(1, g - 1, frozenset({1}), (0, 0), (0, 0))
@@ -215,32 +228,9 @@ def verify_xi_witness(g: int, r: int, engine: CorrelatorEngine) -> VerificationR
 
 
 def verify_vyt(g: int, r: int, engine: CorrelatorEngine) -> VerificationReport:
-    """Certify that the pushforward of the alternating split-power class
-    along the irreducible gluing pairs to zero against every kappa monomial.
+    """Pair :func:`build_vyt` against every kappa monomial, as :func:`verify` does.
 
-    Each row's value is the pairing of one expression, the alternating sum
-    of the gluing terms.  For odd r the report additionally requires
-    term-by-term cancellation under the marking swap (a, b) <-> (b, a),
-    with each term from its own engine integral, a route beside the pairing.
-    """
-    if g < 1 or min(_integers("r", (r,))) < 1:
-        raise ValueError("need g >= 1 and r >= 1")
-    span = 2 * g + r
-    ambient = AmbientSpace(g + 1, 0)
-    complement = ambient.dim - span - 1
-
-    def cancels(t: TestMonomial) -> bool:
-        # at odd r the swap pairs (a, b) with (b, a), of opposite sign: each pair's
-        # terms, from their own integrals, must cancel, not just the overall sum
-        integral = engine.psi_kappa_integral
-        return all(integral(g, (a, span - a), t.kappa_parts)
-                   == integral(g, (span - a, a), t.kappa_parts) for a in range((span + 1) // 2))
-
-    def rows():
-        expr = ClassExpr.make(ambient, span + 1, [((-1) ** a, NonSeparatingPushforward(
-            g, (a, span - a), ())) for a in range(span + 1)])
-        tests = enumerate_tests(ambient, complement) if complement >= 0 else []
-        for t, total in zip(tests, pair_with_tests(expr, tests, engine)):
-            yield t.render(), total, total == 0 and (r % 2 == 0 or cancels(t))
-
-    return _report("vyt", {"g": g, "r": r}, rows(), trivial=complement < 0)
+    At odd r the terms (a, b) and (b, a), of opposite signs, cancel: the gluing
+    is invariant under exchanging the two glued points, and the engine's sorted
+    integral keys enforce that by construction."""
+    return _pairing_report(build_vyt(g, r), "vyt", {"g": g, "r": r}, engine)

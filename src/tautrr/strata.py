@@ -48,8 +48,8 @@ from operator import add
 from typing import NamedTuple
 
 from .cache import format_rational
-from .engine import (CorrelatorEngine, _integers, _submultisets, _sum_by_denominator, is_stable,
-                     moduli_dim)
+from .engine import (CorrelatorEngine, _exact, _integers, _submultisets, _sum_by_denominator,
+                     is_stable, moduli_dim)
 
 ZERO = Fraction(0)
 
@@ -244,7 +244,7 @@ class _ClassExpr(NamedTuple):
 
 
 class ClassExpr(_Checked, _ClassExpr):
-    """A rational combination of same-codimension terms on one ambient space."""
+    """An int or Fraction combination of same-codimension terms on one ambient space."""
 
     # no __slots__: the instance dict holds the cached _plan
 
@@ -252,6 +252,7 @@ class ClassExpr(_Checked, _ClassExpr):
                 terms: tuple[tuple[Fraction, Term], ...]):
         _integers("degree", (degree,))
         for coeff, term in terms:
+            _exact(coeff)
             if term.degree != degree:
                 raise ValueError(
                     f"term degree {term.degree} differs from expression degree {degree}"
@@ -267,7 +268,7 @@ class ClassExpr(_Checked, _ClassExpr):
 
     @classmethod
     def make(cls, ambient: AmbientSpace, degree: int, terms) -> "ClassExpr":
-        return cls(ambient, degree, tuple((c if type(c) is Fraction else Fraction(c), t)
+        return cls(ambient, degree, tuple((Fraction(c) if type(c) is int else c, t)
                                           for c, t in terms))
 
     @classmethod

@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .engine import CorrelatorEngine, _integers
+from .engine import CorrelatorEngine, _exact, _integers
 from .relations import VerificationReport, _report
 
 ZERO = Fraction(0)
@@ -44,8 +44,7 @@ class VectorFieldPt(NamedTuple):
         acc: dict[int, Fraction] = {}
         for level, coeff in pairs:
             _integers("descendent level", (level,))
-            coeff = Fraction(coeff)
-            if level < 0 or coeff == 0:
+            if _exact(coeff) == 0 or level < 0:
                 continue
             acc[level] = acc.get(level, ZERO) + coeff
         return cls(tuple(sorted((lv, c) for lv, c in acc.items() if c != 0)))

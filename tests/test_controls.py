@@ -8,8 +8,8 @@ somewhere in its default ``tautrr verify`` sweep; the first parameter
 tuple that detects each mutation is pinned.  The point-target vanishing
 (conjC) must fail one step below its threshold, and the vpe expression,
 stated for odd r only, must fail at even r.  The vyt verifier must fail
-when one pushforward term is off, and, at odd r, when two terms are off by
-amounts that cancel in the sum but not under the marking swap.
+when one pushforward term is off, and the vyt expression with every sign
+made +1 must fail at every non-trivial (g, r), odd r included.
 """
 
 import itertools
@@ -26,6 +26,7 @@ from tautrr.relations import (
     build_fqq,
     build_variation,
     build_vpe,
+    build_vyt,
     verify,
     verify_vyt,
 )
@@ -189,21 +190,20 @@ def test_vyt_fails_when_one_term_is_off(engine, monkeypatch):
     assert [value for _, value in report.pairings] == [Fraction(1, 7)]
 
 
-def test_vyt_fails_when_the_swap_does_not_cancel_term_by_term(engine, monkeypatch):
-    # at odd r only the per-term route (engine.psi_kappa_integral) moves, for
-    # the terms a = 0 and a = 1: every row value, from the pairing layer, is
-    # still 0, but neither swap pair (0, span) nor (1, span - 1) cancels
-    assert verify_vyt(2, 1, engine).passed
-    exact = engine.psi_kappa_integral
-
-    def perturbed(g, d, b):
-        # d is the term's (a, span - a), as verify_vyt passes it
-        return exact(g, d, b) + (Fraction(1, 7) if d[0] in (0, 1) else 0)
-
-    monkeypatch.setattr(engine, "psi_kappa_integral", perturbed)
-    report = verify_vyt(2, 1, engine)
-    assert not report.passed and not report.trivial
-    assert report.pairings and report.nonzero() == []
+def test_vyt_without_its_signs_fails_at_every_non_trivial_tuple(engine):
+    # the pushforward of xi with every coefficient +1, on an unpatched engine:
+    # at odd r the swapped terms (a, b) and (b, a) now add instead of cancelling
+    failing = []
+    for g in range(1, 6):
+        for r in range(1, g + 2):
+            vyt = build_vyt(g, r)
+            unsigned = ClassExpr(vyt.ambient, vyt.degree, tuple((1, t) for _, t in vyt.terms))
+            assert verify_vyt(g, r, engine).passed, (g, r)
+            report = verify(unsigned, "vyt", {"g": g, "r": r}, engine)
+            if not report.trivial:
+                assert not report.passed and report.nonzero(), (g, r)
+                failing.append((g, r))
+    assert len(failing) == 10 and sum(r % 2 for _, r in failing) == 6
 
 
 def test_liu_xu_alternating_sum_vanishes_exactly_above_2g(engine):

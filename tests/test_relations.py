@@ -12,6 +12,7 @@ from tautrr.relations import (
     build_fqq,
     build_variation,
     build_vpe,
+    build_vyt,
     build_xi,
     verify,
     verify_vyt,
@@ -23,6 +24,7 @@ from tautrr.strata import (
     AmbientSpace,
     ClassExpr,
     InteriorTerm,
+    NonSeparatingPushforward,
     TestMonomial,
     pair_with_test,
 )
@@ -231,6 +233,42 @@ def test_vyt_sweep(engine):
             report = verify_vyt(g, r, engine)
             assert report.passed, (g, r)
             assert report.trivial == (2 * g + r + 1 > 3 * g), (g, r)
+
+
+def test_vyt_expression_is_the_pushforward_of_xi():
+    for g in range(1, 5):
+        for r in range(1, g + 2):
+            xi, vyt = build_xi(g, r), build_vyt(g, r)
+            assert vyt.ambient == AmbientSpace(g + 1, 0) and vyt.degree == xi.degree + 1
+            assert vyt.terms == tuple((c, NonSeparatingPushforward(g, term.psi_exps, ()))
+                                      for c, term in xi.terms)
+            assert [type(c) for c, _ in vyt.terms] == [Fraction] * (2 * g + r + 1)
+
+
+def test_vyt_report_is_the_verify_report_of_its_expression(engine):
+    # verify_vyt is verify's pairing loop on build_vyt, with its own name and params
+    for g in range(1, 6):
+        for r in range(1, g + 2):
+            params = {"g": g, "r": r}
+            report = verify_vyt(g, r, engine)
+            expected = verify(build_vyt(g, r), "vyt", params, engine)
+            report.millis = expected.millis = 0
+            assert report == expected, (g, r)
+            assert report.params == params and report.params is not params
+
+
+def test_vyt_takes_no_integral_beside_the_pairing(monkeypatch):
+    # every value comes from the pairing layer; the public per-term route is
+    # never asked, so a broken one cannot move a report
+    engine = CorrelatorEngine()
+
+    def refuse(*args):
+        raise AssertionError("psi_kappa_integral called")
+
+    monkeypatch.setattr(engine, "psi_kappa_integral", refuse)
+    for g, r in ((2, 1), (3, 2), (4, 1), (4, 3)):
+        report = verify_vyt(g, r, engine)
+        assert report.passed and not report.trivial, (g, r)
 
 
 # ----------------------------------------------------------------------

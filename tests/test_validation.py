@@ -29,6 +29,7 @@ from tautrr.strata import (
     SeparatingStratum,
     TestMonomial,
     enumerate_tests,
+    pair_with_test,
 )
 from tautrr.universal import VectorFieldPt, psi_eval, sweep_report, tau
 
@@ -159,7 +160,7 @@ def test_integer_arguments_still_evaluate():
 #: (id, call taking the bad value, the name the error gives it): every record
 #: field, a test monomial, psi_eval's and sweep_report's r, s, g, m, the three
 #: closed-form oracles, CorrelatorKey.make, each relation builder's and
-#: verifier's r and enumerate_tests' degree
+#: verifier's g, n1, n2 and r, and enumerate_tests' degree
 FIELDS = [
     ("ambient-g", lambda x: AmbientSpace(x, 1), "genus"),
     ("ambient-n", lambda x: AmbientSpace(1, x), "marking count"),
@@ -197,6 +198,17 @@ FIELDS = [
     # a float r or degree used to end in a TypeError from range, and
     # build_fqq's r to be named as a decoration exponent
     ("bbt-r", lambda x: build_bbt(2, x), "r"),
+    # a builder's g, n1 or n2 used to be named by the record it fed, with a
+    # value the caller never passed (g + 1, n1 + n2), or to end in a TypeError
+    ("bbt-g", lambda x: build_bbt(x, 1), "g"),
+    ("variation-g", lambda x: build_variation(x, 2, 2, 0), "g"),
+    ("variation-n1", lambda x: build_variation(1, x, 2, 0), "n1"),
+    ("variation-n2", lambda x: build_variation(1, 2, x, 0), "n2"),
+    ("fqq-g", lambda x: build_fqq(x, 1), "g"),
+    ("xi-g", lambda x: build_xi(x, 1), "g"),
+    ("vpe-g", lambda x: build_vpe(x, 1), "g"),
+    ("vyt-g", lambda x: verify_vyt(x, 1, ENGINE), "g"),
+    ("xi-witness-g", lambda x: xi_witness(x, 0, ENGINE), "g"),
     ("variation-r", lambda x: build_variation(1, 2, 2, x), "r"),
     ("fqq-r", lambda x: build_fqq(2, x), "r"),
     ("xi-r", lambda x: build_xi(2, x), "r"),
@@ -218,3 +230,43 @@ def test_non_integer_fields_are_refused_by_name(call, bad, name):
     with pytest.raises(ValueError) as info:
         call(bad)
     assert type(info.value) is ValueError and str(info.value) == f"non-integer {name} {bad!r}"
+
+
+#: (id, call taking the bad coefficient); a coefficient that is not an int or
+#: a Fraction is refused when the record is built: ClassExpr's own constructor
+#: used to accept 0.5 and fail only when paired (AttributeError on
+#: ``numerator``), and both ``make``s turned 0.1 into a binary fraction
+COEFFICIENTS = [
+    ("expr", lambda c: ClassExpr(AmbientSpace(1, 1), 1, ((c, InteriorTerm((1,))),))),
+    ("expr-make", lambda c: ClassExpr.make(AmbientSpace(1, 1), 1, [(c, InteriorTerm((1,)))])),
+    ("expr-make-second-term", lambda c: ClassExpr.make(
+        AmbientSpace(1, 1), 1, [(1, InteriorTerm((1,))), (c, InteriorTerm((0,), (1,)))])),
+    ("field-make", lambda c: VectorFieldPt.make([(1, c)])),
+    ("field-make-negative-level", lambda c: VectorFieldPt.make([(-1, c)])),
+    ("field-sum", lambda c: tau(1) + VectorFieldPt(((2, c),))),
+]
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(call, bad, id=f"{row}-{bad!r}")
+    for row, call in COEFFICIENTS for bad in (0.5, 0.1, 1.0, True, "1/2")
+])
+def test_inexact_coefficients_are_refused_by_name(call, bad):
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"coefficient {bad!r} is not an int or a Fraction"
+
+
+def test_exact_coefficients_still_build_and_pair():
+    ambient, term = AmbientSpace(1, 1), InteriorTerm((1,))
+    direct = ClassExpr(ambient, 1, ((1, term),))  # an int is kept as it is
+    made = ClassExpr.make(ambient, 1, [(1, term)])  # make turns it into a Fraction
+    assert type(direct.terms[0][0]) is int and type(made.terms[0][0]) is Fraction
+    test = TestMonomial((0,))
+    half = ClassExpr(ambient, 1, ((Fraction(1, 2), term),))
+    assert pair_with_test(direct, test, ENGINE) == pair_with_test(made, test, ENGINE) == \
+        Fraction(1, 24) == 2 * pair_with_test(half, test, ENGINE)
+    assert VectorFieldPt.make([(1, 2), (1, Fraction(-1, 2))]) == \
+        VectorFieldPt(((1, Fraction(3, 2)),))
+    assert VectorFieldPt.make([(1, 0)]) == VectorFieldPt(())
