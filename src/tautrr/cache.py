@@ -16,31 +16,34 @@ writes a sibling temp file and renames it over the target, so a crash
 never leaves a cut-off file behind.
 
 A file is trusted exactly when its header is ``v2`` and its trailer
-matches, or when it is a legacy ``v1`` file, which has no trailer.
+matches.  An empty file is an empty store, with nothing to trust.
 
 * A checksum-matched file is not parsed at load.  It is held as its text
   (:class:`SavedLines`), which answers a lookup from the key's line, and
   its count and largest genus from the text, so a hit, a warm ``verify``
-  and ``cache stats`` parse none of it.  A save over it writes its lines
-  as they are and merges in only the new ones, in key order.
-* Every other file takes the per-line checks.  They reject, naming the
-  line, any key the engine cannot produce: negative genus, a negative psi
-  exponent, a non-positive kappa index, an unstable (g, n), or exponents
-  and kappa indices that do not sum to the dimension 3g - 3 + n.  A value
-  in the canonical form ``-?digits[/digits]`` with a nonzero denominator
-  is kept as text until the engine or a reader of ``CacheStore.entries``
-  reads it; any other value the loader accepts (`` 1/24 ``, ``+3``,
-  ``0.5``) is decoded at load.  A trailer may end such a file.  A legacy
-  ``v1`` file without one is trusted; any other file (another version, a
-  ``v2`` file whose trailer is missing or wrong, a ``v1`` file with a
-  trailer) is quarantined: its entries never reach an engine, and
-  :func:`revalidate` compares them with what an engine computed.
+  and ``cache stats`` parse none of it.  A value is read only when the
+  engine first needs it, through the engine's one checked decode: text
+  that is not ``-?digits[/digits]`` with a nonzero denominator raises
+  :class:`~tautrr.engine.ImpossibleEntryError`.  A save over the file
+  writes its lines as they are and merges in only the new ones, in key
+  order.
+* Every other file (another version, the legacy ``v1`` included, or a
+  ``v2`` file whose trailer is missing or wrong) is quarantined: its
+  entries never reach an engine, and :func:`revalidate` compares them
+  with what an engine computed.  It takes the per-line checks.  They
+  reject, naming the line, any key the engine cannot produce: negative
+  genus, a negative psi exponent, a non-positive kappa index, an unstable
+  (g, n), or exponents and kappa indices that do not sum to the dimension
+  3g - 3 + n, and any value that is not a rational number or has a zero
+  denominator.  A value in the canonical form is kept as text until a
+  reader of ``CacheStore.entries`` reads it; any other value the loader
+  accepts (`` 1/24 ``, ``+3``, ``0.5``) is decoded at load.  A trailer
+  may end such a file.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import warnings
 import zlib
 from bisect import bisect_left
@@ -56,15 +59,13 @@ from .engine import (
     Rational,
     SlotRecord,
     _fraction,
+    _is_canonical,
     key_from_tuple,
     one_point_value,
-    rational_parts,
 )
 
 CACHE_MAGIC = "#taut-rr-cache"
 CACHE_VERSION = "v2"
-#: the version before the trailer, still trusted when it has none
-LEGACY_VERSION = "v1"
 TRAILER = "#crc32 "
 _HEADER = f"{CACHE_MAGIC} {CACHE_VERSION}\n"
 
@@ -84,17 +85,8 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-#: matches the canonical form -?digits[/digits], denominator nonzero
-_is_canonical = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?").fullmatch
-
-
 def parse_rational(text: str) -> Fraction:
-    if _is_canonical(text):
-        return Fraction(*rational_parts(text))
-    text = text.strip()
-    if not text:
-        raise ValueError("empty rational")
-    return Fraction(text)
+    return Fraction(text.strip())
 
 
 def _format_key(key) -> str:
@@ -176,7 +168,7 @@ class SavedLines(Mapping):
 
 class CacheStore(SlotRecord):
     """Entries plus the version string of the engine that produced them,
-    and whether the loader trusts them (a new store is trusted).
+    and whether they are trusted (a new store, or a checksum-matched file's).
 
     ``entries`` reads as ``{CorrelatorKey: Fraction}``; any mapping given
     is held as an :class:`Entries` view, whose ``raw`` values a load or a
@@ -261,7 +253,7 @@ def cache_save(store: CacheStore, path) -> None:
     for key in sorted(new):
         i = bisect_left(lines, key, at, key=_line_key)
         out += lines[at:i]
-        out.append(f"{_format_key(key)};{format_rational(_fraction(new[key]))}")
+        out.append(f"{_format_key(key)};{format_rational(_fraction(key, new[key]))}")
         at = i
     out += lines[at:]
     text = _HEADER + "".join(f"{line}\n" for line in out)
@@ -284,18 +276,20 @@ def cache_save(store: CacheStore, path) -> None:
 
 
 def cache_load(path) -> CacheStore:
+    """The store of a cache file: trusted when the file is checksum-matched,
+    empty for an empty file, and quarantined otherwise."""
     text = Path(path).read_bytes().decode("utf-8")
     cut = text.rfind("\n", 0, -1) + 1  # where the last line starts
     if text.startswith(_HEADER) and text[cut:] == _trailer(text[:cut]):
         return CacheStore(Entries(SavedLines(text[:cut])))
+    if not text.strip():
+        return CacheStore()
     return _load_lines(text)
 
 
 def _load_lines(text: str) -> CacheStore:
-    """The per-line load of a file that is not checksum-matched: every key
-    and value is checked, and the first bad line is named."""
-    if not text.strip():
-        return CacheStore()
+    """The quarantined store of a file that is not checksum-matched: every
+    key and value is checked, and the first bad line is named."""
     lines = text.splitlines()
     header = lines[0].strip()
     if not header.startswith(CACHE_MAGIC):
@@ -324,7 +318,7 @@ def _load_lines(text: str) -> CacheStore:
             raise CacheFormatError(f"line {lineno}: impossible key "
                                    f"{line.rsplit(';', 1)[0]!r}: {problem}")
         entries[key_from_tuple((genus, d, b))] = value
-    return CacheStore(entries, version, version == LEGACY_VERSION and not trailer)
+    return CacheStore(entries, version, trusted=False)
 
 
 def save_engine_cache(engine: CorrelatorEngine, path) -> CacheStore:
@@ -363,7 +357,7 @@ def revalidate(store: CacheStore, entries: Mapping[CorrelatorKey, Fraction]) -> 
         old = raw.get(key)
         if old is not None:
             checked += 1
-            if _fraction(old) != value:
+            if _fraction(key, old) != value:
                 warnings.warn(f"stale cache entry for {key} disagreed with recomputation; "
                               "using the fresh value")
     return len(raw) - checked

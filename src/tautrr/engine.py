@@ -51,14 +51,14 @@ Conventions:
     cache save does.  The engine counts the values it computes, so a run
     can tell whether it added an entry without listing any.  Trusted
     entries adopted from outside wait undecoded in a pending table, a
-    mapping the engine looks keys up in and never changes: a dict from a
-    cache file's per-line load, whose loader has checked every key and the
-    syntax of every value, or a checksum-matched file's text, which finds
-    a key's line on lookup.  A pending entry is decoded on first use, on a
-    memo miss: a psi entry straight to I, raising ImpossibleEntryError
-    unless it is a positive integer there (as every I is), whether the
-    recursion needs it or a caller asked for it.  With nothing adopted,
-    the pending table is an empty dict.
+    mapping the engine looks keys up in and never changes; from a cache
+    file, a checksum-matched file's text, which finds a key's line on
+    lookup.  A pending entry is decoded on first use, on a memo miss, by
+    `_parts`, which refuses text that is not -?digits[/digits] with a
+    nonzero denominator; a psi entry goes straight to I, which must be a
+    positive integer (as every I is).  Either fault raises
+    ImpossibleEntryError, whether the recursion needs the entry or a caller
+    asked for it.  With nothing adopted, the pending table is an empty dict.
   * Inner recursion derives the split genus from the dimension gate: in a
     genus split only one g1 can satisfy the left factor's dimension
     constraint, so that g1 is computed and no other is tried.
@@ -71,6 +71,7 @@ Conventions:
 
 from __future__ import annotations
 
+import re
 from bisect import bisect
 from collections import ChainMap
 from collections.abc import Mapping
@@ -138,24 +139,30 @@ class CorrelatorKey(NamedTuple):
 key_from_tuple = partial(tuple.__new__, CorrelatorKey)
 
 
-#: a value as adopted: a Fraction, an int, or text ``-?digits[/digits]``
-#: with a nonzero denominator, not necessarily reduced (``2/4``, ``0007``)
+#: a value as adopted: a Fraction, an int, or text, read only in the form
+#: _is_canonical matches, not necessarily reduced (``2/4``, ``0007``)
 Rational = Fraction | int | str
 
+#: matches the canonical form -?digits[/digits], denominator nonzero
+_is_canonical = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?").fullmatch
 
-def rational_parts(value: Rational) -> tuple[int, int]:
-    """(numerator, denominator) of a Rational, as written: text is not
-    reduced, and its denominator is 1 when it has no slash."""
+
+def _parts(key, value: Rational) -> tuple[int, int]:
+    """(numerator, denominator) of the Rational stored under ``key`` as written
+    (text is not reduced; no slash means 1); text that _is_canonical does
+    not match raises ImpossibleEntryError naming the key and the text."""
     if type(value) is str:
+        if not _is_canonical(value):
+            raise ImpossibleEntryError(
+                f"impossible value {value!r} for {_label(*key)}: "
+                "not -?digits[/digits] with a nonzero denominator")
         num, _, den = value.partition("/")
         return int(num), int(den) if den else 1
     return value.numerator, value.denominator
 
 
-def _fraction(value: Rational) -> Fraction:
-    if type(value) is str:
-        return Fraction(*rational_parts(value))
-    return value if type(value) is Fraction else Fraction(value)
+def _fraction(key, value: Rational) -> Fraction:
+    return value if type(value) is Fraction else Fraction(*_parts(key, value))
 
 
 class SlotRecord:
@@ -189,7 +196,7 @@ class Entries(Mapping):
         self.raw = raw
 
     def __getitem__(self, key) -> Fraction:
-        return _fraction(self.raw[key])
+        return _fraction(key, self.raw[key])
 
     def __iter__(self):
         return iter(self.raw)
@@ -275,9 +282,9 @@ def two_point_value(g: int, a: int) -> Fraction:
 
 
 class ImpossibleEntryError(ArithmeticError):
-    """Raised when a trusted adopted entry (say one loaded from a cache file)
-    is first read and no psi integral can equal it: its value times
-    8^g g! prod (2d_i+1)!! is not a positive integer."""
+    """Raised when a trusted adopted entry (say from a cache file) is first
+    read and no integral can equal it: its text is not canonical, or a psi
+    value times 8^g g! prod (2d_i+1)!! is not a positive integer."""
 
 
 def _submultisets(parts: tuple[int, ...], half: bool = False):
@@ -324,8 +331,8 @@ def _normalization(g: int, d: tuple[int, ...]) -> int:
     return norm
 
 
-def _label(g: int, d: tuple[int, ...]) -> str:
-    return f"<{' '.join(f'tau_{x}' for x in d)}>_{g}"
+def _label(g: int, d: tuple[int, ...], b: tuple[int, ...] = ()) -> str:
+    return f"<{' '.join([f'tau_{x}' for x in d] + [f'kappa_{x}' for x in b])}>_{g}"
 
 
 #: <tau_0^3>_0 and <tau_1>_1, the two correlators on spaces with
@@ -415,13 +422,12 @@ class CorrelatorEngine:
         """Install trusted externally loaded entries, whose values may still
         be text.
 
-        The caller has checked the keys and the syntax of the values (the
-        cache loader does); the values are decoded on first use.  The
-        entries wait in the pending table; the engine keeps the mapping
-        given, when it is the first, and never changes it.  When one is
-        first needed, a psi entry is converted once to its normalized
-        integer, and one that is not a positive integer there raises
-        :class:`ImpossibleEntryError`.
+        The caller vouches for the keys (a checksum-matched cache file holds
+        only keys a save wrote).  The entries wait in the pending table; the
+        engine keeps the mapping given, when it is the first, and never
+        changes it.  A value is decoded when first needed, and text that is
+        not canonical, or a psi value that is not a positive integer once
+        normalized, raises :class:`ImpossibleEntryError`.
         """
         self._pending = {**self._pending, **entries} if self._pending else entries
 
@@ -457,7 +463,7 @@ class CorrelatorEngine:
         value = self._pending.get((g, d, ()))
         if value is None:
             return self._compute(g, d)
-        num, den = rational_parts(value)
+        num, den = _parts((g, d, ()), value)
         val, rem = divmod(num * _normalization(g, d), den)
         if rem or val <= 0:
             raise ImpossibleEntryError(
@@ -565,7 +571,7 @@ class CorrelatorEngine:
             return self._psi(g, d)
         value = self._pending.get((g, d, b))
         if value is not None:
-            value = self._memo[key_from_tuple((g, d, b))] = _fraction(value)
+            value = self._memo[key_from_tuple((g, d, b))] = _fraction((g, d, b), value)
             return value
         # trade the last kappa index for one extra marking; any sub-multiset
         # of the remaining indices may merge into the new insertion, with

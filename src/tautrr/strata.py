@@ -172,16 +172,6 @@ class SeparatingStratum(_Checked, _SeparatingStratum):
     def markings2(self) -> frozenset[int]:
         return frozenset(range(1, len(self.marking_exps) + 1)) - self.markings1
 
-    def swapped(self) -> "SeparatingStratum":
-        """The same stratum with the two factors listed in the other order."""
-        return SeparatingStratum(
-            self.g2,
-            self.g1,
-            self.markings2(),
-            (self.node_exps[1], self.node_exps[0]),
-            self.marking_exps,
-        )
-
     def render(self) -> str:
         labels = "{" + ",".join(str(i) for i in sorted(self.markings1)) + "}"
         a, b = self.node_exps
@@ -270,10 +260,6 @@ class ClassExpr(_Checked, _ClassExpr):
     def make(cls, ambient: AmbientSpace, degree: int, terms) -> "ClassExpr":
         return cls(ambient, degree, tuple((Fraction(c) if type(c) is int else c, t)
                                           for c, t in terms))
-
-    @classmethod
-    def zero(cls, ambient: AmbientSpace, degree: int) -> "ClassExpr":
-        return cls(ambient, degree, ())
 
     @cached_property
     def _plan(self):

@@ -30,14 +30,28 @@ from typing import NamedTuple
 
 from .engine import CorrelatorEngine, _exact, _integers
 from .relations import VerificationReport, _report
+from .strata import _Checked
 
 ZERO = Fraction(0)
 
 
-class VectorFieldPt(NamedTuple):
-    """Finite rational combination of coordinate fields, point target."""
-
+class _VectorFieldPt(NamedTuple):
     terms: tuple[tuple[int, Fraction], ...]
+
+
+class VectorFieldPt(_Checked, _VectorFieldPt):
+    """Finite rational combination of coordinate fields, point target: terms
+    (level, coefficient), a nonnegative int level, an int or Fraction coefficient."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms: tuple[tuple[int, Fraction], ...]):
+        terms = tuple(terms)
+        for level, coeff in terms:
+            if min(_integers("descendent level", (level,))) < 0:
+                raise ValueError("negative descendent level")
+            _exact(coeff)
+        return super().__new__(cls, terms)
 
     @classmethod
     def make(cls, pairs) -> "VectorFieldPt":

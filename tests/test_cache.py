@@ -192,7 +192,7 @@ def test_every_engine_key_passes_the_load_checks(tmp_path):
     assert any(key.kappa_parts for key in saved.entries)
     _legacy_copy(path)  # so that every key goes through the per-line checks
     loaded = cache_load(path)
-    assert type(loaded.entries.raw) is dict and loaded.trusted
+    assert type(loaded.entries.raw) is dict and not loaded.trusted
     assert loaded.entries == saved.entries
     # the save order is the dataclass order of the keys
     assert list(loaded.entries) == sorted(loaded.entries)
@@ -290,6 +290,13 @@ def _eager(path):
     return entries
 
 
+def _write_matched(path, *lines) -> None:
+    """Write ``lines`` as a checksum-matched, so trusted, cache file: the v2
+    header, the lines, then ``#crc32`` and the zlib.crc32 of the text above."""
+    text = "#taut-rr-cache v2\n" + "".join(f"{line}\n" for line in lines)
+    path.write_text(f"{text}#crc32 {zlib.crc32(text.encode()):08x}\n", encoding="utf-8")
+
+
 def _legacy_copy(path) -> None:
     """Rewrite a saved file as the v1 format wrote it: no trailer."""
     lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
@@ -297,8 +304,8 @@ def _legacy_copy(path) -> None:
 
 
 def _odd_cache(tmp_path):
-    """A legacy v1 file, trusted and loaded line by line, ending in the odd
-    value lines."""
+    """A legacy v1 file, loaded line by line (and quarantined), ending in
+    the odd value lines."""
     engine = CorrelatorEngine()
     engine.psi_integral(3, [2, 6])
     engine.psi_kappa_integral(2, [1], [1, 2])
@@ -318,13 +325,14 @@ def test_lazy_load_reads_as_an_eager_parse(tmp_path):
     path = _odd_cache(tmp_path)
     eager = _eager(path)
     store = cache_load(path)
-    assert store.trusted and store.entries == eager
+    assert not store.trusted and store.entries == eager
     assert all(type(v) is Fraction for v in store.entries.values())
     # only the canonical values are held back as text
     decoded = {key for key, v in store.entries.raw.items() if type(v) is not str}
     assert decoded == {(1, (0,), (1,)), (1, (0, 2), ()), (2, (0, 5), ())}
+    # an engine that adopts the loaded text decodes it as the eager parse does
     lazy = CorrelatorEngine()
-    load_engine_cache(lazy, path)
+    lazy.adopt(store.entries.raw)
     reference = CorrelatorEngine()
     reference.adopt(eager)
     assert lazy.entries() == reference.entries() == eager
@@ -350,7 +358,7 @@ def test_grown_file_is_saved_as_an_eager_load_would_save_it(tmp_path):
     expected = tmp_path / "expected.txt"
     save_engine_cache(reference, expected)
     engine = CorrelatorEngine()
-    load_engine_cache(engine, path)
+    engine.adopt(cache_load(path).entries.raw)
     engine.psi_integral(3, [1, 2, 6])
     save_engine_cache(engine, path)
     assert path.read_bytes() == expected.read_bytes()
@@ -367,9 +375,9 @@ def test_impossible_value_raises_on_a_direct_read(tmp_path, value, why):
     # every <tau_d>_g passing the dimension gate times 8^g g! prod (2d_i+1)!!
     # is a positive integer
     path = tmp_path / "c.txt"
-    path.write_text(f"#taut-rr-cache v1\n2;4;;{value}\n")
+    _write_matched(path, f"2;4;;{value}")
     engine = CorrelatorEngine()
-    load_engine_cache(engine, path)
+    assert load_engine_cache(engine, path).trusted
     with pytest.raises(ImpossibleEntryError, match=f"{value} for <tau_4>_2: .* {why}$"):
         engine.psi_integral(2, [4])
     # left pending, so a second read raises again
@@ -453,23 +461,23 @@ TWO = [((1, (1,), ()), "1/24"), ((2, (4,), ()), "1/1152")]
 LOAD_CASES = {
     "five fields then three": (HEAD + "0;0,0,0;;1;0\n0,0,0;;1\n",
                                "line 2: expected 'g;d1,...;b1,...;value', got '0;0,0,0;;1;0'"),
-    "crlf": (HEAD.replace("\n", "\r\n") + "1;1;;1/24\r\n2;4;;1/1152\r\n", (TWO, "v1", True)),
+    "crlf": (HEAD.replace("\n", "\r\n") + "1;1;;1/24\r\n2;4;;1/1152\r\n", (TWO, "v1", False)),
     "vertical tab in the header": ("#taut-rr-cache v1\x0bjunk\n1;1;;1/24\n",
                                    "line 2: expected 'g;d1,...;b1,...;value', got 'junk'"),
-    "spaces in the header": ("#taut-rr-cache  v1 \n1;1;;1/24\n", (ONE, "v1", True)),
-    "blank line": (HEAD + "1;1;;1/24\n\n2;4;;1/1152\n", (TWO, "v1", True)),
-    "no final newline": (HEAD + "1;1;;1/24\n2;4;;1/1152", (TWO, "v1", True)),
-    "leading zero": (HEAD + "1;1;;1/24\n2;04;;1/1152\n", (TWO, "v1", True)),
+    "spaces in the header": ("#taut-rr-cache  v1 \n1;1;;1/24\n", (ONE, "v1", False)),
+    "blank line": (HEAD + "1;1;;1/24\n\n2;4;;1/1152\n", (TWO, "v1", False)),
+    "no final newline": (HEAD + "1;1;;1/24\n2;4;;1/1152", (TWO, "v1", False)),
+    "leading zero": (HEAD + "1;1;;1/24\n2;04;;1/1152\n", (TWO, "v1", False)),
     "leading zeros": (HEAD + "1;1;;1/24\n3;007;;1/82944\n",
-                      ([ONE[0], ((3, (7,), ()), "1/82944")], "v1", True)),
-    "plus sign": (HEAD + "+1;1;;1/24\n", (ONE, "v1", True)),
-    "space before a numeral": (HEAD + "1; 1;;1/24\n", (ONE, "v1", True)),
-    "non-ASCII digit": (HEAD + "١;1;;1/24\n", (ONE, "v1", True)),
-    "exponent of 255": (HEAD + "86;255,2;;7\n", ([((86, (2, 255), ()), "7")], "v1", True)),
-    "exponent of 256": (HEAD + "86;256;;7\n", ([((86, (256,), ()), "7")], "v1", True)),
-    "genus of 256": (HEAD + "256;766;;7\n", ([((256, (766,), ()), "7")], "v1", True)),
-    "kappa index of 256": (HEAD + "87;;256,2;7\n", ([((87, (), (2, 256)), "7")], "v1", True)),
-    "exponent of 1000": (HEAD + "334;1000;;7\n", ([((334, (1000,), ()), "7")], "v1", True)),
+                      ([ONE[0], ((3, (7,), ()), "1/82944")], "v1", False)),
+    "plus sign": (HEAD + "+1;1;;1/24\n", (ONE, "v1", False)),
+    "space before a numeral": (HEAD + "1; 1;;1/24\n", (ONE, "v1", False)),
+    "non-ASCII digit": (HEAD + "١;1;;1/24\n", (ONE, "v1", False)),
+    "exponent of 255": (HEAD + "86;255,2;;7\n", ([((86, (2, 255), ()), "7")], "v1", False)),
+    "exponent of 256": (HEAD + "86;256;;7\n", ([((86, (256,), ()), "7")], "v1", False)),
+    "genus of 256": (HEAD + "256;766;;7\n", ([((256, (766,), ()), "7")], "v1", False)),
+    "kappa index of 256": (HEAD + "87;;256,2;7\n", ([((87, (), (2, 256)), "7")], "v1", False)),
+    "exponent of 1000": (HEAD + "334;1000;;7\n", ([((334, (1000,), ()), "7")], "v1", False)),
     "negative exponent": (HEAD + "1;-1,2;;7\n",
                           "line 2: impossible key '1;-1,2;': negative psi exponent"),
     "kappa index 0": (HEAD + "1;1,1;0;7\n",
@@ -480,13 +488,13 @@ LOAD_CASES = {
     "zero denominator": (HEAD + "2;4;;1/0\n", "line 2: bad value '1/0'"),
     "zero denominator, two digits": (HEAD + "2;4;;1/00\n", "line 2: bad value '1/00'"),
     "duplicate keys": (HEAD + "1;1;;1/24\n2;4;;1/1152\n1;1;;7\n",
-                       ([((1, (1,), ()), "7"), TWO[1]], "v1", True)),
+                       ([((1, (1,), ()), "7"), TWO[1]], "v1", False)),
     "unsorted lists": (HEAD + "1;2,0;;1/24\n2;;2,1;1/240\n",
-                       ([((1, (0, 2), ()), "1/24"), ((2, (), (1, 2)), "1/240")], "v1", True)),
+                       ([((1, (0, 2), ()), "1/24"), ((2, (), (1, 2)), "1/240")], "v1", False)),
     "empty lists": (HEAD + "0;0,0,0;;1\n2;;1,2;1/240\n",
-                    ([((0, (0, 0, 0), ()), "1"), ((2, (), (1, 2)), "1/240")], "v1", True)),
+                    ([((0, (0, 0, 0), ()), "1"), ((2, (), (1, 2)), "1/240")], "v1", False)),
     "trailing comma": (HEAD + "1;0,2,;;1/24\n", "line 2: bad exponent list '0,2,'"),
-    # a trailer ends the file; only a v1 file without one is trusted here
+    # a trailer ends the file; no file the per-line load reads is trusted
     "v2 without a trailer": ("#taut-rr-cache v2\n1;1;;1/24\n", (ONE, "v2", False)),
     "v2 with a wrong trailer": ("#taut-rr-cache v2\n1;1;;1/24\n#crc32 6e6c0201\n",
                                 (ONE, "v2", False)),
@@ -699,7 +707,9 @@ def test_stale_base_key_warns_on_every_exit(tmp_path, capsys, argv, err):
     assert path.read_bytes() == before
 
 
-def test_legacy_file_is_trusted_as_before(seed_bytes, tmp_path, capsys):
+def test_legacy_file_is_quarantined_as_another_version(seed_bytes, tmp_path, capsys):
+    # a v1 file has no checksum, so it is trusted no more than any other
+    # version: its entries are revalidated, never served
     from tautrr.cli import main
     from tautrr.engine import two_point_value
 
@@ -708,17 +718,15 @@ def test_legacy_file_is_trusted_as_before(seed_bytes, tmp_path, capsys):
     _legacy_copy(path)
     before = path.read_bytes()
     store = cache_load(path)
-    assert store.trusted and store.version == "v1" and type(store.entries.raw) is dict
+    assert not store.trusted and store.version == "v1" and type(store.entries.raw) is dict
     assert len(store.entries) == 1393
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with pytest.warns(UserWarning) as caught:
         assert main(["integral", "-g", "7", "-d", "3,17", "--cache", str(path)]) == 0
     assert capsys.readouterr().out == f"{two_point_value(7, 3)}\n"
+    assert [str(w.message) for w in caught] == [
+        "cache version 'v1' does not match 'v2'; entries will be revalidated on use"]
+    # the entries the run never computed keep the file as it is
     assert path.read_bytes() == before
-    # a miss rewrites it in the current format
-    assert main(["integral", "-g", "10", "-d", "1,5,24", "--cache", str(path)]) == 0
-    assert path.read_text(encoding="utf-8").startswith("#taut-rr-cache v2\n")
-    assert cache_load(path).trusted and len(cache_load(path).entries) == 1394
 
 
 def test_quarantined_store_is_not_saved(tmp_path):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
@@ -161,12 +162,19 @@ def test_cache_corrupted_file(capsys, tmp_path):
     assert code == 1 and "line 3" in err
 
 
+def _write_matched(path, *lines):
+    """Write ``lines`` as a checksum-matched, so trusted, cache file: the v2
+    header, the lines, then ``#crc32`` and the zlib.crc32 of the text above."""
+    text = "#taut-rr-cache v2\n" + "".join(f"{line}\n" for line in lines)
+    path.write_text(f"{text}#crc32 {zlib.crc32(text.encode()):08x}\n", encoding="utf-8")
+
+
 def test_poisoned_trusted_cache_fails_verification(capsys, tmp_path):
     # a trusted cache with a wrong value must surface as a verification
     # failure (exit 1), demonstrating the failure path end to end; 1/576 is
     # a value an integral could take (I = 210, the true 1/1152 has I = 105)
     bad = tmp_path / "poison.txt"
-    bad.write_text("#taut-rr-cache v1\n2;4;;1/576\n")
+    _write_matched(bad, "2;4;;1/576")
     code, out, _ = run(
         capsys, "verify", "bbt", "--g", "2", "--r", "0", "--cache", str(bad),
     )
@@ -178,7 +186,7 @@ def test_impossible_value_on_a_direct_hit_is_one_error_line(capsys, tmp_path):
     # 1/9999 times 8^2 2! 9!! is not an integer; the call that asks for the
     # key itself decodes it, so it stops the run as a recursion would
     bad = tmp_path / "impossible.txt"
-    bad.write_text("#taut-rr-cache v1\n2;4;;1/9999\n")
+    _write_matched(bad, "2;4;;1/9999")
     before = _bytes_and_mtime(bad)
     code, out, err = run(capsys, "integral", "-g", "2", "-d", "4", "--cache", str(bad))
     assert (code, out) == (1, "")
@@ -191,13 +199,51 @@ def test_impossible_cached_value_is_one_error_line(capsys, tmp_path):
     # 1/7 times 8 * 3 * 3 is not an integer, so no <tau_1 tau_1>_1 equals it;
     # the dilaton step that needs it stops the run, and the file is kept
     bad = tmp_path / "impossible.txt"
-    bad.write_text("#taut-rr-cache v1\n1;1,1;;1/7\n")
+    _write_matched(bad, "1;1,1;;1/7")
     before = bad.read_bytes()
     code, out, err = run(capsys, "integral", "-g", "1", "-d", "1,1,1", "--cache", str(bad))
     assert (code, out) == (1, "")
     assert err == (f"error: cache {bad}: impossible value 1/7 for <tau_1 tau_1>_1: "
                    "times 8^g g! prod (2d_i+1)!! it is not an integer\n")
     assert bad.read_bytes() == before
+
+
+@pytest.mark.parametrize("line, argv, label", [
+    ("2;4;;1/0", ("-d", "4"), "<tau_4>_2"),
+    ("2;4;;0.5", ("-d", "4"), "<tau_4>_2"),
+    ("2;;1,2;1/0", ("--kappa", "1,2"), "<kappa_1 kappa_2>_2"),
+    ("2;4;;1/1152;x", ("-d", "4"), "<tau_4>_2"),
+])
+def test_malformed_trusted_value_is_one_error_line(capsys, tmp_path, line, argv, label):
+    # a checksum-matched file's values are read only through the engine's
+    # checked decode: text that is not -?digits[/digits] with a nonzero
+    # denominator is a data fault (exit 1), never a traceback or a usage error
+    bad = tmp_path / "malformed.txt"
+    _write_matched(bad, line)
+    before = bad.read_bytes()
+    code, out, err = run(capsys, "integral", "-g", "2", *argv, "--cache", str(bad))
+    text = line.split(";", 3)[3]
+    assert (code, out) == (1, "")
+    assert err == (f"error: cache {bad}: impossible value {text!r} for {label}: "
+                   "not -?digits[/digits] with a nonzero denominator\n")
+    assert bad.read_bytes() == before
+
+
+def test_legacy_file_is_revalidated_and_rewritten(capsys, tmp_path):
+    # a v1 file has no checksum, so its wrong value is never served: the run
+    # computes the value, warns for the version and for the disagreement,
+    # and rewrites the file as v2 once it has computed every entry in it
+    path = tmp_path / "legacy.txt"
+    path.write_text("#taut-rr-cache v1\n1;0,2;;7\n")
+    with pytest.warns(UserWarning) as caught:
+        code, out, _ = run(capsys, "integral", "-g", "1", "-d", "2,0", "--cache", str(path))
+    assert (code, out) == (0, "1/24\n")
+    assert [str(w.message) for w in caught] == [
+        "cache version 'v1' does not match 'v2'; entries will be revalidated on use",
+        "stale cache entry for CorrelatorKey(genus=1, psi_exps=(0, 2), kappa_parts=()) "
+        "disagreed with recomputation; using the fresh value",
+    ]
+    assert path.read_text() == "#taut-rr-cache v2\n1;0,2;;1/24\n#crc32 1af3595e\n"
 
 
 def test_warm_rerun_reports_identical(capsys, tmp_path):

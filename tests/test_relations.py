@@ -301,7 +301,7 @@ def test_vpe_sweep(engine):
 
 def test_verify_zero_class(engine):
     amb = AmbientSpace(2, 1)
-    report = verify(ClassExpr.zero(amb, 2), "zero", {}, engine)
+    report = verify(ClassExpr(amb, 2, ()), "zero", {}, engine)
     assert report.passed and not report.trivial
     assert all(value == 0 for _, value in report.pairings)
 

@@ -137,6 +137,9 @@ NON_INTEGER = [
     ("field-level", lambda: VectorFieldPt.make([(2.0, 1)]), "non-integer descendent level 2.0"),
     ("psi-eval-field", lambda: psi_eval(1, 0, 2, 3, [tau(1.9)], [], ENGINE),
      "non-integer descendent level 1.9"),
+    # the field's own constructor used to take it, and psi_eval returned 0
+    ("psi-eval-field-new", lambda: psi_eval(1, 0, 2, 0, [VectorFieldPt(((3.5, 1),))], [], ENGINE),
+     "non-integer descendent level 3.5"),
 ]
 
 
@@ -181,7 +184,7 @@ FIELDS = [
     ("glue-node", lambda x: NonSeparatingPushforward(0, (0, x), (0,)), "node exponent"),
     ("glue-marking-exps", lambda x: NonSeparatingPushforward(0, (0, 0), (x,)),
      "decoration exponent"),
-    ("expr-degree", lambda x: ClassExpr.zero(AmbientSpace(1, 1), x), "degree"),
+    ("expr-degree", lambda x: ClassExpr(AmbientSpace(1, 1), x, ()), "degree"),
     ("psi-eval-r", lambda x: psi_eval(x, 0, 2, 3, [tau(1)], [], ENGINE), "r"),
     ("psi-eval-s", lambda x: psi_eval(1, x, 2, 3, [tau(1)], [], ENGINE), "s"),
     ("psi-eval-g", lambda x: psi_eval(1, 0, x, 3, [tau(1)], [], ENGINE), "g"),
@@ -244,6 +247,8 @@ COEFFICIENTS = [
     ("field-make", lambda c: VectorFieldPt.make([(1, c)])),
     ("field-make-negative-level", lambda c: VectorFieldPt.make([(-1, c)])),
     ("field-sum", lambda c: tau(1) + VectorFieldPt(((2, c),))),
+    # the field's own constructor used to take it, and psi_eval returned a float
+    ("psi-eval-field-new", lambda c: psi_eval(1, 0, 2, 0, [VectorFieldPt(((3, c),))], [], ENGINE)),
 ]
 
 
@@ -270,3 +275,13 @@ def test_exact_coefficients_still_build_and_pair():
     assert VectorFieldPt.make([(1, 2), (1, Fraction(-1, 2))]) == \
         VectorFieldPt(((1, Fraction(3, 2)),))
     assert VectorFieldPt.make([(1, 0)]) == VectorFieldPt(())
+
+
+def test_field_records_refuse_a_negative_level():
+    # make drops a negative level; the constructor, _make and _replace refuse it
+    assert tau(-1) == VectorFieldPt.make([(-1, 1)]) == VectorFieldPt(())
+    for build in (lambda: VectorFieldPt(((-1, 1),)), lambda: VectorFieldPt._make([((-1, 1),)]),
+                  lambda: tau(1)._replace(terms=((-1, 1),))):
+        with pytest.raises(ValueError, match="^negative descendent level$"):
+            build()
+    assert tau(1)._replace(terms=((2, 1),)) == VectorFieldPt(((2, 1),))
