@@ -19,31 +19,32 @@ A file is trusted exactly when its header is ``v2`` and its trailer
 matches.  An empty file is an empty store, with nothing to trust.
 
 * A checksum-matched file is not parsed at load.  It is held as its text
-  (:class:`SavedLines`), which answers a lookup from the key's line, and
-  its count and largest genus from the text, so a hit, a warm ``verify``
-  and ``cache stats`` parse none of it.  A value is read only when the
+  (:class:`SavedLines`), which answers a lookup from the key's line, its
+  count from the text and its largest genus from its last line, so a hit
+  and a warm ``verify`` parse none of it.  A value is read only when the
   engine first needs it, through the engine's one checked decode: text
   that is not ``-?digits[/digits]`` with a nonzero denominator raises
   :class:`~tautrr.engine.ImpossibleEntryError`.  A save over the file
   writes its lines as they are and merges in only the new ones, in key
-  order.
+  order.  A line's key is read (when the keys are iterated, when the last
+  line gives the largest genus, and by that merge) under the key rules
+  of the per-line checks: four fields, a numeral genus, numeral lists.
 * Every other file (another version, the legacy ``v1`` included, or a
   ``v2`` file whose trailer is missing or wrong) is quarantined: its
   entries never reach an engine, and :func:`revalidate` compares them
-  with what an engine computed.  It takes the per-line checks.  They
-  reject, naming the line, any key the engine cannot produce: negative
-  genus, a negative psi exponent, a non-positive kappa index, an unstable
-  (g, n), or exponents and kappa indices that do not sum to the dimension
-  3g - 3 + n, and any value that is not a rational number or has a zero
-  denominator.  A value in the canonical form is kept as text until a
-  reader of ``CacheStore.entries`` reads it; any other value the loader
-  accepts (`` 1/24 ``, ``+3``, ``0.5``) is decoded at load.  A trailer
-  may end such a file.
+  with what an engine computed.  It takes the per-line checks, which
+  also reject, naming the line, any key the engine cannot produce and any
+  value that is not a rational number or has a zero denominator.  A
+  value in the canonical form is kept as text until a reader of
+  ``CacheStore.entries`` reads it; any other value the loader accepts
+  (`` 1/24 ``, ``+3``, ``0.5``) is decoded at load.  A trailer may end
+  such a file.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import warnings
 import zlib
 from bisect import bisect_left
@@ -74,6 +75,9 @@ _HEADER = f"{CACHE_MAGIC} {CACHE_VERSION}\n"
 #: twentieth of the index
 _SEARCHES = 8
 
+#: (key text, value text) of an entry line, split at its third ``;``
+_LINE = re.compile(r"\n([^;\n]*;[^;\n]*;[^;\n]*);([^\n]*)")
+
 
 class CacheFormatError(ValueError):
     """Raised for unparseable cache files; the message names the bad line."""
@@ -95,13 +99,6 @@ def _format_key(key) -> str:
     return f"{genus};{','.join(map(str, d))};{','.join(map(str, b))}"
 
 
-def _line_key(line: str) -> CorrelatorKey:
-    """The key of a line a save wrote: plain numerals, lists sorted."""
-    genus, d, b, _ = line.split(";")
-    return key_from_tuple((int(genus), tuple(map(int, d.split(","))) if d else (),
-                           tuple(map(int, b.split(","))) if b else ()))
-
-
 def _trailer(text: str) -> str:
     """The checksum line a save writes below ``text``."""
     return f"{TRAILER}{zlib.crc32(text.encode('utf-8')):08x}\n"
@@ -112,17 +109,19 @@ class SavedLines(Mapping):
     file (its header and entry lines), parsed only as far as it is read.
 
     A lookup formats its key as a save writes it.  The first ``_SEARCHES``
-    lookups search the text for the key's line; the next one builds a
-    ``{key text: value text}`` index, which answers the rest.  The length
-    and the largest genus are read off the text; the keys are parsed only
-    when they are iterated, in the file's (key) order.
+    lookups search the text for a line that starts with it; the next one
+    builds a ``{key text: value text}`` index, keyed the same way by the
+    text before each line's third ``;`` (the first line wins), which
+    answers the rest.  The length is read off the text, the largest genus
+    off the last line; the keys are parsed only when they are iterated, in
+    the file's (key) order, by :func:`_read_line`.
     """
 
-    __slots__ = ("text", "_index", "_searches")
+    __slots__ = ("text", "_index", "_searches", "_len")
 
     def __init__(self, text: str):
         self.text = text
-        self._index = None
+        self._index = self._len = None
         self._searches = 0
 
     def get(self, key, default=None):
@@ -137,7 +136,7 @@ class SavedLines(Mapping):
                     return default
                 at += len(field) + 2
                 return text[at:text.index("\n", at)]
-            index = self._index = dict(line.rsplit(";", 1) for line in self.lines())
+            index = self._index = dict(reversed(_LINE.findall(self.text)))
         return index.get(field, default)
 
     def lines(self) -> list[str]:
@@ -148,7 +147,7 @@ class SavedLines(Mapping):
         """The genus of the last line: a save writes the keys in order."""
         text = self.text
         last = text.rfind("\n", 0, -1) + 1
-        return int(text[last:text.index(";", last)]) if last else 0
+        return _read_line(text[last:-1], len(self) + 1)[0].genus if last else 0
 
     def __getitem__(self, key) -> str:
         value = self.get(key)
@@ -160,10 +159,12 @@ class SavedLines(Mapping):
         return self.get(key) is not None
 
     def __iter__(self):
-        return map(_line_key, self.lines())
+        return (_read_line(line, lineno)[0] for lineno, line in enumerate(self.lines(), 2))
 
     def __len__(self) -> int:
-        return self.text.count("\n") - 1
+        if self._len is None:  # counted once: max_genus names the last line by it
+            self._len = self.text.count("\n") - 1
+        return self._len
 
 
 class CacheStore(SlotRecord):
@@ -192,24 +193,27 @@ class CacheStore(SlotRecord):
         return max((k.genus for k in raw), default=0)
 
 
-def _parse_int_list(text: str, lineno: int, what: str) -> tuple[int, ...]:
-    if not text or text.isspace():
-        return ()
+def _read_line(line: str, lineno: int) -> tuple[CorrelatorKey, str]:
+    """The key (lists sorted) and the value text of entry line ``lineno``;
+    the one reader of key fields, it raises CacheFormatError at the first
+    bad one: four fields, a numeral genus, the exponent and kappa lists."""
+    pieces = line.strip().split(";")
+    if len(pieces) != 4:
+        raise CacheFormatError(f"line {lineno}: expected 'g;d1,...;b1,...;value', got {line!r}")
+    genus, d, b, value = pieces
     try:
-        return tuple(sorted(map(int, text.split(","))))
+        genus = int(genus)
     except ValueError:
-        raise CacheFormatError(f"line {lineno}: bad {what} list {text.strip()!r}") from None
-
-
-def _parse_key_fields(pieces: list[str], lineno: int):
-    """(genus, d, b) from the first three fields of a line, raising for the
-    first bad field in that order."""
+        raise CacheFormatError(f"line {lineno}: bad genus {genus!r}") from None
     try:
-        genus = int(pieces[0])
+        d = tuple(sorted(map(int, d.split(",")))) if d.strip() else ()
     except ValueError:
-        raise CacheFormatError(f"line {lineno}: bad genus {pieces[0]!r}") from None
-    return (genus, _parse_int_list(pieces[1], lineno, "exponent"),
-            _parse_int_list(pieces[2], lineno, "kappa"))
+        raise CacheFormatError(f"line {lineno}: bad exponent list {d.strip()!r}") from None
+    try:
+        b = tuple(sorted(map(int, b.split(",")))) if b.strip() else ()
+    except ValueError:
+        raise CacheFormatError(f"line {lineno}: bad kappa list {b.strip()!r}") from None
+    return key_from_tuple((genus, d, b)), value
 
 
 def _key_problem(genus: int, d: tuple[int, ...], b: tuple[int, ...]) -> str | None:
@@ -251,7 +255,7 @@ def cache_save(store: CacheStore, path) -> None:
     out = []
     at = 0
     for key in sorted(new):
-        i = bisect_left(lines, key, at, key=_line_key)
+        i = bisect_left(range(len(lines)), key, at, key=lambda i: _read_line(lines[i], i + 2)[0])
         out += lines[at:i]
         out.append(f"{_format_key(key)};{format_rational(_fraction(key, new[key]))}")
         at = i
@@ -297,27 +301,20 @@ def _load_lines(text: str) -> CacheStore:
     version = header[len(CACHE_MAGIC):].strip() or "(none)"
     trailer = len(lines) > 1 and lines[-1].startswith(TRAILER)
     entries: dict[CorrelatorKey, Rational] = {}
-    for lineno, raw in enumerate(lines[1:len(lines) - trailer], start=2):
-        line = raw.strip()
-        if not line:
+    for lineno, line in enumerate(lines[1:len(lines) - trailer], start=2):
+        if not line or line.isspace():
             continue
-        pieces = line.split(";")
-        if len(pieces) != 4:
-            raise CacheFormatError(
-                f"line {lineno}: expected 'g;d1,...;b1,...;value', got {raw!r}"
-            )
-        genus, d, b = _parse_key_fields(pieces, lineno)
-        value = pieces[3]
+        key, value = _read_line(line, lineno)
         if not _is_canonical(value):
             try:
                 value = parse_rational(value)
             except (ValueError, ZeroDivisionError):
                 raise CacheFormatError(f"line {lineno}: bad value {value!r}") from None
-        problem = _key_problem(genus, d, b)
+        problem = _key_problem(*key)
         if problem:
             raise CacheFormatError(f"line {lineno}: impossible key "
-                                   f"{line.rsplit(';', 1)[0]!r}: {problem}")
-        entries[key_from_tuple((genus, d, b))] = value
+                                   f"{line.strip().rsplit(';', 1)[0]!r}: {problem}")
+        entries[key] = value
     return CacheStore(entries, version, trusted=False)
 
 

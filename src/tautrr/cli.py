@@ -294,6 +294,12 @@ def _write_error(path, exc: OSError) -> int:
     return 1
 
 
+def _cache_error(path, exc: Exception) -> int:
+    """Report a cache file that cannot be read or holds a bad line or value."""
+    print(f"error: cache {path}: {exc}", file=sys.stderr)
+    return 1
+
+
 def _run_cached(body, args) -> int:
     """Run ``body(args, engine)`` on an engine warmed from the ``--cache`` file.
 
@@ -304,11 +310,12 @@ def _run_cached(body, args) -> int:
     back only when that changes it: the file did not exist, it was
     quarantined, or the run computed an entry, which it does only for a
     key the file lacks.  A usage error (exit 2) writes nothing, nor does an
-    input whose recursion overruns the stack (exit 2) or a file holding a
-    value no integral can take (exit 1).  A quarantined file is rewritten
-    only once the run has computed every entry in it; otherwise it is left
-    as it is, because the rewrite would drop the entries the run never
-    checked.
+    input whose recursion overruns the stack (exit 2).  A quarantined file
+    is rewritten only once the run has computed every entry in it;
+    otherwise it is left as it is, because the rewrite would drop the
+    entries the run never checked.  A cache fault at load, lookup or save
+    (an unreadable file, a line the per-line checks reject, a value no
+    integral can take) writes nothing: one ``error: cache PATH`` line, exit 1.
     """
     engine = CorrelatorEngine()
     path = args.cache or os.environ.get(CACHE_ENV_VAR)
@@ -317,13 +324,11 @@ def _run_cached(body, args) -> int:
         try:
             loaded = load_engine_cache(engine, path)
         except (OSError, ValueError) as exc:
-            print(f"error: cache {path}: {exc}", file=sys.stderr)
-            return 1
+            return _cache_error(path, exc)
     try:
         code = body(args, engine)
     except ImpossibleEntryError as exc:
-        print(f"error: cache {path}: {exc}", file=sys.stderr)
-        return 1
+        return _cache_error(path, exc)
     except RecursionError:
         print("error: the recursion for this input runs deeper than the Python stack allows",
               file=sys.stderr)
@@ -337,6 +342,8 @@ def _run_cached(body, args) -> int:
             loaded is None or quarantined or engine.computed):
         try:
             cache_save(CacheStore(engine.entries() if listing is None else listing), path)
+        except CacheFormatError as exc:
+            return _cache_error(path, exc)
         except OSError as exc:
             return _write_error(path, exc)
     return code
@@ -384,20 +391,16 @@ def cmd_cache(args) -> int:
         return 0
     try:
         store = cache_load(args.path)
+        quarantined = "" if store.trusted else ", quarantined"
+        summary = (f"{len(store.entries)} entries, max genus {store.max_genus()}"
+                   if args.action == "stats" else
+                   f"loaded {len(store.entries)} entries (version {store.version}{quarantined})")
     except FileNotFoundError:
         print(f"error: no such cache file: {args.path}", file=sys.stderr)
         return 1
-    except CacheFormatError as exc:
-        print(f"error: {args.path}: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as exc:
-        print(f"error: cache {args.path}: {exc}", file=sys.stderr)
-        return 1
-    if args.action == "stats":
-        print(f"{len(store.entries)} entries, max genus {store.max_genus()}")
-    else:
-        quarantined = "" if store.trusted else ", quarantined"
-        print(f"loaded {len(store.entries)} entries (version {store.version}{quarantined})")
+        return _cache_error(args.path, exc)
+    print(summary)
     return 0
 
 

@@ -419,6 +419,34 @@ def test_load_errors_keep_their_precedence(tmp_path, line, message):
     assert str(caught.value).startswith(message)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("x;y;z;1/0", "line 3: bad genus 'x'"),
+    ("-1;y;z;1/0", "line 3: bad exponent list 'y'"),
+    ("-1;0;0,z;1/0", "line 3: bad kappa list '0,z'"),
+    ("2;x;;1/1152", "line 3: bad exponent list 'x'"),
+    ("2;4;;1/1152;x", "line 3: expected 'g;d1,...;b1,...;value', got '2;4;;1/1152;x'"),
+])
+def test_matched_file_keys_are_read_by_the_load_rules(tmp_path, line, message):
+    # the per-line load, and a checksum-matched file's keys when they are
+    # iterated, when its last line gives the largest genus, and when a save
+    # merges a new entry among its lines, all raise the same first error
+    quarantined = tmp_path / "bad.txt"
+    quarantined.write_text(f"#taut-rr-cache v1\n1;2,0;;1/24\n{line}\n")
+    path = tmp_path / "matched.txt"
+    _write_matched(path, "1;2,0;;1/24", line)
+    before = path.read_bytes()
+    engine = CorrelatorEngine()
+    store = load_engine_cache(engine, path)
+    assert store.trusted and len(store.entries) == 2
+    engine.psi_integral(1, [1, 1])
+    for read in (lambda: cache_load(quarantined), lambda: list(store.entries),
+                 store.max_genus, lambda: save_engine_cache(engine, path)):
+        with pytest.raises(CacheFormatError) as caught:
+            read()
+        assert str(caught.value) == message
+    assert path.read_bytes() == before
+
+
 def test_stale_file_with_a_wrong_inner_value_warns_once(tmp_path):
     # (3, (4, 4)) is reached only through the dilaton step of (3, (1, 4, 4))
     path = tmp_path / "old.txt"
@@ -513,13 +541,13 @@ def test_numeral_table_loads_as_the_per_field_parse(tmp_path, monkeypatch, name)
     text, expected = LOAD_CASES[name]
     path = tmp_path / "c.txt"
     path.write_bytes(text.encode("utf-8"))
-    parse, used = cache._parse_key_fields, []
+    parse, used = cache._read_line, []
 
-    def counted(pieces, lineno):
+    def counted(line, lineno):
         used.append(lineno)
-        return parse(pieces, lineno)
+        return parse(line, lineno)
 
-    monkeypatch.setattr(cache, "_parse_key_fields", counted)
+    monkeypatch.setattr(cache, "_read_line", counted)
     assert _outcome(path) == expected
     if type(expected) is not str:
         lines = text.splitlines()
@@ -528,17 +556,19 @@ def test_numeral_table_loads_as_the_per_field_parse(tmp_path, monkeypatch, name)
 
 
 def test_saved_files_never_reach_the_per_field_parse(tmp_path, monkeypatch):
-    def per_field(pieces, lineno):
+    def per_field(line, lineno):
         raise AssertionError(f"line {lineno} of a saved file reached the per-field parse")
 
     engine = CorrelatorEngine()
     engine.psi_integral(4, [3, 8])
     engine.psi_kappa_integral(3, [], [2, 2, 1, 1])
-    monkeypatch.setattr(cache, "_parse_key_fields", per_field)
     path = tmp_path / "c.txt"
     for store in (CacheStore(), CacheStore(engine.entries()), CacheStore(engine.entries(), "v0")):
         cache_save(store, path)
-        loaded = cache_load(path)
+        # a load parses no line; comparing the entries below iterates the keys
+        with monkeypatch.context() as patched:
+            patched.setattr(cache, "_read_line", per_field)
+            loaded = cache_load(path)
         # a save writes the current version, whatever the store's
         assert loaded.entries == store.entries and loaded.version == cache.CACHE_VERSION
         assert loaded.trusted
@@ -635,6 +665,44 @@ def test_matched_file_lookups_search_then_index(seed_bytes):
         line = text.split(f"\n{cache._format_key(key)};")
         assert saved.get(key) == (line[1].split("\n")[0] if len(line) == 2 else None)
         assert (saved._index is None) == (i < cache._SEARCHES)
+
+
+@pytest.mark.parametrize("edit", [
+    ("\n2;4;;1/1152\n", "\n2;4;;1/1152;x\n"),
+    ("\n2;4;;1/1152\n", "\n2;4;;1/1152\n2;4;;7\n"),
+])
+def test_matched_file_search_and_index_agree(seed_bytes, tmp_path, edit):
+    # a lookup's answer does not depend on whether the index is built: the
+    # key is the text before a line's third ';', and the first line wins
+    text = seed_bytes.decode("utf-8")
+    assert text.count(edit[0]) == 1
+    path = tmp_path / "edited.txt"
+    _write_matched(path, *text.replace(*edit).splitlines()[1:-1])
+    key = (2, (4,), ())
+    others = [k for k in cache.SavedLines(text[:text.rindex("#crc32")]) if k != key]
+    searched = load_engine_cache(CorrelatorEngine(), path).entries.raw.get(key)
+    assert searched == edit[1].split(";", 3)[3].split("\n")[0]
+    indexed = load_engine_cache(CorrelatorEngine(), path).entries.raw
+    for other in others[:cache._SEARCHES]:
+        assert indexed.get(other) is not None
+    assert indexed._index is None
+    assert indexed.get(key) == searched and indexed._index is not None
+    # through an engine: the same answer, or the same error, and no compute
+    outcomes = []
+    for lookups in (0, cache._SEARCHES):
+        engine = CorrelatorEngine()
+        load_engine_cache(engine, path)
+        for other in others[:lookups]:
+            engine.psi_integral(other.genus, other.psi_exps)
+        try:
+            outcomes.append(engine.psi_integral(2, [4]))
+        except ImpossibleEntryError as exc:
+            outcomes.append(str(exc))
+        assert engine.computed == 0
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == Fraction(1, 1152) if "\n2;4;;7" in edit[1] else (
+        "impossible value '1/1152;x' for <tau_4>_2: "
+        "not -?digits[/digits] with a nonzero denominator")
 
 
 def test_cut_short_file_is_quarantined(seed_bytes, tmp_path, capsys):

@@ -229,6 +229,26 @@ def test_malformed_trusted_value_is_one_error_line(capsys, tmp_path, line, argv,
     assert bad.read_bytes() == before
 
 
+@pytest.mark.parametrize("lines, argv, message", [
+    (("2;x;;1/1152",), ("integral", "-g", "3", "-d", "7"), "line 2: bad exponent list 'x'"),
+    (("1;1;;1/24", "x;4;;1/1152"), ("integral", "-g", "2", "-d", "4"), "line 3: bad genus 'x'"),
+    (("1;1;;1/24", "x;4;;1/1152"), ("verify", "bbt", "--g", "2", "--r", "0"),
+     "line 3: bad genus 'x'"),
+    (("1;1;;1/24", "x;4;;1/1152"), ("cache", "stats"), "line 3: bad genus 'x'"),
+])
+def test_malformed_trusted_key_is_one_error_line(capsys, tmp_path, lines, argv, message):
+    # a checksum-matched file's keys are read by the per-line load's rules
+    # when a save merges among its lines or its last line gives the largest
+    # genus: a bad field is a data fault (exit 1), never a traceback
+    bad = tmp_path / "malformed.txt"
+    _write_matched(bad, *lines)
+    before = bad.read_bytes()
+    tail = (str(bad),) if argv[0] == "cache" else ("--cache", str(bad))
+    code, _, err = run(capsys, *argv, *tail)
+    assert (code, err) == (1, f"error: cache {bad}: {message}\n")
+    assert bad.read_bytes() == before
+
+
 def test_legacy_file_is_revalidated_and_rewritten(capsys, tmp_path):
     # a v1 file has no checksum, so its wrong value is never served: the run
     # computes the value, warns for the version and for the disagreement,

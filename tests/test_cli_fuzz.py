@@ -14,6 +14,7 @@ part; a mutated option given again overrides its pin.
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -23,7 +24,7 @@ from tautrr.cli import main
 RANGES = ["0", "1", "2", "-1", "0..2", "1..2", "2..1", "0,2", "1,1", ",", "", "x", "..",
           "1..", "-1..1", "0..1000000000000", "-1000000000000..0"]
 INTS = ["0", "1", "2", "3", "-1", "x", ""]
-PATHS = ["c.txt", "bad.txt", "d", "missing/x.txt", "new.txt", ""]
+PATHS = ["c.txt", "bad.txt", "key.txt", "d", "missing/x.txt", "new.txt", ""]
 #: option -> the values a mutation gives it; the rest take RANGES
 VALUES = {"-g": INTS, "--n1": INTS, "--n2": INTS, "--cache": PATHS, "--out": PATHS,
           "--format": ["text", "json", "csv", "x"]}
@@ -113,6 +114,10 @@ def test_mutated_argv_never_escapes_main(command, capsys, tmp_path, monkeypatch)
     monkeypatch.delenv("TAUTRR_CACHE", raising=False)
     assert main(["cache", "save", "c.txt"]) == 0
     (tmp_path / "bad.txt").write_text("#taut-rr-cache v1\nnot a line\n", encoding="utf-8")
+    # checksum-matched, so trusted, with a malformed key on its last line
+    matched = "#taut-rr-cache v2\n1;1;;1/24\nx;4;;1/1152\n"
+    (tmp_path / "key.txt").write_text(f"{matched}#crc32 {zlib.crc32(matched.encode()):08x}\n",
+                                      encoding="utf-8")
     (tmp_path / "d").mkdir()
     capsys.readouterr()
     rng = random.Random(SEEDS[command])
