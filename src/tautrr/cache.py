@@ -256,6 +256,10 @@ def cache_save(store: CacheStore, path) -> None:
     at = 0
     for key in sorted(new):
         i = bisect_left(range(len(lines)), key, at, key=lambda i: _read_line(lines[i], i + 2)[0])
+        if i < len(lines) and _read_line(lines[i], i + 2)[0] == key:
+            # the file holds the key in a spelling its lookup never finds
+            raise CacheFormatError(f"line {i + 2}: key {lines[i].rpartition(';')[0]!r} is not "
+                                   f"written as a save writes it, {_format_key(key)!r}")
         out += lines[at:i]
         out.append(f"{_format_key(key)};{format_rational(_fraction(key, new[key]))}")
         at = i

@@ -62,6 +62,13 @@ Conventions:
   * Inner recursion derives the split genus from the dimension gate: in a
     genus split only one g1 can satisfy the left factor's dimension
     constraint, so that g1 is computed and no other is tried.
+  * The dimension constraint fixes a split factor's node exponent by its
+    genus, a = 3 g1 + |L| - sum(L) - 2, so the factor I(g1, a L) is a
+    function of the multiset L and g1 alone.  The splits read it from a
+    factor column keyed by L and indexed by genus, whose cell is filled on
+    first use through the same lookup on the same key, so the columns hold
+    only values the memo holds and the memo fills as without them; a
+    failed lookup leaves its cell empty (0, which no I equals).
   * Memo keys are CorrelatorKey named tuples (genus, sorted psi exponents,
     sorted kappa parts).  A plain tuple of the same three fields hashes and
     compares equal, so lookups use one and a key is built only when a value
@@ -218,11 +225,22 @@ _ODD_DFACT = [1, 3]  # _ODD_DFACT[m] == (2m+1)!!
 
 
 def odd_double_factorial(m: int) -> int:
-    """(2m+1)!! for m >= 0."""
+    """(2m+1)!! for m >= 0; a negative m raises ValueError."""
+    if m < 0:
+        raise ValueError(f"negative m {m} for (2m+1)!!")
     while len(_ODD_DFACT) <= m:
         k = len(_ODD_DFACT)
         _ODD_DFACT.append(_ODD_DFACT[-1] * (2 * k + 1))
     return _ODD_DFACT[m]
+
+
+_BINOM = [[1]]  # _BINOM[g] == [C(g, 0), ..., C(g, g)]
+
+
+def _binomial_row(g: int) -> list[int]:
+    while len(_BINOM) <= g:
+        _BINOM.append([comb(len(_BINOM), i) for i in range(len(_BINOM) + 1)])
+    return _BINOM[g]
 
 
 def genus0_closed_form(d) -> Fraction:
@@ -381,6 +399,8 @@ class CorrelatorEngine:
         self.computed = 0
         # each kappa trade's terms (new level, kept kappa parts, sign) by b
         self._trades: dict[tuple[int, ...], list] = {}
+        # DVV split factors by marking multiset, indexed by genus (_cell)
+        self._cols: dict[tuple[int, ...], list[int]] = {}
 
     # ------------------------------------------------------------------
     # public operations
@@ -522,43 +542,59 @@ class CorrelatorEngine:
                 key = tuple(sorted(rest + ((k - 2) // 2,) * 2))
                 lower += ints.get(key) or get(g - 1, key)
             total += 4 * g * lower
-        binom = [comb(g, g1) for g1 in range(g + 1)]
+        binom = _binomial_row(g)
+        cols = self._cols
+        cell = self._cell
         self_paired = 0
         # one split of each mirror pair (L, R) <-> (R, L)
         for left, right, weight in _submultisets(rest, half=True):
-            n_left = len(left)
             # the left factor's dimension constraint fixes a = 3 g1 + shift;
             # every exponent is >= 2, so shift < 0 and a >= 0 forces g1 >= 1
-            shift = n_left - sum(left) - 2
+            shift = len(left) - sum(left) - 2
             hi = min((k - 2 - shift) // 3, g)
+            lcol = cols.get(left)
+            if lcol is None or len(lcol) <= g:
+                lcol = self._column(left, g)
             mirror = left == right
             if mirror:
                 # the split is its own mirror: g1 pairs with g - g1 inside it
                 hi = min(hi, (g - 1) // 2)
+                rcol = lcol
+            else:
+                rcol = cols.get(right)
+                if rcol is None or len(rcol) <= g:
+                    rcol = self._column(right, g)
             acc = 0
             for g1 in range(-(shift // 3), hi + 1):
-                # left and right are sorted: insert the node exponent
-                a = 3 * g1 + shift
-                i = bisect(left, a)
-                lkey = left[:i] + (a,) + left[i:]
-                b = k - 2 - a
-                i = bisect(right, b)
-                rkey = right[:i] + (b,) + right[i:]
-                f1 = ints.get(lkey) or get(g1, lkey)
-                acc += binom[g1] * f1 * (ints.get(rkey) or get(g - g1, rkey))
+                acc += (binom[g1] * (lcol[g1] or cell(lcol, left, g1))
+                        * (rcol[g - g1] or cell(rcol, right, g - g1)))
             total += weight * acc
             if mirror and g % 2 == 0:
                 # the term paired with itself: g1 == g - g1 and a == k - 2 - a,
-                # so both factors are one key
-                a = (k - 2) // 2
-                i = bisect(left, a)
-                key = left[:i] + (a,) + left[i:]
-                f = ints.get(key) or get(g // 2, key)
+                # so both factors are one cell
+                f = lcol[g // 2] or cell(lcol, left, g // 2)
                 self_paired += weight * binom[g // 2] * f * f
         half, odd = divmod(self_paired, 2)
         if odd:
             raise ArithmeticError(f"odd self-paired DVV term for {_label(g, d)}")
         return total + half
+
+    def _column(self, m: tuple[int, ...], g: int) -> list[int]:
+        """The factor column of the sorted multiset m, at least g + 1 cells
+        long; an empty cell is 0."""
+        col = self._cols.setdefault(m, [])
+        col.extend([0] * (g + 1 - len(col)))
+        return col
+
+    def _cell(self, col: list[int], m: tuple[int, ...], h: int) -> int:
+        """Fill col[h], the column of m at genus h: I(h, m + (a,)), where the
+        node exponent a = 3h + |m| - sum(m) - 2 meets the dimension
+        constraint.  A failed lookup leaves the cell empty."""
+        a = 3 * h + len(m) - sum(m) - 2
+        i = bisect(m, a)
+        key = m[:i] + (a,) + m[i:]
+        val = col[h] = self._ints.get(key) or self._int(h, key)
+        return val
 
     def _psi_kappa(self, g: int, d: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
         # a memoized key has passed the gate, so look it up first

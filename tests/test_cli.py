@@ -249,6 +249,20 @@ def test_malformed_trusted_key_is_one_error_line(capsys, tmp_path, lines, argv, 
     assert bad.read_bytes() == before
 
 
+def test_trusted_key_in_another_spelling_is_one_error_line(capsys, tmp_path):
+    # the lookup finds only a save's own spelling of a key, so the run
+    # computes <tau_4>_2; the save then meets the line that parses to the
+    # same key and refuses to write the key a second time
+    bad = tmp_path / "respelled.txt"
+    _write_matched(bad, "1;1;;1/24", "2;04;;1/1152")
+    before = bad.read_bytes()
+    code, out, err = run(capsys, "integral", "-g", "2", "-d", "4", "--cache", str(bad))
+    assert (code, out) == (1, "1/1152\n")
+    assert err == (f"error: cache {bad}: line 3: key '2;04;' is not written as a save "
+                   "writes it, '2;4;'\n")
+    assert bad.read_bytes() == before
+
+
 def test_legacy_file_is_revalidated_and_rewritten(capsys, tmp_path):
     # a v1 file has no checksum, so its wrong value is never served: the run
     # computes the value, warns for the version and for the disagreement,

@@ -27,10 +27,18 @@ from tautrr.relations import (
     build_variation,
     build_vpe,
     build_vyt,
+    build_xi,
     verify,
     verify_vyt,
 )
-from tautrr.strata import AmbientSpace, ClassExpr, InteriorTerm
+from tautrr.strata import (
+    AmbientSpace,
+    ClassExpr,
+    InteriorTerm,
+    TestMonomial,
+    enumerate_tests,
+    pair_with_tests,
+)
 from tautrr.universal import IDENTITIES, conjc_threshold
 
 BUILDERS = {"bbt": build_bbt, "variation": build_variation, "fqq": build_fqq,
@@ -204,6 +212,35 @@ def test_vyt_without_its_signs_fails_at_every_non_trivial_tuple(engine):
                 assert not report.passed and report.nonzero(), (g, r)
                 failing.append((g, r))
     assert len(failing) == 10 and sum(r % 2 for _, r in failing) == 6
+
+
+def test_vyt_rows_are_xi_paired_with_pure_kappa_monomials(engine):
+    # iota^* kappa_B = kappa_B, so each vyt row, iota_* xi against kappa_B on
+    # the unmarked genus-(g+1) space, is xi against the same kappa_B on the
+    # two-pointed genus-g space, paired on a separate engine: vyt tests xi
+    # against pure-kappa monomials only
+    other = CorrelatorEngine()
+    rows = nonzero = 0
+    for g in range(1, 7):
+        for r in range(1, g + 2):
+            report = verify_vyt(g, r, engine)
+            tests = enumerate_tests(AmbientSpace(g + 1, 0), g - r - 1) if r < g else []
+            assert [label for label, _ in report.pairings] == [t.render() for t in tests]
+            xi, xi_tests = build_xi(g, r), [TestMonomial((0, 0), t.kappa_parts) for t in tests]
+            xi_values = pair_with_tests(xi, xi_tests, other)
+            assert [value for _, value in report.pairings] == xi_values, (g, r)
+            rows += len(tests)
+            # term by term too, where the pairings are not all 0
+            vyt = build_vyt(g, r)
+            for (coeff, glued), term in zip(vyt.terms, xi.terms):
+                assert term[0] == coeff
+                values = pair_with_tests(ClassExpr(vyt.ambient, vyt.degree, ((1, glued),)),
+                                         tests, engine)
+                assert values == pair_with_tests(
+                    ClassExpr(xi.ambient, xi.degree, ((1, term[1]),)), xi_tests, other), (g, r)
+                nonzero += sum(map(bool, values))
+    # every single-term pairing is nonzero
+    assert (rows, nonzero) == (26, 339)
 
 
 def test_liu_xu_alternating_sum_vanishes_exactly_above_2g(engine):

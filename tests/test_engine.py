@@ -3,6 +3,7 @@ reference recursions."""
 
 import functools
 import hashlib
+from bisect import bisect
 import itertools
 import math
 import random
@@ -17,6 +18,8 @@ from tautrr.engine import (
     CorrelatorKey,
     ImpossibleEntryError,
     UnstableModuliError,
+    _label,
+    _submultisets,
     genus0_closed_form,
     is_stable,
     moduli_dim,
@@ -737,14 +740,18 @@ def _cold_g15(engine):
     engine.psi_integral(15, [43])
 
 
-def _ladder_g13(engine):
+def _ladder(engine, max_g):
     for n in range(3, 9):
         for d in _multisets(n - 3, n):
             engine.psi_integral(0, d)
-    for g in range(1, 14):
+    for g in range(1, max_g + 1):
         engine.psi_integral(g, [3 * g - 2])
         for a in range(3 * g):
             engine.psi_integral(g, [a, 3 * g - 1 - a])
+
+
+def _ladder_g13(engine):
+    _ladder(engine, 13)
 
 
 def _all_psi_g4_n5(engine):
@@ -890,6 +897,121 @@ def test_entries_listed_in_steps_match_one_listing():
     assert stepwise.entries() == once.entries()
     assert list(stepwise.entries()) == list(once.entries())
     assert stepwise.psi_integral(9, [25]) == one_point_value(9)
+
+
+# ----------------------------------------------------------------------
+# DVV genus splits read per-factor columns
+# ----------------------------------------------------------------------
+
+
+class KeyPerTermDVV(CorrelatorEngine):
+    """The engine with its DVV genus splits building and looking up both
+    factor keys for every term, as before the factor columns."""
+
+    def _dvv(self, g, d):
+        ints = self._ints
+        get = self._int
+        k = d[-1]
+        rest = d[:-1]
+        total = 0
+        for v in dict.fromkeys(rest):
+            i = rest.index(v)
+            merged = rest[:i] + rest[i + 1:] + (k + v - 1,)
+            total += rest.count(v) * (2 * v + 1) * (ints.get(merged) or get(g, merged))
+        if g >= 1:
+            lower = 0
+            for a in range((k - 1) // 2):
+                key = tuple(sorted(rest + (a, k - 2 - a)))
+                lower += ints.get(key) or get(g - 1, key)
+            lower *= 2
+            if k % 2 == 0:
+                key = tuple(sorted(rest + ((k - 2) // 2,) * 2))
+                lower += ints.get(key) or get(g - 1, key)
+            total += 4 * g * lower
+        binom = [math.comb(g, g1) for g1 in range(g + 1)]
+        self_paired = 0
+        for left, right, weight in _submultisets(rest, half=True):
+            n_left = len(left)
+            shift = n_left - sum(left) - 2
+            hi = min((k - 2 - shift) // 3, g)
+            mirror = left == right
+            if mirror:
+                hi = min(hi, (g - 1) // 2)
+            acc = 0
+            for g1 in range(-(shift // 3), hi + 1):
+                a = 3 * g1 + shift
+                i = bisect(left, a)
+                lkey = left[:i] + (a,) + left[i:]
+                b = k - 2 - a
+                i = bisect(right, b)
+                rkey = right[:i] + (b,) + right[i:]
+                f1 = ints.get(lkey) or get(g1, lkey)
+                acc += binom[g1] * f1 * (ints.get(rkey) or get(g - g1, rkey))
+            total += weight * acc
+            if mirror and g % 2 == 0:
+                a = (k - 2) // 2
+                i = bisect(left, a)
+                key = left[:i] + (a,) + left[i:]
+                f = ints.get(key) or get(g // 2, key)
+                self_paired += weight * binom[g // 2] * f * f
+        half, odd = divmod(self_paired, 2)
+        if odd:
+            raise ArithmeticError(f"odd self-paired DVV term for {_label(g, d)}")
+        return total + half
+
+
+def _filled_cells(engine):
+    """{(key, genus): value} over the nonempty cells of every factor column;
+    the cell of multiset m at genus h holds I(h, m + (3h + |m| - sum(m) - 2,))."""
+    cells = {}
+    for m, col in engine._cols.items():
+        for h, value in enumerate(col):
+            if value:
+                key = tuple(sorted(m + (3 * h + len(m) - sum(m) - 2,)))
+                cells[key, h] = value
+    return cells
+
+
+PARITY_FILLS = [
+    ("ladder_g11", lambda engine: _ladder(engine, 11)),
+    ("multiset_keys", lambda engine: [engine.psi_integral(g, d) for g, d in MULTISET_KEYS]),
+    ("cold_g13", lambda engine: engine.psi_integral(13, [37])),
+    ("kappa_mix", _kappa_mix),
+]
+
+
+@pytest.mark.parametrize("fill", [fill for _, fill in PARITY_FILLS],
+                         ids=[name for name, _ in PARITY_FILLS])
+def test_factor_columns_match_key_per_term_lookups(fill):
+    engine, reference = CorrelatorEngine(), KeyPerTermDVV()
+    fill(engine)
+    fill(reference)
+    # the same keys, filled in the same order, to the same integers
+    assert list(engine._ints.items()) == list(reference._ints.items())
+    assert engine._memo == reference._memo
+    assert engine.computed == reference.computed
+    assert engine._cols and not reference._cols
+    # a column holds only values the memo holds, under their own keys
+    cells = _filled_cells(engine)
+    assert cells and all(engine._ints[key] == value for (key, _), value in cells.items())
+
+
+def test_impossible_entry_in_a_factor_column_raises_on_every_call():
+    # <tau_7>_3 reads its genus-2 terms from adopted entries, so its one
+    # genus split, <tau_1>_1 <tau_4>_2, first reaches the adopted <tau_4>_2
+    # through the column of the empty multiset
+    cold = CorrelatorEngine()
+    engine = CorrelatorEngine()
+    engine.adopt({**{CorrelatorKey(2, d, ()): str(cold.psi_integral(2, d))
+                     for d in [(0, 5), (1, 4), (2, 3)]},
+                  CorrelatorKey(2, (4,), ()): "1/1000003"})
+    for _ in range(2):
+        with pytest.raises(ImpossibleEntryError, match=r"1/1000003 for <tau_4>_2"):
+            engine.psi_integral(3, [7])
+        # the base case <tau_1>_1 filled its cell; <tau_4>_2 left its own empty
+        assert engine._cols == {(): [0, 1, 0, 0]}
+        assert (4,) not in engine._ints
+    assert engine.computed == 0
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from tautrr.engine import (
     CorrelatorEngine,
     CorrelatorKey,
     genus0_closed_form,
+    odd_double_factorial,
     one_point_value,
     two_point_value,
 )
@@ -41,6 +42,9 @@ INVALID = [
      "need at least three markings in genus 0"),
     ("genus0-negative-level", lambda: genus0_closed_form([-1, 1, 0]),
      "negative descendent level"),
+    # the table is not read from its end, whatever was tabled before
+    ("odd-double-factorial-negative", lambda: odd_double_factorial(3) and odd_double_factorial(-1),
+     "negative m -1 for (2m+1)!!"),
     ("psi-negative-genus", lambda: ENGINE.psi_integral(-1, [2]),
      "genus must be nonnegative"),
     ("psi-kappa-negative-genus", lambda: ENGINE.psi_kappa_integral(-1, [], [1]),
