@@ -220,7 +220,7 @@ def test_vyt_rows_are_xi_paired_with_pure_kappa_monomials(engine):
     # two-pointed genus-g space, paired on a separate engine: vyt tests xi
     # against pure-kappa monomials only
     other = CorrelatorEngine()
-    rows = nonzero = 0
+    rows = pairs = nonzero = 0
     for g in range(1, 7):
         for r in range(1, g + 2):
             report = verify_vyt(g, r, engine)
@@ -232,15 +232,15 @@ def test_vyt_rows_are_xi_paired_with_pure_kappa_monomials(engine):
             rows += len(tests)
             # term by term too, where the pairings are not all 0
             vyt = build_vyt(g, r)
-            for (coeff, glued), term in zip(vyt.terms, xi.terms):
-                assert term[0] == coeff
+            for (coeff, glued), (xi_coeff, term) in zip(vyt.terms, xi.terms):
+                assert xi_coeff == coeff
                 values = pair_with_tests(ClassExpr(vyt.ambient, vyt.degree, ((1, glued),)),
                                          tests, engine)
                 assert values == pair_with_tests(
-                    ClassExpr(xi.ambient, xi.degree, ((1, term[1]),)), xi_tests, other), (g, r)
+                    ClassExpr(xi.ambient, xi.degree, ((1, term),)), xi_tests, other), (g, r)
+                pairs += len(values)
                 nonzero += sum(map(bool, values))
-    # every single-term pairing is nonzero
-    assert (rows, nonzero) == (26, 339)
+    assert rows == 26 and pairs == nonzero == 339
 
 
 def test_liu_xu_alternating_sum_vanishes_exactly_above_2g(engine):

@@ -3,11 +3,11 @@ reference recursions."""
 
 import functools
 import hashlib
-from bisect import bisect
 import itertools
 import math
 import random
 import threading
+from bisect import bisect
 from fractions import Fraction
 
 import pytest
@@ -906,7 +906,7 @@ def test_entries_listed_in_steps_match_one_listing():
 
 class KeyPerTermDVV(CorrelatorEngine):
     """The engine with its DVV genus splits building and looking up both
-    factor keys for every term, as before the factor columns."""
+    factor keys of every term: the reference for the factor columns."""
 
     def _dvv(self, g, d):
         ints = self._ints
