@@ -7,7 +7,6 @@ from .cache import (
     cache_save,
     format_rational,
     load_engine_cache,
-    parse_rational,
     revalidate,
     save_engine_cache,
 )

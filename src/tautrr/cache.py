@@ -89,10 +89,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def _format_key(key) -> str:
     """``g;d1,...;b1,...`` for a key or a plain ``(genus, d, b)`` tuple."""
     genus, d, b = key
@@ -154,9 +150,6 @@ class SavedLines(Mapping):
         if value is None:
             raise KeyError(key)
         return value
-
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
 
     def __iter__(self):
         return (_read_line(line, lineno)[0] for lineno, line in enumerate(self.lines(), 2))
@@ -311,7 +304,7 @@ def _load_lines(text: str) -> CacheStore:
         key, value = _read_line(line, lineno)
         if not _is_canonical(value):
             try:
-                value = parse_rational(value)
+                value = Fraction(value)
             except (ValueError, ZeroDivisionError):
                 raise CacheFormatError(f"line {lineno}: bad value {value!r}") from None
         problem = _key_problem(*key)

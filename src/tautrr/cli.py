@@ -169,9 +169,12 @@ class Sweep(NamedTuple):
     point-target identity, whose tuples run over --r, --s and --m and keep
     those the identity is stated at.  ``limited`` lists the parameters held
     to FORCE_LIMITS in the order the gate checks them; ``options`` are
-    passed to every tuple between g and r.  ``tests(relation, params)``
-    counts what one tuple pairs against, stopping past MAX_TESTS at a
-    number above it, and ``unit`` names what it counts.
+    passed to every tuple between g and r, 2 when not given.  A relation
+    takes its ``options``, and --s, --m and --levels if it is a point-target
+    identity; ``verify`` refuses any other of them.
+    ``tests(relation, params)`` counts what one tuple pairs against,
+    stopping past MAX_TESTS at a number above it, and ``unit`` names what
+    it counts.
     ``run(relation, params, engine)`` makes one verifier call.
     """
 
@@ -236,7 +239,13 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
     before any tuple runs."""
     given = {name: getattr(args, name) for name in ("g", "r", "s", "m", "levels")}
     given = {name: parse_range(text) if text else None for name, text in given.items()}
-    _check_limits(args, sweep, given)
+    takes = sweep.options if sweep.r_values else ("s", "m", "levels")
+    for name in ("s", "m", "levels", "n1", "n2"):
+        if name not in takes and getattr(args, name) is not None:
+            raise ValueError(f"{args.relation} takes no --{name}")
+    options = {name: 2 if getattr(args, name) is None else getattr(args, name)
+               for name in sweep.options}
+    _check_limits(args, sweep, {**given, **{name: (n,) for name, n in options.items()}})
     gs, rs, ss, ms, levels = given.values()
     if sweep.r_values is None:
         levels = levels or range(0, 4)
@@ -255,7 +264,6 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
         count += math.prod(map(len, grid(g)))
         if count > MAX_SPAN:
             raise ValueError(f"the ranges span more than {MAX_SPAN} parameter tuples")
-    options = {name: getattr(args, name) for name in sweep.options}
     if sweep.r_values is None:
         tuples = [{"g": g, "r": r, "s": s, "m": m, "levels": levels}
                   for g in genera for r, s, m in itertools.product(*grid(g))
@@ -275,7 +283,7 @@ def _check_limits(args, sweep: Sweep, given: dict) -> None:
     """Raise at the first value given beyond FORCE_LIMITS (the defaults are
     within them); with --force, warn about each of them instead."""
     for name in sweep.limited:
-        values = (getattr(args, name),) if name in sweep.options else given[name]
+        values = given[name]
         if not values:
             continue
         # a range ascends, and max() would iterate it
@@ -351,12 +359,8 @@ def _run_cached(body, args) -> int:
 
 def _integral(args, engine) -> int:
     try:
-        d = _parse_int_list(args.d)
-        b = _parse_int_list(args.kappa)
-        if b:
-            value = engine.psi_kappa_integral(args.g, d, b)
-        else:
-            value = engine.psi_integral(args.g, d)
+        value = engine.psi_kappa_integral(args.g, _parse_int_list(args.d),
+                                          _parse_int_list(args.kappa))
     except (UnstableModuliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -424,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--s", default=None, help="s range")
     p_ver.add_argument("--m", default=None, help="m range (conjC/sreduce/symmetry)")
     p_ver.add_argument("--levels", default=None, help="descendent level range, e.g. 0..6")
-    p_ver.add_argument("--n1", type=int, default=2, help="markings on the first factor")
-    p_ver.add_argument("--n2", type=int, default=2, help="markings on the second factor")
+    p_ver.add_argument("--n1", type=int, help="first-factor markings (variation; 2 if unset)")
+    p_ver.add_argument("--n2", type=int, help="second-factor markings (variation; 2 if unset)")
     p_ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_ver.add_argument("--out", default=None, help="write the report to this file")
     p_ver.add_argument("--cache", default=None, help="cache file to load and update")

@@ -83,7 +83,7 @@ from bisect import bisect
 from collections import ChainMap
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from math import comb, factorial, lcm, prod
 from typing import NamedTuple
@@ -221,26 +221,17 @@ class _Listing(ChainMap):
         return len(pending) + sum(key not in pending for key in own)
 
 
-_ODD_DFACT = [1, 3]  # _ODD_DFACT[m] == (2m+1)!!
-
-
+@cache
 def odd_double_factorial(m: int) -> int:
     """(2m+1)!! for m >= 0; a negative m raises ValueError."""
     if m < 0:
         raise ValueError(f"negative m {m} for (2m+1)!!")
-    while len(_ODD_DFACT) <= m:
-        k = len(_ODD_DFACT)
-        _ODD_DFACT.append(_ODD_DFACT[-1] * (2 * k + 1))
-    return _ODD_DFACT[m]
+    return prod(range(3, 2 * m + 2, 2))
 
 
-_BINOM = [[1]]  # _BINOM[g] == [C(g, 0), ..., C(g, g)]
-
-
+@cache
 def _binomial_row(g: int) -> list[int]:
-    while len(_BINOM) <= g:
-        _BINOM.append([comb(len(_BINOM), i) for i in range(len(_BINOM) + 1)])
-    return _BINOM[g]
+    return [comb(g, i) for i in range(g + 1)]
 
 
 def genus0_closed_form(d) -> Fraction:

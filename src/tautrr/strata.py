@@ -48,10 +48,8 @@ from operator import add
 from typing import NamedTuple
 
 from .cache import format_rational
-from .engine import (CorrelatorEngine, _exact, _integers, _submultisets, _sum_by_denominator,
-                     is_stable, moduli_dim)
-
-ZERO = Fraction(0)
+from .engine import (ZERO, CorrelatorEngine, _exact, _integers, _submultisets,
+                     _sum_by_denominator, is_stable, moduli_dim)
 
 # Records are named tuples (equality, hash, repr and read-only fields); each checks
 # its fields, ints first (engine._integers), in __new__ of a private tuple's subclass.

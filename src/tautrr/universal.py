@@ -28,11 +28,9 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .engine import CorrelatorEngine, _exact, _integers
+from .engine import ZERO, CorrelatorEngine, _exact, _integers
 from .relations import VerificationReport, _report
 from .strata import _Checked
-
-ZERO = Fraction(0)
 
 
 class _VectorFieldPt(NamedTuple):

@@ -21,10 +21,9 @@ from tautrr.cache import (
     cache_save,
     format_rational,
     load_engine_cache,
-    parse_rational,
     save_engine_cache,
 )
-from tautrr.engine import CorrelatorEngine, CorrelatorKey, ImpossibleEntryError
+from tautrr.engine import CorrelatorEngine, CorrelatorKey, ImpossibleEntryError, key_from_tuple
 
 
 def test_rational_rendering():
@@ -32,8 +31,6 @@ def test_rational_rendering():
     assert format_rational(Fraction(1)) == "1"
     assert format_rational(Fraction(0)) == "0"
     assert format_rational(Fraction(-5, 3)) == "-5/3"
-    assert parse_rational("1/24") == Fraction(1, 24)
-    assert parse_rational("7") == 7
 
 
 def test_round_trip_single_entry(tmp_path):
@@ -160,14 +157,19 @@ def test_save_is_sorted_and_headed(tmp_path):
     "7", "-5/3", "2/4", " 1/24 ", "+3", "0007", "1_000", "0.5", "1e3",
     "1/-2", "1/0", "", "٣",
 ])
-def test_parse_rational_agrees_with_fraction(text):
+def test_parse_rational_agrees_with_fraction(tmp_path, text):
+    # a quarantined file's value reads as Fraction(text), or is refused where
+    # Fraction refuses it
+    path = tmp_path / "cache.txt"
+    path.write_text(f"#taut-rr-cache v1\n1;1;;{text}\n", encoding="utf-8")
     try:
-        expected = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        with pytest.raises(type(exc)):
-            parse_rational(text)
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(CacheFormatError) as exc:
+            cache_load(path)
+        assert str(exc.value) == f"line 2: bad value {text!r}"
     else:
-        got = parse_rational(text)
+        got = cache_load(path).entries[key_from_tuple((1, (1,), ()))]
         assert got == expected and type(got) is Fraction
 
 
@@ -687,6 +689,14 @@ def test_matched_file_search_and_index_agree(seed_bytes, tmp_path, edit):
         assert indexed.get(other) is not None
     assert indexed._index is None
     assert indexed.get(key) == searched and indexed._index is not None
+    # `in` answers as get does, searched or indexed, and counts as a lookup
+    saved = load_engine_cache(CorrelatorEngine(), path).entries.raw
+    for probe in (key, (10, (1, 5, 24), ())) * cache._SEARCHES:
+        searches = saved._searches
+        found = probe in saved
+        assert saved._index is not None or saved._searches == searches + 1
+        assert found == (saved.get(probe) is not None) == (probe == key)
+    assert saved._index is not None
     # through an engine: the same answer, or the same error, and no compute
     outcomes = []
     for lookups in (0, cache._SEARCHES):

@@ -627,6 +627,20 @@ VERIFY_ERRORS = [
      0, f"warning: --n1 5 {BEYOND}\nwarning: --n2 6 {BEYOND}\n"),
     (("bbt", "--g", "3..1"), 2, "error: empty range '3..1'\n"),
     (("bbt", "--s", "foo"), 2, "error: invalid literal for int() with base 10: 'foo'\n"),
+    # a relation refuses the options it does not take, after the ranges parse
+    # and before the desk-scale limits, naming the first in --s, --m,
+    # --levels, --n1, --n2 order; --n1 and --n2 are refused even at variation's 2
+    (("bbt", "--g", "2", "--s", "3", "--m", "9", "--levels", "0..2", "--n1", "7"),
+     2, "error: bbt takes no --s\n"),
+    (("fqq", "--n2", "5", "--levels", "0..2", "--m", "9"), 2, "error: fqq takes no --m\n"),
+    (("vyt", "--n1", "2"), 2, "error: vyt takes no --n1\n"),
+    (("xi-witness", "--g", "7", "--n2", "2"), 2, "error: xi-witness takes no --n2\n"),
+    (("bbt", "--g", "x", "--n1", "2"), 2, "error: invalid literal for int() with base 10: 'x'\n"),
+    (("variation", "--g", "0", "--n1", "3", "--levels", "0"),
+     2, "error: variation takes no --levels\n"),
+    (("conjC", "--g", "1", "--r", "1", "--s", "0", "--n1", "9"),
+     2, "error: conjC takes no --n1\n"),
+    (("symmetry", "--levels", "0..9", "--n2", "2"), 2, "error: symmetry takes no --n2\n"),
     (("sreduce", "--r", "0"), 2, "error: empty parameter range\n"),
     (("sreduce", "--g", "1", "--r", "1", "--m", "0"), 2, "error: empty parameter range\n"),
     (("symmetry", "--m=-1..0"), 2, "error: r, s, g, m must be nonnegative\n"),

@@ -18,11 +18,13 @@ from tautrr.engine import (
     CorrelatorKey,
     ImpossibleEntryError,
     UnstableModuliError,
+    _binomial_row,
     _label,
     _submultisets,
     genus0_closed_form,
     is_stable,
     moduli_dim,
+    odd_double_factorial,
     one_point_value,
     two_point_value,
 )
@@ -148,6 +150,17 @@ def test_genus0_closed_form_values():
     assert genus0_closed_form([1, 1, 0, 0, 0]) == 2
     with pytest.raises(ValueError, match="dimension mismatch"):
         genus0_closed_form([1, 1, 0])
+
+
+def test_normalization_factors_match_their_definitions():
+    # filled in descending order first, so no value leans on the order the
+    # tables grow in; a deep m needs no recursion
+    odd_double_factorial.cache_clear()
+    _binomial_row.cache_clear()
+    for n in (*range(300, -1, -1), *range(301)):
+        assert odd_double_factorial(n) == math.prod(range(1, 2 * n + 2, 2))
+        assert _binomial_row(n) == [math.comb(n, i) for i in range(n + 1)]
+    assert odd_double_factorial(5000) == math.prod(range(1, 10002, 2))
 
 
 def test_one_point_closed_form_values():

@@ -100,8 +100,12 @@ def test_multilinearity(engine):
 
 
 def test_zero_field_slot_gives_zero(engine):
+    from tautrr import engine as engine_module, strata, universal
+
     zero = VectorFieldPt(())
-    assert psi_eval(1, 0, 2, 2, [zero], [], engine) == 0
+    # every module returns the one zero the engine defines
+    assert strata.ZERO is universal.ZERO is engine_module.ZERO
+    assert psi_eval(1, 0, 2, 2, [zero], [], engine) is engine_module.ZERO
 
 
 def test_slot_count_validation(engine):
