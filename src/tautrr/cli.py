@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .cache import (
     CacheFormatError,
@@ -37,7 +37,7 @@ from .cache import (
     load_engine_cache,
     revalidate,
 )
-from .engine import CorrelatorEngine, ImpossibleEntryError, UnstableModuliError
+from .engine import CorrelatorEngine, ImpossibleEntryError
 from .relations import (
     VerificationReport,
     build_bbt,
@@ -165,25 +165,24 @@ def _emit(text: str, out_path: str | None) -> None:
 class Sweep(NamedTuple):
     """How ``verify`` sweeps one relation, one report per parameter tuple.
 
-    ``r_values(g)`` is the default --r at genus g, or None for a
-    point-target identity, whose tuples run over --r, --s and --m and keep
-    those the identity is stated at.  ``limited`` lists the parameters held
-    to FORCE_LIMITS in the order the gate checks them; ``options`` are
-    passed to every tuple between g and r, 2 when not given.  A relation
-    takes its ``options``, and --s, --m and --levels if it is a point-target
-    identity; ``verify`` refuses any other of them.
+    ``defaults`` maps every parameter the relation takes, g first and in
+    the order of a tuple's fields, to its default values, or to a function
+    of g giving them; ``verify`` refuses any other option.  A point-target
+    identity takes --levels as one value, the level tuple, and
+    ``stated(relation, *values)`` keeps the tuples it is stated at.
+    ``limited`` lists the parameters held to FORCE_LIMITS in the order the
+    gate checks them.
     ``tests(relation, params)`` counts what one tuple pairs against,
     stopping past MAX_TESTS at a number above it, and ``unit`` names what
     it counts.
     ``run(relation, params, engine)`` makes one verifier call.
     """
 
-    genera: range  # default --g
-    r_values: Callable[[int], Iterable[int]] | None
+    defaults: dict
     limited: tuple[str, ...]
     run: Callable
     tests: Callable[[str, dict], int]
-    options: tuple[str, ...] = ()
+    stated: Callable[..., bool] = lambda relation, *values: True
     unit: str = "test monomials"
 
 
@@ -199,30 +198,33 @@ def _slot_assignments(relation: str, p: dict) -> int:
 # Runners name the verifiers and builders in their bodies, so these are
 # looked up as module globals at call time and a wrapper bound onto this
 # module sees every call.
-_POINT_TARGET = Sweep(range(0, 3), None, ("g", "r", "s", "levels"),
+_POINT_TARGET = Sweep({"g": range(0, 3), "r": range(0, 3), "s": range(0, 3),
+                       "m": lambda g: range(0, 3 * g + 4), "levels": ((0, 1, 2, 3),)},
+                      ("g", "r", "s", "levels"),
                       lambda rel, p, e: sweep_report(rel, engine=e, **p), _slot_assignments,
+                      lambda rel, g, r, s, m, levels: is_stated(rel, g, r, s, m),
                       unit="slot assignments")
 
 #: relation -> its sweep, in the order ``verify --help`` lists them
 SWEEPS = {
-    "bbt": Sweep(range(1, 6), lambda g: range(0, max(g - 1, 1)), ("g",),
+    "bbt": Sweep({"g": range(1, 6), "r": lambda g: range(0, max(g - 1, 1))}, ("g",),
                  lambda rel, p, e: verify(build_bbt(**p), rel, p, e),
                  lambda rel, p: count_tests(1, p["g"] - 2 - p["r"], MAX_TESTS)),
-    "variation": Sweep(range(0, 4), lambda g: range(0, 2), ("g", "n1", "n2"),
+    "variation": Sweep({"g": range(0, 4), "n1": (2,), "n2": (2,), "r": range(0, 2)},
+                       ("g", "n1", "n2"),
                        lambda rel, p, e: verify(build_variation(**p), rel, p, e),
                        lambda rel, p: count_tests(p["n1"] + p["n2"], p["g"] - 1 - p["r"],
-                                                  MAX_TESTS),
-                       options=("n1", "n2")),
-    "fqq": Sweep(range(1, 5), lambda g: range(0, 3), ("g",),
+                                                  MAX_TESTS)),
+    "fqq": Sweep({"g": range(1, 5), "r": range(0, 3)}, ("g",),
                  lambda rel, p, e: verify(build_fqq(**p), rel, p, e),
                  lambda rel, p: count_tests(2, p["g"] - 1 - p["r"], MAX_TESTS)),
-    "vyt": Sweep(range(1, 5), lambda g: range(1, max(g, 2)), ("g",),
+    "vyt": Sweep({"g": range(1, 5), "r": lambda g: range(1, max(g, 2))}, ("g",),
                  lambda rel, p, e: verify_vyt(**p, engine=e),
                  lambda rel, p: count_tests(0, p["g"] - 1 - p["r"], MAX_TESTS)),
-    "vpe": Sweep(range(1, 4), lambda g: (1, 3), ("g",),
+    "vpe": Sweep({"g": range(1, 4), "r": (1, 3)}, ("g",),
                  lambda rel, p, e: verify(build_vpe(**p), rel, p, e),
                  lambda rel, p: count_tests(0, p["g"] - p["r"], MAX_TESTS)),
-    "xi-witness": Sweep(range(2, 6), lambda g: range(0, g - 1), ("g",),
+    "xi-witness": Sweep({"g": range(2, 6), "r": lambda g: range(0, g - 1)}, ("g",),
                         lambda rel, p, e: verify_xi_witness(**p, engine=e),
                         lambda rel, p: 2 * p["g"] + p["r"] + 1, unit="witness terms"),
     "conjC": _POINT_TARGET,
@@ -239,24 +241,22 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
     before any tuple runs."""
     given = {name: getattr(args, name) for name in ("g", "r", "s", "m", "levels")}
     given = {name: parse_range(text) if text else None for name, text in given.items()}
-    takes = sweep.options if sweep.r_values else ("s", "m", "levels")
     for name in ("s", "m", "levels", "n1", "n2"):
-        if name not in takes and getattr(args, name) is not None:
+        if name not in sweep.defaults and getattr(args, name) is not None:
             raise ValueError(f"{args.relation} takes no --{name}")
-    options = {name: 2 if getattr(args, name) is None else getattr(args, name)
-               for name in sweep.options}
-    _check_limits(args, sweep, {**given, **{name: (n,) for name, n in options.items()}})
-    gs, rs, ss, ms, levels = given.values()
-    if sweep.r_values is None:
-        levels = levels or range(0, 4)
+    for name in ("n1", "n2"):
+        given[name] = None if getattr(args, name) is None else (getattr(args, name),)
+    _check_limits(args, sweep, given)
+    levels = given["levels"]
+    if levels is not None:
         if len(levels) > MAX_SPAN:
             raise ValueError(f"--levels lists more than {MAX_SPAN} values")
-        levels = tuple(dict.fromkeys(levels))  # a repeated level counts once
-        rs, ss = (range(0, 3) if x is None else x for x in (rs, ss))
-        grid = lambda g: (rs, ss, range(0, 3 * g + 4) if ms is None else ms)
-    else:
-        grid = lambda g: (sweep.r_values(g) if rs is None else rs,)
-    genera = sweep.genera if gs is None else gs
+        # one value, in which a repeated level counts once
+        given["levels"] = [tuple(dict.fromkeys(levels))] if levels else []
+    axes = {name: values if given[name] is None else given[name]
+            for name, values in sweep.defaults.items()}
+    genera = axes.pop("g")
+    grid = lambda g: [values(g) if callable(values) else values for values in axes.values()]
     count = 0
     for walked, g in enumerate(genera):
         if walked == MAX_SPAN:
@@ -264,12 +264,9 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
         count += math.prod(map(len, grid(g)))
         if count > MAX_SPAN:
             raise ValueError(f"the ranges span more than {MAX_SPAN} parameter tuples")
-    if sweep.r_values is None:
-        tuples = [{"g": g, "r": r, "s": s, "m": m, "levels": levels}
-                  for g in genera for r, s, m in itertools.product(*grid(g))
-                  if is_stated(args.relation, g, r, s, m)]
-    else:
-        tuples = [{"g": g, **options, "r": r} for g in genera for r in grid(g)[0]]
+    tuples = [dict(zip(sweep.defaults, values))
+              for g in genera for values in itertools.product((g,), *grid(g))
+              if sweep.stated(args.relation, *values)]
     if not tuples:
         raise ValueError("empty parameter range")
     for p in tuples:
@@ -361,7 +358,7 @@ def _integral(args, engine) -> int:
     try:
         value = engine.psi_kappa_integral(args.g, _parse_int_list(args.d),
                                           _parse_int_list(args.kappa))
-    except (UnstableModuliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(format_rational(value))
@@ -462,7 +459,3 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

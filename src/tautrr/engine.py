@@ -34,8 +34,8 @@ Conventions:
     (a, L, g1) <-> (b, R, g - g1), and its genus g-1 terms under a <-> b,
     so each unordered pair is visited once and counted once in place of
     the halving.  The splits run in mixed radix over the counts taken of
-    each distinct value, so split i mirrors split N-1-i and only the first
-    half of the list is built and visited; in it, L == R only for the
+    each distinct value, so split i mirrors split N-1-i: the list is built
+    whole and only its first half is visited; in it, L == R only for the
     split that is its own mirror, where g1 < g - g1 is kept.  Only the
     self-paired term (a == b, L == R, g1 == g - g1) is halved; it carries
     an even weight, C(c, c/2) for some c > 0, or C(g, g/2) when S is
@@ -304,25 +304,16 @@ def _submultisets(parts: tuple[int, ...], half: bool = False):
 
     The splits run in mixed radix over the counts t, so split i is the
     mirror (others, chosen) of split N-1-i.  With ``half``, only the first
-    half is built: the splits whose counts are lexicographically at most
-    their mirror's, the one split that is its own mirror (every c even)
-    last.
+    ceil(N/2) are returned: the splits whose counts are lexicographically
+    at most their mirror's, the one split that is its own mirror (every c
+    even) last.
     """
-    # below: splits already below their mirror, which take any count of the
-    # next value; level: the split still tied with its mirror, which takes
-    # fewer than half of the copies (and falls below) or exactly half
-    below, level = ([], [((), (), 1)]) if half else ([((), (), 1)], [])
+    splits = [((), (), 1)]
     for v in dict.fromkeys(parts):
         c = parts.count(v)
-        below = _grow(below, v, c, range(c + 1)) + _grow(level, v, c, range((c + 1) // 2))
-        level = _grow(level, v, c, (c // 2,)) if c % 2 == 0 else []
-    return below + level
-
-
-def _grow(splits, v: int, c: int, counts) -> list:
-    """Each split extended by t of the c copies of v, for each t in counts."""
-    return [(chosen + (v,) * t, others + (v,) * (c - t), w * comb(c, t))
-            for chosen, others, w in splits for t in counts]
+        splits = [(chosen + (v,) * t, others + (v,) * (c - t), w * comb(c, t))
+                  for chosen, others, w in splits for t in range(c + 1)]
+    return splits[:(len(splits) + 1) // 2] if half else splits
 
 
 def _sum_by_denominator(sums: dict[int, int]) -> Fraction:

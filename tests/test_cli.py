@@ -649,6 +649,11 @@ VERIFY_ERRORS = [
     (("xi-witness", "--g", "3", "--r", "5"), 2, "error: witness out of range\n"),
     (("variation", "--n1", "1"), 2, "error: need n1 >= 2 and n2 >= 2\n"),
     (("bbt", "--g", ","), 2, "error: empty parameter range\n"),
+    # an empty --levels is an empty range too, not the default levels
+    (("conjC", "--g", "1", "--r", "1", "--s", "0", "--m", "3", "--levels", ","),
+     2, "error: empty parameter range\n"),
+    (("symmetry", "--g", "1", "--r", "7", "--s", "0", "--m", "3", "--levels", ",", "--force"),
+     2, f"warning: --r 7 {BEYOND}\nerror: empty parameter range\n"),
     (("conjC", "--s=-1"), 2, "error: r, s, g, m must be nonnegative\n"),
     # tau(-1) is the zero field, which would pass every check
     (("conjC", "--g", "1", "--r", "1", "--s", "0", "--levels=-1"), 2,
@@ -691,7 +696,7 @@ def test_counted_tests_are_the_tests_a_tuple_pairs(relation, monkeypatch):
     pair_with_tests = relations.pair_with_tests
     monkeypatch.setattr(relations, "pair_with_tests", lambda expr, tests, e: (
         pairings.extend(tests) or pair_with_tests(expr, tests, e)))
-    genera = "1..6" if sweep.r_values else "0..1"
+    genera = "0..1" if "levels" in sweep.defaults else "1..6"
     args = cli.build_parser().parse_args(["verify", relation, "--g", genera, "--force"])
     for params in cli._param_tuples(args, sweep):
         pairings.clear()

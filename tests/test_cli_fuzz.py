@@ -52,7 +52,7 @@ BASES = {
         (["integral"], ["-g", "1", "-d", "1", "--cache", "c.txt"]),
     ],
     "verify": [
-        (["verify"] + (POINT_TARGET_PINS if cli.SWEEPS[rel].r_values is None else []),
+        (["verify"] + (POINT_TARGET_PINS if "levels" in cli.SWEEPS[rel].defaults else []),
          [rel, "--g", SMALL_GENUS[rel], "--format", fmt])
         for rel, fmt in zip(cli.SWEEPS, ["text", "json", "csv"] * 3)
     ],

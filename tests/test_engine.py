@@ -8,6 +8,7 @@ import math
 import random
 import threading
 from bisect import bisect
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -677,6 +678,36 @@ def test_impossible_trusted_entry_raises_when_needed():
         engine.psi_integral(2, [0, 0, 2, 5])
     with pytest.raises(ImpossibleEntryError, match=r"<tau_2 tau_3>_2"):
         engine.psi_kappa_integral(2, [0, 2], [3])
+
+
+# ----------------------------------------------------------------------
+# sub-multiset splits against index subsets
+# ----------------------------------------------------------------------
+
+
+def test_submultisets_match_index_subsets():
+    # the DVV bracket visits the halved list; the kappa trade and the
+    # pullback rows read the whole one
+    for n in range(8):
+        for parts in itertools.combinations_with_replacement(range(5), n):
+            brute = Counter(
+                (tuple(parts[i] for i in chosen),
+                 tuple(parts[i] for i in range(n) if i not in chosen))
+                for size in range(n + 1) for chosen in itertools.combinations(range(n), size))
+            splits = _submultisets(parts)
+            assert {(left, right): w for left, right, w in splits} == brute, parts
+            assert len(splits) == len(brute), parts
+            values = list(dict.fromkeys(parts))
+            counts = [parts.count(v) for v in values]
+            assert ([tuple(left.count(v) for v in values) for left, _, _ in splits]
+                    == list(itertools.product(*(range(c + 1) for c in counts)))), parts
+            size = len(splits)
+            for i, (left, right, w) in enumerate(splits):
+                assert splits[size - 1 - i] == (right, left, w), parts
+            half = _submultisets(parts, half=True)
+            assert half == splits[:(size + 1) // 2], parts
+            assert ([left == right for left, right, _ in half]
+                    == [False] * (len(half) - 1) + [all(c % 2 == 0 for c in counts)]), parts
 
 
 # ----------------------------------------------------------------------
