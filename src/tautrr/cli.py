@@ -73,8 +73,8 @@ MAX_TESTS = 10_000
 
 
 def parse_range(text: str) -> range | list[int]:
-    """Accept '3', '2..5', or '1,3,5'; '2..5' gives ``range(2, 6)``, so a
-    wide range costs nothing until it is iterated."""
+    """Accept '3', '2..5', '1,3,5', or '' and ',' (empty); '2..5' gives
+    ``range(2, 6)``, so a wide range costs nothing until it is iterated."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -82,7 +82,7 @@ def parse_range(text: str) -> range | list[int]:
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
         return range(lo, hi + 1)
-    if "," in text:
+    if "," in text or not text:
         return [int(piece) for piece in text.split(",") if piece.strip()]
     return [int(text)]
 
@@ -240,7 +240,7 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
     is built; what each tuple pairs against (``Sweep.tests``) is counted
     before any tuple runs."""
     given = {name: getattr(args, name) for name in ("g", "r", "s", "m", "levels")}
-    given = {name: parse_range(text) if text else None for name, text in given.items()}
+    given = {name: None if text is None else parse_range(text) for name, text in given.items()}
     for name in ("s", "m", "levels", "n1", "n2"):
         if name not in sweep.defaults and getattr(args, name) is not None:
             raise ValueError(f"{args.relation} takes no --{name}")
@@ -264,9 +264,10 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
         count += math.prod(map(len, grid(g)))
         if count > MAX_SPAN:
             raise ValueError(f"the ranges span more than {MAX_SPAN} parameter tuples")
-    tuples = [dict(zip(sweep.defaults, values))
+    names, stated, relation = tuple(sweep.defaults), sweep.stated, args.relation
+    tuples = [dict(zip(names, values))
               for g in genera for values in itertools.product((g,), *grid(g))
-              if sweep.stated(args.relation, *values)]
+              if stated(relation, *values)]
     if not tuples:
         raise ValueError("empty parameter range")
     for p in tuples:

@@ -9,7 +9,7 @@ marked point carrying one descendent; each remaining kappa index may
 merge into the new insertion, so one trade is a signed sum over
 sub-multisets of the other indices.  Each engine builds a trade's terms
 once per kappa multiset and inserts the new level in place.
-`_psi_kappa`, the path of every pairing integral, reads the memo first: a
+Pairing reads an integral from the memo, and `_psi_kappa` on a miss; a
 memoized key has passed the dimension gate, so a hit is one dict lookup.
 
 Conventions:
@@ -604,9 +604,9 @@ class CorrelatorEngine:
         for level, kept, sign in trades:
             i = bisect(d, level)
             term = self._psi_kappa(g, d[:i] + (level,) + d[i:], kept)
-            if term:
+            if num := term.numerator:
                 den = term.denominator
-                sums[den] = sums.get(den, 0) + sign * term.numerator
+                sums[den] = sums.get(den, 0) + sign * num
         value = _sum_by_denominator(sums)
         self.computed += 1
         self._memo[key_from_tuple((g, d, b))] = value

@@ -64,15 +64,19 @@ def _boundary_sum(ambient: AmbientSpace, genera, node_total: int, markings1,
     Over g1 in ``genera`` and node exponents a + b = ``node_total``, in that
     order: coeff(g2, (-1)^a) times the separating stratum of genera
     (g1, g2 = ambient genus - g1) with ``markings1`` on the first factor
-    and no marking decorations; ``coeff`` is called twice per g1.
+    and no marking decorations; ``coeff`` is called twice per g1.  Each
+    g1's stratum at a = 0 is checked; its siblings differ only in the node
+    exponents (a, node_total - a), ints >= 0, so they skip the check.
     """
-    zeros = (0,) * ambient.n
-    signed = {g1: (coeff(ambient.g - g1, 1), coeff(ambient.g - g1, -1)) for g1 in genera}
-    return [
-        (signed[g1][a % 2],
-         SeparatingStratum(g1, ambient.g - g1, markings1, (a, node_total - a), zeros))
-        for g1 in genera for a in range(node_total + 1)
-    ]
+    zeros, terms = (0,) * ambient.n, []
+    for g1 in genera:
+        g2 = ambient.g - g1
+        signed = coeff(g2, 1), coeff(g2, -1)
+        checked = SeparatingStratum(g1, g2, markings1, (0, node_total), zeros)
+        terms += [(signed[a % 2], tuple.__new__(SeparatingStratum, (
+            g1, g2, markings1, (a, node_total - a), zeros)) if a else checked)
+            for a in range(node_total + 1)]
+    return terms
 
 
 def build_bbt(g: int, r: int) -> ClassExpr:

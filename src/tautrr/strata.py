@@ -13,21 +13,23 @@ Each expression builds one pairing plan, on first use: its separating
 strata grouped by marking split, then by factor 1 (genus and marking
 decorations), then by node exponent a.  Split- and group-level work is done
 once per split or group, not per term: labels sort once per split, the
-node-exponent shift once per group.  The pullback of a test is computed once
-per split, and its rows differ only in their kappa parts, so each factor
-decoration of the split is added to the test exponents and sorted once.
-For each pullback row and group, factor 1's dimension gate solves for a, so
-the factor-1 integral is taken once and only the strata with that a are
-visited; every factor inserts its node exponent into its sorted exponents
-in place.  Products are summed as integer numerators per denominator and
-divided once per test.  An interior or gluing term is planned as one
-integral (genus, marking exponents, node exponents, kappa parts).  Every
-record, the test too, checks its fields once, when it is built (by its
-`_make` and `_replace` as well), so every integral takes the engine's
-internal gated path (`CorrelatorEngine._psi_kappa`) with sorted exponents
-and kappa parts.  `pair_with_tests` pairs an expression against a list of
-tests in one call, reading the plan and that path once; `pair_with_test`
-is its one-test call.
+node-exponent shift once per group.  A test's kappa parts split over the
+two factors once per call, and a split's pullback rows differ only in
+them, so each factor decoration is added to the test exponents and sorted
+once per split and test.  For each pullback row and group, factor 1's
+dimension gate solves for a, so the factor-1 integral is taken once and
+only the strata with that a are visited; every factor inserts its node
+exponent into its sorted exponents in place.  Products are summed as
+integer numerators per denominator and divided once per test.  An
+interior or gluing term is planned as one integral (genus, marking
+exponents, sorted node exponents, kappa parts).  Every record, the test
+too, checks its fields when built (by `_make` and `_replace` as well);
+`enumerate_tests` and the relations' boundary sums skip the repeat check
+for fields sound by construction (strata differing only in their node
+exponents from one checked sibling).  Every integral is read from the
+engine's memo, or on a miss from its gated `CorrelatorEngine._psi_kappa`,
+with sorted exponents and kappa parts.  `pair_with_tests` pairs a list of
+tests in one call; `pair_with_test` is its one-test call.
 
 Canonical text grammar for rendered terms (stable across releases):
 
@@ -326,7 +328,8 @@ def enumerate_tests(ambient: AmbientSpace, degree: int) -> list[TestMonomial]:
     """All psi/kappa test monomials of the given degree, psi-heavy first, then descending lex."""
     if min(_integers("degree", (degree,))) < 0:
         raise ValueError("degree must be nonnegative")
-    return [TestMonomial(psi, kappa) for psi, kappa in _tests(ambient.n, degree)]
+    # _tests lists int exponents >= 0 and kappa parts >= 1, so no test is re-checked
+    return [tuple.__new__(TestMonomial, fields) for fields in _tests(ambient.n, degree)]
 
 
 # ----------------------------------------------------------------------
@@ -334,22 +337,18 @@ def enumerate_tests(ambient: AmbientSpace, degree: int) -> list[TestMonomial]:
 # ----------------------------------------------------------------------
 
 
-def _pullback_rows(t: TestMonomial, left, right):
-    """The pullback of ``t`` to a marking split, ready for the engine.
+def _kappa_splits(kappa_parts: tuple[int, ...]):
+    """The pullback of a test's kappa parts to a stratum's two factors.
 
-    ``left`` and ``right`` are the ascending marking labels on the two
-    factors.  Each kappa index restricts to (kappa on factor 1) + (kappa
-    on factor 2), so the kappa multiset splits over its sub-multisets, each
-    split counted once per index subset giving it.  Returns rows
-    (factor-1 test degree, psi1, psi2, kappa1, kappa2, multiplicity) with
-    kappa parts ascending and an ``int`` multiplicity; they depend on ``t``
-    and the split only, so one list serves every term of that split.
+    Each kappa index restricts to (kappa on factor 1) + (kappa on factor
+    2), so the kappa multiset splits over its sub-multisets, each split
+    counted once per index subset giving it.  Returns the parts ascending
+    and rows (factor-1 kappa degree, kappa1, kappa2, multiplicity) with
+    kappa parts ascending and an ``int`` multiplicity; they depend on the
+    kappa parts only, so one list serves every test and split sharing them.
     """
-    psi1 = tuple(t.psi_exps[i - 1] for i in left)
-    psi2 = tuple(t.psi_exps[i - 1] for i in right)
-    degree = sum(psi1)
-    return [(degree + sum(k1), psi1, psi2, k1, k2, weight)
-            for k2, k1, weight in _submultisets(tuple(sorted(t.kappa_parts)))]
+    ascending = tuple(sorted(kappa_parts))
+    return ascending, [(sum(k1), k1, k2, weight) for k2, k1, weight in _submultisets(ascending)]
 
 
 def _pairing_plan(expr: ClassExpr):
@@ -357,9 +356,9 @@ def _pairing_plan(expr: ClassExpr):
 
     Returns (integrals, splits).  ``integrals`` lists each interior and
     gluing term as one integral (coefficient numerator, denominator, genus,
-    marking exponents, node exponents, kappa parts): test psi classes add to
-    the marking exponents and test kappa parts join the kappa parts, since
-    kappa classes pull back unchanged along the gluing.  ``splits`` lists
+    marking exponents, node exponents sorted, kappa parts): test psi classes
+    add to the marking exponents and test kappa parts join the kappa parts,
+    since kappa classes pull back unchanged along the gluing.  ``splits`` lists
     (factor-1 labels, factor-2 labels, decorations, groups) per marking
     split of the separating terms, each distinct decoration listed once as
     (factor 1 or 2, its marking exponents on that factor's labels, zeros
@@ -374,8 +373,8 @@ def _pairing_plan(expr: ClassExpr):
         if not isinstance(term, SeparatingStratum):
             g, exps, node, kappa = ((expr.ambient.g, term.psi_exps, (), term.kappa_parts)
                                     if isinstance(term, InteriorTerm) else
-                                    (term.source_g, term.marking_exps, term.node_exps, ()))
-            integrals.append((coeff.numerator, coeff.denominator, g, exps, list(node), kappa))
+                                    (term.source_g, term.marking_exps, sorted(term.node_exps), ()))
+            integrals.append((coeff.numerator, coeff.denominator, g, exps, tuple(node), kappa))
             continue
         g1, g2, markings1, (a, b), exps = term
         split = splits.get(markings1)
@@ -400,34 +399,42 @@ def pair_with_tests(expr: ClassExpr, tests, engine: CorrelatorEngine) -> list[Fr
     """Exact pairings of a class expression against a sequence of test monomials, in order.
 
     A test whose degree is not complementary pairs to 0 (the trivial
-    pairing); each value is linear in the expression.  The plan and the
-    engine path are read once per call.  A stratum factor's exponents sort
-    once per split and test; its node exponent is inserted.
+    pairing); each value is linear in the expression.  The plan, the engine
+    path and each kappa partition's splits are read once per call.  A
+    stratum factor's exponents sort once per split and test; its node
+    exponent is inserted.  On an unmarked space no exponents are sorted.
     """
-    # an empty list builds no plan; checked records take the engine's internal path
+    # an empty list builds no plan; checked records take the engine's internal
+    # path, a memoized integral read straight from the memo
     integrals, splits = expr._plan if tests else ((), ())
-    psi_kappa = engine._psi_kappa
+    memo, psi_kappa = engine._memo.get, engine._psi_kappa
     n, complement = expr.ambient.n, expr.ambient.dim - expr.degree
+    kappa_splits = {}  # kappa parts -> _kappa_splits(kappa parts)
     values = []
     for t in tests:
-        if len(t.psi_exps) != n:
+        psi, kappa_parts = t
+        if len(psi) != n:
             raise ValueError("marking referenced by the test is absent from the ambient space")
         if t.degree != complement:
             values.append(ZERO)
             continue
+        ascending, rows = kappa_splits.get(kappa_parts) or kappa_splits.setdefault(
+            kappa_parts, _kappa_splits(kappa_parts))
         sums = {}  # denominator -> integer numerator of the terms over it
         for num, den, g, exps, node, kappa in integrals:
-            value = psi_kappa(g, tuple(sorted([x + y for x, y in zip(exps, t.psi_exps)] + node)),
-                              tuple(sorted(kappa + t.kappa_parts)))
-            if value:
+            key = (g, tuple(sorted([*map(add, exps, psi), *node])) if n else node,
+                   tuple(sorted(kappa + ascending)) if kappa else ascending)
+            if (value := memo(key)) is None:
+                value = psi_kappa(*key)
+            if top := value.numerator:
                 d = den * value.denominator
-                sums[d] = sums.get(d, 0) + num * value.numerator
+                sums[d] = sums.get(d, 0) + num * top
         for left, right, decos, groups in splits:
-            rows = _pullback_rows(t, left, right)
-            # the rows of a split differ only in their kappa parts; rows[0][f] is
-            # factor f's test psi exponents
-            factor_exps = [tuple(sorted(map(add, deco, rows[0][f]))) for f, deco in decos]
-            for degree1, _, _, k1, k2, mult in rows:
+            psi1 = [psi[i - 1] for i in left]
+            factor_psi = (None, psi1, [psi[i - 1] for i in right])
+            factor_exps = [tuple(sorted(map(add, deco, factor_psi[f]))) for f, deco in decos]
+            for kappa_degree, k1, k2, mult in rows:
+                degree1 = sum(psi1) + kappa_degree
                 for g1, g2, i1, shift, by_a in groups:
                     a = shift - degree1
                     strata = by_a.get(a)
@@ -435,17 +442,19 @@ def pair_with_tests(expr: ClassExpr, tests, engine: CorrelatorEngine) -> list[Fr
                         continue
                     d1 = factor_exps[i1]
                     i = bisect(d1, a)
-                    f1 = psi_kappa(g1, d1[:i] + (a,) + d1[i:], k1)
-                    if not f1:
+                    if (f1 := memo(key := (g1, d1[:i] + (a,) + d1[i:], k1))) is None:
+                        f1 = psi_kappa(*key)
+                    if not (num1 := f1.numerator):
                         continue
-                    num1, den1 = mult * f1.numerator, f1.denominator
+                    num1, den1 = mult * num1, f1.denominator
                     for num, den, i2, b in strata:
                         d2 = factor_exps[i2]
                         i = bisect(d2, b)
-                        f2 = psi_kappa(g2, d2[:i] + (b,) + d2[i:], k2)
-                        if f2:
+                        if (f2 := memo(key := (g2, d2[:i] + (b,) + d2[i:], k2))) is None:
+                            f2 = psi_kappa(*key)
+                        if top := f2.numerator:
                             d = den * den1 * f2.denominator
-                            sums[d] = sums.get(d, 0) + num * num1 * f2.numerator
+                            sums[d] = sums.get(d, 0) + num * num1 * top
         values.append(_sum_by_denominator(sums) if sums else ZERO)
     return values
 

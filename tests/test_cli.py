@@ -26,6 +26,7 @@ def test_parse_range():
     assert parse_range("3") == [3]
     assert parse_range("2..5") == range(2, 6)
     assert parse_range("1,3") == [1, 3]
+    assert parse_range("") == parse_range(",") == []
     with pytest.raises(ValueError):
         parse_range("5..2")
 
@@ -654,6 +655,11 @@ VERIFY_ERRORS = [
      2, "error: empty parameter range\n"),
     (("symmetry", "--g", "1", "--r", "7", "--s", "0", "--m", "3", "--levels", ",", "--force"),
      2, f"warning: --r 7 {BEYOND}\nerror: empty parameter range\n"),
+    # an empty string is an empty range as well, not an option left out
+    (("bbt", "--g", ""), 2, "error: empty parameter range\n"),
+    (("fqq", "--g", "2", "--r", ""), 2, "error: empty parameter range\n"),
+    (("conjC", "--g", "1", "--r", "1", "--s", "0", "--m", "3", "--levels", ""),
+     2, "error: empty parameter range\n"),
     (("conjC", "--s=-1"), 2, "error: r, s, g, m must be nonnegative\n"),
     # tau(-1) is the zero field, which would pass every check
     (("conjC", "--g", "1", "--r", "1", "--s", "0", "--levels=-1"), 2,

@@ -111,6 +111,41 @@ def test_make_and_replace_refuse_a_non_integer_test():
         TestMonomial._make([(2.5,), ()])
 
 
+#: class, valid fields, and (a changed field, its refused value, the message)
+REFUSALS = [
+    (SeparatingStratum, (1, 1, frozenset({1}), (0, 1), (0,)), [
+        (0, 1.0, "non-integer genus 1.0"), (1, True, "non-integer genus True"),
+        (3, (0, 1.0), "non-integer node exponent 1.0"),
+        (4, (0.0,), "non-integer decoration exponent 0.0"),
+        (2, frozenset({1.0}), "non-integer marking label 1.0"),
+        (0, -1, "genus must be nonnegative"), (3, (-1, 2), "negative decoration exponent"),
+        (4, (-1,), "negative decoration exponent"),
+        (0, 0, "unstable glued factor"), (1, 0, "unstable glued factor"),
+    ]),
+    (TestMonomial, ((1, 0), (2,)), [
+        (0, (1.0, 0), "non-integer descendent level 1.0"),
+        (1, (True,), "non-integer kappa index True"),
+        (0, (-1, 0), "negative descendent level"),
+        (1, (0,), "kappa index must be positive"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("cls, fields, refusals", REFUSALS,
+                         ids=[row[0].__name__ for row in REFUSALS])
+def test_public_constructors_make_and_replace_refuse_bad_fields(cls, fields, refusals):
+    # the pairing layer builds some records unchecked from fields sound by
+    # construction; every public way of building one still checks them
+    record = cls(*fields)
+    for index, value, message in refusals:
+        bad = fields[:index] + (value,) + fields[index + 1:]
+        for call in (lambda: cls(*bad), lambda: cls._make(bad),
+                     lambda: record._replace(**{cls._fields[index]: value})):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message, (cls, index, value)
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # both are costly imports that no tautrr module needs
     src = str(Path(tautrr.__file__).resolve().parent.parent)

@@ -25,6 +25,7 @@ from tautrr.strata import (
     ClassExpr,
     InteriorTerm,
     NonSeparatingPushforward,
+    SeparatingStratum,
     TestMonomial,
     pair_with_test,
 )
@@ -313,3 +314,22 @@ def test_report_detects_failure(engine):
     report = verify(expr, "wrong", {}, engine)
     assert not report.passed
     assert report.nonzero() == [("1", Fraction(1, 1152))]
+
+
+@pytest.mark.parametrize("relation", ["bbt", "variation", "fqq", "vpe"])
+def test_boundary_strata_are_the_checked_constructors_records(relation):
+    # the builders check one stratum per genus split and build its node
+    # siblings unchecked; each must be the record the checked constructor gives
+    from tautrr import cli
+
+    sweep = cli.SWEEPS[relation]
+    args = cli.build_parser().parse_args(["verify", relation])
+    built = 0
+    for params in cli._param_tuples(args, sweep):
+        expr = getattr(relations, f"build_{relation}")(**params)
+        for _, term in expr.terms:
+            if not isinstance(term, InteriorTerm):
+                assert type(term) is SeparatingStratum, params
+                assert term == SeparatingStratum(*term), params
+                built += 1
+    assert built > 0

@@ -16,7 +16,7 @@ from tautrr.strata import (
     NonSeparatingPushforward,
     SeparatingStratum,
     TestMonomial,
-    _pullback_rows,
+    _kappa_splits,
     count_tests,
     enumerate_tests,
     pair_with_test,
@@ -40,10 +40,11 @@ def pullback_test_to_separating(t: TestMonomial, s: SeparatingStratum):
     """
     if len(t.psi_exps) != len(s.marking_exps):
         raise ValueError("marking referenced by the test is absent from the ambient space")
+    psi1 = tuple(t.psi_exps[i - 1] for i in sorted(s.markings1))
+    psi2 = tuple(t.psi_exps[i - 1] for i in sorted(s.markings2()))
     return [
         (TestMonomial(psi1, k1[::-1]), TestMonomial(psi2, k2[::-1]), Fraction(mult))
-        for _, psi1, psi2, k1, k2, mult
-        in _pullback_rows(t, sorted(s.markings1), sorted(s.markings2()))
+        for _, k1, k2, mult in _kappa_splits(t.kappa_parts)[1]
     ]
 
 
@@ -95,6 +96,17 @@ def test_enumerate_tests_hand_lists():
 def test_enumerate_tests_unmarked_space():
     got = [m.render() for m in enumerate_tests(AmbientSpace(2, 0), 2)]
     assert got == ["kappa_2", "kappa_1 kappa_1"]
+
+
+def test_enumerate_tests_lists_the_checked_constructors_records():
+    # tests are built unchecked from fields sound by construction; each must
+    # be the record the checked constructor gives, of that exact type
+    for n in range(5):
+        for degree in range(7):
+            tests = enumerate_tests(AmbientSpace(4, n), degree)
+            assert tests == [TestMonomial(*t) for t in tests], (n, degree)
+            assert {type(t) for t in tests} == {TestMonomial}, (n, degree)
+            assert all(t.degree == degree for t in tests), (n, degree)
 
 
 def test_count_tests_counts_what_enumerate_tests_lists():
