@@ -41,6 +41,7 @@ from .strata import (
     TestMonomial,
     enumerate_tests,
     pair_with_test,
+    pair_with_tests,
 )
 from .universal import (
     VectorFieldPt,

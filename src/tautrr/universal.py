@@ -10,10 +10,10 @@ level-1 term with value -1.
 The form is computed on level tuples: a slot holds the level n of the
 coordinate field ``tau_n``.  Unstable or dimension-violating correlators
 contribute 0 silently, since the genus splittings legitimately range over
-them.  Vector fields, finite rational combinations of coordinate fields
-(terms whose level would become negative are dropped at construction),
-exist only for :func:`psi_eval`, which expands them multilinearly onto
-level tuples.
+them.  Vector fields, finite rational combinations of coordinate fields,
+exist only for :func:`psi_eval`: it sums, over each choice of one term per
+slot (``itertools.product``), the form on the chosen levels times the
+product of the chosen coefficients, skipping a zero product.
 
 Each identity of the form (above-threshold vanishing ``conjC``, slot-swap
 ``symmetry``, string-field reduction ``sreduce``) is one residual function
@@ -25,6 +25,7 @@ level assignments by :func:`sweep_report`.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -70,18 +71,6 @@ def tau(n: int) -> VectorFieldPt:
     """The coordinate field at descendent level n (zero field for n < 0);
     a non-integer n raises ``ValueError``."""
     return VectorFieldPt.make([(n, Fraction(1))])
-
-
-def _expand(fields) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Multilinear expansion of a slot tuple into coordinate level tuples."""
-    out: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
-    for w in fields:
-        new = []
-        for levels, coeff in out:
-            for lv, c in w.terms:
-                new.append((levels + (lv,), coeff * c))
-        out = new
-    return out
 
 
 def _psi_point(r: int, s: int, g: int, m: int,
@@ -134,11 +123,11 @@ def psi_eval(r: int, s: int, g: int, m: int, W, V, engine: CorrelatorEngine) -> 
     if len(W) != r or len(V) != s:
         raise ValueError("slot count does not match r, s")
     total = ZERO
-    for wlv, wc in _expand(W):
-        for vlv, vc in _expand(V):
-            c = wc * vc
-            if c:
-                total += c * _psi_point(r, s, g, m, wlv, vlv, engine)
+    for terms in itertools.product(*[field.terms for field in W + V]):
+        if c := math.prod(coeff for _, coeff in terms):
+            # from a list: tuples resized from a generator pile up on the free lists
+            levels = tuple([level for level, _ in terms])
+            total += c * _psi_point(r, s, g, m, levels[:r], levels[r:], engine)
     return total
 
 

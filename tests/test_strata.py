@@ -545,6 +545,11 @@ def test_pairing_through_adopted_entries_matches_cold_reference(tmp_path):
     assert adopted.entries() == reference.entries()
 
 
+def test_pair_with_tests_is_exported_from_the_package():
+    from tautrr import pair_with_tests as exported
+    assert exported is pair_with_tests
+
+
 def test_pair_with_tests_matches_term_by_term_reference_over_each_test_list():
     # one call pairs an expression's whole test list, each value as the
     # term-by-term reference gives it; a test of the wrong degree pairs to 0

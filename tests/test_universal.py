@@ -106,6 +106,17 @@ def test_zero_field_slot_gives_zero(engine):
     # every module returns the one zero the engine defines
     assert strata.ZERO is universal.ZERO is engine_module.ZERO
     assert psi_eval(1, 0, 2, 2, [zero], [], engine) is engine_module.ZERO
+    # a zero-coefficient term is skipped before any correlator is read
+    zero_coeff = VectorFieldPt(((3, Fraction(0)),))
+    before = engine.computed, len(engine._memo)
+    assert psi_eval(1, 1, 1, 0, [zero_coeff], [tau(0) + tau(1)], engine) is engine_module.ZERO
+    assert (engine.computed, len(engine._memo)) == before
+
+
+def test_one_shot_iterable_slots(engine):
+    W, V = [tau(1) + tau(2)], [tau(0) + tau(1)]
+    assert psi_eval(1, 1, 1, 0, W, V, engine) == Fraction(-1, 12)
+    assert psi_eval(1, 1, 1, 0, iter(W), (f for f in V), engine) == Fraction(-1, 12)
 
 
 def test_slot_count_validation(engine):
