@@ -257,7 +257,7 @@ def cache_save(store: CacheStore, path) -> None:
         out.append(f"{_format_key(key)};{format_rational(_fraction(key, new[key]))}")
         at = i
     out += lines[at:]
-    text = _HEADER + "".join(f"{line}\n" for line in out)
+    text = _HEADER + "\n".join(out) + "\n" if out else _HEADER
     text += _trailer(text)
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):

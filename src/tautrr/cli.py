@@ -109,8 +109,38 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
+#: a report_to_dict object, and one of its tests, as json.dumps(sort_keys=True,
+#: indent=2) lays them out inside the report array
+_JSON_REPORT = ('  {\n    "caveat": %s,\n    "millis": %s,\n    "params": %s,\n    "pass": %s,\n'
+                '    "relation": %s,\n    "tests": %s,\n    "trivial": %s\n  }')
+_JSON_TEST = '      {\n        "monomial": %s,\n        "value": %s\n      }'
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value) -> str:
+    """A bool, int or str as json.dumps writes it."""
+    if value is True or value is False:
+        return "true" if value else "false"
+    return int.__repr__(value) if isinstance(value, int) else _json_str(value)
+
+
 def render_reports_json(reports) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], sort_keys=True, indent=2) + "\n"
+    """The text of ``json.dumps([report_to_dict(r) for r in reports],
+    sort_keys=True, indent=2) + "\\n"``, byte for byte.  Any indent makes
+    json encode in pure Python, so the text is laid out here from fixed
+    templates and each string is escaped by json's C escaper."""
+    blocks = []
+    for d in map(report_to_dict, reports):
+        params = ",\n".join([f"      {_json_str(k)}: {_json_scalar(v)}"
+                             for k, v in sorted(d["params"].items())])
+        tests = ",\n".join([_JSON_TEST % (_json_str(t["monomial"]), _json_str(t["value"]))
+                            for t in d["tests"]])
+        blocks.append(_JSON_REPORT % (
+            _json_str(d["caveat"]), _json_scalar(d["millis"]),
+            f"{{\n{params}\n    }}" if params else "{}", _json_scalar(d["pass"]),
+            _json_str(d["relation"]), f"[\n{tests}\n    ]" if tests else "[]",
+            _json_scalar(d["trivial"])))
+    return "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"
 
 
 def render_reports_csv(reports) -> str:

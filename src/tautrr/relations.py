@@ -79,6 +79,13 @@ def _boundary_sum(ambient: AmbientSpace, genera, node_total: int, markings1,
     return terms
 
 
+def _expr(ambient: AmbientSpace, degree: int, terms: list) -> ClassExpr:
+    """The expression of a builder's (Fraction, term) list: every term is a
+    checked record of ``degree`` on ``ambient`` by construction, so the
+    expression skips ClassExpr's repeat field check."""
+    return tuple.__new__(ClassExpr, (ambient, degree, tuple(terms)))
+
+
 def build_bbt(g: int, r: int) -> ClassExpr:
     """Power of the first cotangent class minus its alternating boundary sum.
 
@@ -93,7 +100,7 @@ def build_bbt(g: int, r: int) -> ClassExpr:
     degree = 2 * g + r
     boundary = _boundary_sum(ambient, range(1, g), degree - 1, frozenset({1}),
                              lambda g2, sign: -Fraction(g2, g) * sign)
-    return ClassExpr.make(ambient, degree, [(1, InteriorTerm((degree,)))] + boundary)
+    return _expr(ambient, degree, [(Fraction(1), InteriorTerm((degree,)))] + boundary)
 
 
 def build_variation(g: int, n1: int, n2: int, r: int) -> ClassExpr:
@@ -106,7 +113,7 @@ def build_variation(g: int, n1: int, n2: int, r: int) -> ClassExpr:
         raise ValueError("need g >= 0 and r >= 0")
     ambient = AmbientSpace(g, n1 + n2)
     node_total = 2 * g + n1 + n2 - 3 + r
-    return ClassExpr.make(ambient, node_total + 1, _boundary_sum(
+    return _expr(ambient, node_total + 1, _boundary_sum(
         ambient, range(0, g + 1), node_total, frozenset(range(1, n1 + 1))))
 
 
@@ -120,8 +127,9 @@ def build_fqq(g: int, r: int) -> ClassExpr:
         raise ValueError("need g >= 1 and r >= 0")
     ambient = AmbientSpace(g, 2)
     degree = 2 * g + r
-    interior = [(-1, InteriorTerm((degree, 0))), ((-1) ** r, InteriorTerm((0, degree)))]
-    return ClassExpr.make(ambient, degree, interior + _boundary_sum(
+    interior = [(Fraction(-1), InteriorTerm((degree, 0))),
+                (Fraction((-1) ** r), InteriorTerm((0, degree)))]
+    return _expr(ambient, degree, interior + _boundary_sum(
         ambient, range(1, g), degree - 1, frozenset({1})))
 
 
@@ -135,7 +143,7 @@ def build_xi(g: int, r: int) -> ClassExpr:
         (Fraction((-1) ** a), InteriorTerm((a, degree - a)))
         for a in range(0, degree + 1)
     ]
-    return ClassExpr.make(ambient, degree, terms)
+    return _expr(ambient, degree, terms)
 
 
 def build_vyt(g: int, r: int) -> ClassExpr:
@@ -143,8 +151,8 @@ def build_vyt(g: int, r: int) -> ClassExpr:
     term psi_1^a psi_2^b becomes iota[g,2](psi*1^a, psi*2^b), with the same
     coefficient, on the unmarked genus-(g+1) space, one degree higher."""
     xi = build_xi(g, r)
-    return ClassExpr(AmbientSpace(g + 1, 0), xi.degree + 1, tuple(
-        (coeff, NonSeparatingPushforward(g, term.psi_exps, ())) for coeff, term in xi.terms))
+    return _expr(AmbientSpace(g + 1, 0), xi.degree + 1, [
+        (coeff, NonSeparatingPushforward(g, term.psi_exps, ())) for coeff, term in xi.terms])
 
 
 def build_vpe(g: int, r: int) -> ClassExpr:
@@ -158,7 +166,7 @@ def build_vpe(g: int, r: int) -> ClassExpr:
     degree = 2 * g + r
     boundary = _boundary_sum(ambient, range(1, g + 1), degree - 1, frozenset(),
                              lambda g2, sign: Fraction(sign, 2))
-    return ClassExpr.make(ambient, degree, [(1, InteriorTerm((), (degree,)))] + boundary)
+    return _expr(ambient, degree, [(Fraction(1), InteriorTerm((), (degree,)))] + boundary)
 
 
 def _report(relation: str, params: dict, rows, trivial: bool = False) -> VerificationReport:
@@ -206,7 +214,7 @@ def xi_witness(g: int, r: int, engine: CorrelatorEngine) -> Fraction:
         raise ValueError("witness out of range")
     ambient = AmbientSpace(g, 2)
     stratum = SeparatingStratum(1, g - 1, frozenset({1}), (0, 0), (0, 0))
-    carrier = ClassExpr.make(ambient, 1, [(Fraction(1), stratum)])
+    carrier = _expr(ambient, 1, [(Fraction(1), stratum)])
     span, extra = 2 * g + r, g - 2 - r
     tests = [TestMonomial((a, span - a + extra)) for a in range(span + 1)]
     sums = {}  # denominator -> signed integer numerator of the pairings over it

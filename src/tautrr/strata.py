@@ -24,9 +24,10 @@ integer numerators per denominator and divided once per test.  An
 interior or gluing term is planned as one integral (genus, marking
 exponents, sorted node exponents, kappa parts).  Every record, the test
 too, checks its fields when built (by `_make` and `_replace` as well);
-`enumerate_tests` and the relations' boundary sums skip the repeat check
-for fields sound by construction (strata differing only in their node
-exponents from one checked sibling).  Every integral is read from the
+`enumerate_tests`, the relations' boundary sums and the relation builders
+skip the repeat check for fields sound by construction (strata differing
+only in their node exponents from one checked sibling, expressions of
+checked terms of their own degree).  Every integral is read from the
 engine's memo, or on a miss from its gated `CorrelatorEngine._psi_kappa`,
 with sorted exponents and kappa parts.  `pair_with_tests` pairs a list of
 tests in one call; `pair_with_test` is its one-test call.

@@ -244,6 +244,14 @@ def test_save_to_a_pipe_writes_through(tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
+def test_empty_save_writes_the_bare_header(tmp_path):
+    path = tmp_path / "empty.txt"
+    cache_save(CacheStore(), path)
+    header = b"#taut-rr-cache v2\n"
+    assert path.read_bytes() == header + b"#crc32 %08x\n" % zlib.crc32(header)
+    assert cache_load(path).trusted and not cache_load(path).entries
+
+
 def test_saved_file_bytes_are_pinned(tmp_path):
     # psi-only and kappa keys of several genera and lengths, saved in key
     # order; under a v1 header and without the trailer, the digest is that

@@ -85,6 +85,63 @@ def test_verify_report_schema(capsys, tmp_path):
     assert all(isinstance(t["value"], str) for t in report["tests"])
 
 
+def _dumped(reports) -> str:
+    """The JSON report text as json's own encoder writes it."""
+    return json.dumps([cli.report_to_dict(r) for r in reports], sort_keys=True, indent=2) + "\n"
+
+
+#: the ranges of the benchmark's cold pairing sweeps, run with --force
+PAIRING_RANGES = [("bbt", "1..7"), ("variation", "0..5"), ("fqq", "1..6"),
+                  ("vyt", "1..6"), ("vpe", "1..6"), ("xi-witness", "2..8")]
+
+
+def _sweep_reports(argv) -> list:
+    from tautrr.engine import CorrelatorEngine
+
+    args = cli.build_parser().parse_args(["verify", *argv])
+    sweep, engine = cli.SWEEPS[args.relation], CorrelatorEngine()
+    return [sweep.run(args.relation, p, engine) for p in cli._param_tuples(args, sweep)]
+
+
+@pytest.mark.parametrize("argv", [(relation,) for relation in cli.SWEEPS] + [
+    (relation, "--g", genera, "--force") for relation, genera in PAIRING_RANGES], ids=" ".join)
+def test_json_rendering_is_json_dumps_on_sweeps(argv):
+    reports = _sweep_reports(argv)
+    assert reports and cli.render_reports_json(reports) == _dumped(reports)
+
+
+def test_json_rendering_of_no_reports():
+    assert cli.render_reports_json([]) == _dumped([]) == "[]\n"
+
+
+def test_json_rendering_is_json_dumps_on_random_reports():
+    import random
+    from fractions import Fraction
+
+    from tautrr.relations import VerificationReport
+
+    rng = random.Random(3301)
+    alphabet = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\r", "\x08", "\x0c",
+                "\u2028", "\ufeff", "é", "ψ", "κ", "\U0001d4ae", "a", "Z", "0", " ", "_", ":",
+                ",", "{", "]", "%s", "%"]
+    text = lambda: "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
+    values = [lambda: rng.randrange(-10**6, 10**6), lambda: rng.choice((True, False)),
+              lambda: rng.randrange(-10**40, 10**40), lambda: -(2**70), lambda: 0, text,
+              lambda: Fraction(rng.randrange(-9, 9), rng.randrange(1, 9)), lambda: 0.5,
+              lambda: None, lambda: (0, 1, 2), lambda: [text()]]
+    reports = []
+    for _ in range(3000):
+        params = {text(): rng.choice(values)() for _ in range(rng.randrange(0, 4))}
+        pairings = [(text(), Fraction(rng.randrange(-10**20, 10**20), rng.randrange(1, 10**6)))
+                    for _ in range(rng.randrange(0, 4))]
+        reports.append(VerificationReport(
+            text(), params, pairings, passed=rng.random() < 0.5, trivial=rng.random() < 0.5,
+            millis=rng.choice((0, rng.randrange(10**9))), caveat=text()))
+    for report in reports:
+        assert cli.render_reports_json([report]) == _dumped([report]), cli.report_to_dict(report)
+    assert cli.render_reports_json(reports) == _dumped(reports)
+
+
 def test_verify_csv(capsys, tmp_path):
     out_path = tmp_path / "report.csv"
     code, _, _ = run(

@@ -333,3 +333,43 @@ def test_boundary_strata_are_the_checked_constructors_records(relation):
                 assert term == SeparatingStratum(*term), params
                 built += 1
     assert built > 0
+
+
+#: the ranges of the benchmark's cold pairing sweeps, run with --force
+PAIRING_RANGES = {"bbt": "1..7", "variation": "0..5", "fqq": "1..6", "vyt": "1..6",
+                  "vpe": "1..6", "xi-witness": "2..8"}
+
+
+@pytest.mark.parametrize("relation", list(PAIRING_RANGES))
+def test_builder_expressions_are_the_checked_constructors(relation, engine, monkeypatch):
+    # builders assemble checked terms and skip ClassExpr's repeat field check;
+    # each expression must be the one the checked constructor gives, of that
+    # exact type, with Fraction coefficients as ClassExpr.make gives them
+    from tautrr import cli
+
+    carriers = []
+    pair_with_tests = relations.pair_with_tests
+    monkeypatch.setattr(relations, "pair_with_tests", lambda expr, tests, e: (
+        carriers.append(expr) or pair_with_tests(expr, tests, e)))
+
+    def carrier(g, r):
+        carriers.clear()
+        xi_witness(g, r, engine)
+        return carriers.pop()
+
+    builders = {"bbt": [build_bbt], "variation": [build_variation], "fqq": [build_fqq],
+                "vyt": [build_xi, build_vyt], "vpe": [build_vpe],
+                "xi-witness": [carrier]}[relation]
+    built = 0
+    for argv in ([relation], [relation, "--g", PAIRING_RANGES[relation], "--force"]):
+        args = cli.build_parser().parse_args(["verify", *argv])
+        for params in cli._param_tuples(args, cli.SWEEPS[relation]):
+            for build in builders:
+                expr = build(**params)
+                checked = ClassExpr(expr.ambient, expr.degree, expr.terms)
+                assert type(expr) is ClassExpr and expr == checked, (build, params)
+                assert type(expr.terms) is tuple, (build, params)
+                assert {type(coeff) for coeff, _ in expr.terms} == {Fraction}, (build, params)
+                assert expr._plan == checked._plan, (build, params)
+                built += 1
+    assert built > 0
