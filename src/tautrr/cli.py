@@ -184,14 +184,6 @@ def render_reports_text(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 class Sweep(NamedTuple):
     """How ``verify`` sweeps one relation, one report per parameter tuple.
 
@@ -269,22 +261,21 @@ def _param_tuples(args, sweep: Sweep) -> list[dict]:
     from the range lengths, over at most MAX_SPAN genera, before any tuple
     is built; what each tuple pairs against (``Sweep.tests``) is counted
     before any tuple runs."""
-    given = {name: getattr(args, name) for name in ("g", "r", "s", "m", "levels")}
-    given = {name: None if text is None else parse_range(text) for name, text in given.items()}
-    for name in ("s", "m", "levels", "n1", "n2"):
-        if name not in sweep.defaults and getattr(args, name) is not None:
+    given = {name: parse_range(getattr(args, name)) for name in ("g", "r", "s", "m", "levels")
+             if getattr(args, name) is not None}
+    given.update({name: (getattr(args, name),) for name in ("n1", "n2")
+                  if getattr(args, name) is not None})
+    for name in given:
+        if name not in sweep.defaults:
             raise ValueError(f"{args.relation} takes no --{name}")
-    for name in ("n1", "n2"):
-        given[name] = None if getattr(args, name) is None else (getattr(args, name),)
     _check_limits(args, sweep, given)
-    levels = given["levels"]
+    levels = given.get("levels")
     if levels is not None:
         if len(levels) > MAX_SPAN:
             raise ValueError(f"--levels lists more than {MAX_SPAN} values")
         # one value, in which a repeated level counts once
         given["levels"] = [tuple(dict.fromkeys(levels))] if levels else []
-    axes = {name: values if given[name] is None else given[name]
-            for name, values in sweep.defaults.items()}
+    axes = {name: given.get(name, values) for name, values in sweep.defaults.items()}
     genera = axes.pop("g")
     grid = lambda g: [values(g) if callable(values) else values for values in axes.values()]
     count = 0
@@ -311,7 +302,7 @@ def _check_limits(args, sweep: Sweep, given: dict) -> None:
     """Raise at the first value given beyond FORCE_LIMITS (the defaults are
     within them); with --force, warn about each of them instead."""
     for name in sweep.limited:
-        values = given[name]
+        values = given.get(name)
         if not values:
             continue
         # a range ascends, and max() would iterate it
@@ -325,15 +316,10 @@ def _check_limits(args, sweep: Sweep, given: dict) -> None:
                   "expect combinatorial growth", file=sys.stderr)
 
 
-def _write_error(path, exc: OSError) -> int:
-    print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
-    return 1
-
-
-def _cache_error(path, exc: Exception) -> int:
-    """Report a cache file that cannot be read or holds a bad line or value."""
-    print(f"error: cache {path}: {exc}", file=sys.stderr)
-    return 1
+def _error(message, code: int = 1) -> int:
+    """Write the one ``error: MESSAGE`` line of a failed run; return ``code``."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _run_cached(body, args) -> int:
@@ -360,15 +346,13 @@ def _run_cached(body, args) -> int:
         try:
             loaded = load_engine_cache(engine, path)
         except (OSError, ValueError) as exc:
-            return _cache_error(path, exc)
+            return _error(f"cache {path}: {exc}")
     try:
         code = body(args, engine)
     except ImpossibleEntryError as exc:
-        return _cache_error(path, exc)
+        return _error(f"cache {path}: {exc}")
     except RecursionError:
-        print("error: the recursion for this input runs deeper than the Python stack allows",
-              file=sys.stderr)
-        code = 2
+        code = _error("the recursion for this input runs deeper than the Python stack allows", 2)
     # a quarantined file is checked against the listing that replaces it,
     # so the engine divides its values for one listing, not two
     quarantined = loaded is not None and not loaded.trusted
@@ -379,9 +363,9 @@ def _run_cached(body, args) -> int:
         try:
             cache_save(CacheStore(engine.entries() if listing is None else listing), path)
         except CacheFormatError as exc:
-            return _cache_error(path, exc)
+            return _error(f"cache {path}: {exc}")
         except OSError as exc:
-            return _write_error(path, exc)
+            return _error(f"{path}: {exc.strerror or exc}")
     return code
 
 
@@ -390,8 +374,7 @@ def _integral(args, engine) -> int:
         value = engine.psi_kappa_integral(args.g, _parse_int_list(args.d),
                                           _parse_int_list(args.kappa))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     print(format_rational(value))
     return 0
 
@@ -402,14 +385,17 @@ def _verify(args, engine) -> int:
         tuples = _param_tuples(args, sweep)
         reports = [sweep.run(args.relation, p, engine) for p in tuples]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     text = {"json": render_reports_json, "csv": render_reports_csv,
             "text": render_reports_text}[args.format](reports)
     try:
-        _emit(text, args.out)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except OSError as exc:
-        return _write_error(args.out, exc)
+        return _error(f"{args.out}: {exc.strerror or exc}")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -418,7 +404,7 @@ def cmd_cache(args) -> int:
         try:
             cache_save(CacheStore(), args.path)
         except OSError as exc:
-            return _write_error(args.path, exc)
+            return _error(f"{args.path}: {exc.strerror or exc}")
         print(f"wrote empty cache to {args.path}")
         return 0
     try:
@@ -428,10 +414,9 @@ def cmd_cache(args) -> int:
                    if args.action == "stats" else
                    f"loaded {len(store.entries)} entries (version {store.version}{quarantined})")
     except FileNotFoundError:
-        print(f"error: no such cache file: {args.path}", file=sys.stderr)
-        return 1
+        return _error(f"no such cache file: {args.path}")
     except (OSError, ValueError) as exc:
-        return _cache_error(args.path, exc)
+        return _error(f"cache {args.path}: {exc}")
     print(summary)
     return 0
 

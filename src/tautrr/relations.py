@@ -19,7 +19,8 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .engine import CorrelatorEngine, SlotRecord, _integers, _sum_by_denominator, one_point_value
+from .engine import (ONE, CorrelatorEngine, SlotRecord, _integers, _sum_by_denominator,
+                     one_point_value)
 from .strata import (
     AmbientSpace,
     ClassExpr,
@@ -57,32 +58,23 @@ class VerificationReport(SlotRecord):
         return [(label, value) for label, value in self.pairings if value != 0]
 
 
-def _boundary_sum(ambient: AmbientSpace, genera, node_total: int, markings1,
-                  coeff=lambda g2, sign: Fraction(sign)) -> list:
-    """The alternating boundary sum as (coefficient, stratum) terms.
-
-    Over g1 in ``genera`` and node exponents a + b = ``node_total``, in that
-    order: coeff(g2, (-1)^a) times the separating stratum of genera
-    (g1, g2 = ambient genus - g1) with ``markings1`` on the first factor
-    and no marking decorations; ``coeff`` is called twice per g1.  Each
-    g1's stratum at a = 0 is checked; its siblings differ only in the node
-    exponents (a, node_total - a), ints >= 0, so they skip the check.
-    """
-    zeros, terms = (0,) * ambient.n, []
-    for g1 in genera:
-        g2 = ambient.g - g1
-        signed = coeff(g2, 1), coeff(g2, -1)
-        checked = SeparatingStratum(g1, g2, markings1, (0, node_total), zeros)
+def _relation(ambient: AmbientSpace, degree: int, interior: list, splits=(),
+              markings1=frozenset()) -> ClassExpr:
+    """``interior``, a list of (Fraction, term) pairs, plus the alternating
+    boundary sum: for each (g1, c) in ``splits``, in order, and node
+    exponents a + b = ``degree`` - 1, c (negated at odd a) times the
+    separating stratum of genera (g1, ambient genus - g1) with ``markings1``
+    on the first factor and no marking decorations.  Each g1's stratum at
+    a = 0 is checked; its siblings differ only in the ints (a, b) >= 0, and
+    every term is a checked record of ``degree`` on ``ambient``, so they and
+    the expression skip the repeat field check."""
+    terms, zeros, top = list(interior), (0,) * ambient.n, degree - 1
+    for g1, c in splits:
+        g2, signed = ambient.g - g1, (c, -c)
+        checked = SeparatingStratum(g1, g2, markings1, (0, top), zeros)
         terms += [(signed[a % 2], tuple.__new__(SeparatingStratum, (
-            g1, g2, markings1, (a, node_total - a), zeros)) if a else checked)
-            for a in range(node_total + 1)]
-    return terms
-
-
-def _expr(ambient: AmbientSpace, degree: int, terms: list) -> ClassExpr:
-    """The expression of a builder's (Fraction, term) list: every term is a
-    checked record of ``degree`` on ``ambient`` by construction, so the
-    expression skips ClassExpr's repeat field check."""
+            g1, g2, markings1, (a, top - a), zeros)) if a else checked)
+            for a in range(degree)]
     return tuple.__new__(ClassExpr, (ambient, degree, tuple(terms)))
 
 
@@ -98,9 +90,8 @@ def build_bbt(g: int, r: int) -> ClassExpr:
         raise ValueError("need g >= 1 and r >= 0")
     ambient = AmbientSpace(g, 1)
     degree = 2 * g + r
-    boundary = _boundary_sum(ambient, range(1, g), degree - 1, frozenset({1}),
-                             lambda g2, sign: -Fraction(g2, g) * sign)
-    return _expr(ambient, degree, [(Fraction(1), InteriorTerm((degree,)))] + boundary)
+    return _relation(ambient, degree, [(ONE, InteriorTerm((degree,)))],
+                     [(g1, Fraction(g1 - g, g)) for g1 in range(1, g)], frozenset({1}))
 
 
 def build_variation(g: int, n1: int, n2: int, r: int) -> ClassExpr:
@@ -112,9 +103,8 @@ def build_variation(g: int, n1: int, n2: int, r: int) -> ClassExpr:
     if min(_integers("g", (g,))) < 0 or min(_integers("r", (r,))) < 0:
         raise ValueError("need g >= 0 and r >= 0")
     ambient = AmbientSpace(g, n1 + n2)
-    node_total = 2 * g + n1 + n2 - 3 + r
-    return _expr(ambient, node_total + 1, _boundary_sum(
-        ambient, range(0, g + 1), node_total, frozenset(range(1, n1 + 1))))
+    return _relation(ambient, 2 * g + n1 + n2 - 2 + r, [],
+                     [(g1, ONE) for g1 in range(0, g + 1)], frozenset(range(1, n1 + 1)))
 
 
 def build_fqq(g: int, r: int) -> ClassExpr:
@@ -129,8 +119,8 @@ def build_fqq(g: int, r: int) -> ClassExpr:
     degree = 2 * g + r
     interior = [(Fraction(-1), InteriorTerm((degree, 0))),
                 (Fraction((-1) ** r), InteriorTerm((0, degree)))]
-    return _expr(ambient, degree, interior + _boundary_sum(
-        ambient, range(1, g), degree - 1, frozenset({1})))
+    return _relation(ambient, degree, interior, [(g1, ONE) for g1 in range(1, g)],
+                     frozenset({1}))
 
 
 def build_xi(g: int, r: int) -> ClassExpr:
@@ -143,7 +133,7 @@ def build_xi(g: int, r: int) -> ClassExpr:
         (Fraction((-1) ** a), InteriorTerm((a, degree - a)))
         for a in range(0, degree + 1)
     ]
-    return _expr(ambient, degree, terms)
+    return _relation(ambient, degree, terms)
 
 
 def build_vyt(g: int, r: int) -> ClassExpr:
@@ -151,7 +141,7 @@ def build_vyt(g: int, r: int) -> ClassExpr:
     term psi_1^a psi_2^b becomes iota[g,2](psi*1^a, psi*2^b), with the same
     coefficient, on the unmarked genus-(g+1) space, one degree higher."""
     xi = build_xi(g, r)
-    return _expr(AmbientSpace(g + 1, 0), xi.degree + 1, [
+    return _relation(AmbientSpace(g + 1, 0), xi.degree + 1, [
         (coeff, NonSeparatingPushforward(g, term.psi_exps, ())) for coeff, term in xi.terms])
 
 
@@ -164,9 +154,8 @@ def build_vpe(g: int, r: int) -> ClassExpr:
         raise ValueError("vpe stated for odd r only")
     ambient = AmbientSpace(g + 1, 0)
     degree = 2 * g + r
-    boundary = _boundary_sum(ambient, range(1, g + 1), degree - 1, frozenset(),
-                             lambda g2, sign: Fraction(sign, 2))
-    return _expr(ambient, degree, [(Fraction(1), InteriorTerm((), (degree,)))] + boundary)
+    return _relation(ambient, degree, [(ONE, InteriorTerm((), (degree,)))],
+                     [(g1, Fraction(1, 2)) for g1 in range(1, g + 1)])
 
 
 def _report(relation: str, params: dict, rows, trivial: bool = False) -> VerificationReport:
@@ -214,7 +203,7 @@ def xi_witness(g: int, r: int, engine: CorrelatorEngine) -> Fraction:
         raise ValueError("witness out of range")
     ambient = AmbientSpace(g, 2)
     stratum = SeparatingStratum(1, g - 1, frozenset({1}), (0, 0), (0, 0))
-    carrier = _expr(ambient, 1, [(Fraction(1), stratum)])
+    carrier = _relation(ambient, 1, [(ONE, stratum)])
     span, extra = 2 * g + r, g - 2 - r
     tests = [TestMonomial((a, span - a + extra)) for a in range(span + 1)]
     sums = {}  # denominator -> signed integer numerator of the pairings over it

@@ -21,7 +21,6 @@ from tautrr import relations
 from tautrr.cli import SWEEPS, _param_tuples, build_parser
 from tautrr.engine import CorrelatorEngine
 from tautrr.relations import (
-    _boundary_sum,
     build_bbt,
     build_fqq,
     build_variation,
@@ -35,6 +34,7 @@ from tautrr.strata import (
     AmbientSpace,
     ClassExpr,
     InteriorTerm,
+    SeparatingStratum,
     TestMonomial,
     enumerate_tests,
     pair_with_tests,
@@ -50,12 +50,26 @@ def engine():
     return CorrelatorEngine()
 
 
+def boundary_terms(ambient: AmbientSpace, degree: int, weights, markings1) -> list:
+    """The alternating boundary sum term by term, independently of the
+    builders: for each (g1, w) in ``weights`` and node exponents a + b =
+    degree - 1, (-1)^a w times the checked separating stratum of genera
+    (g1, ambient genus - g1) with ``markings1`` on the first factor."""
+    terms = []
+    for g1, w in weights:
+        for a in range(degree):
+            stratum = SeparatingStratum(g1, ambient.g - g1, markings1, (a, degree - 1 - a),
+                                        (0,) * ambient.n)
+            terms.append(((-1) ** a * w, stratum))
+    return terms
+
+
 def bbt_expression(g: int, degree: int, weight=lambda g, g2: Fraction(g2, g)) -> ClassExpr:
     """psi_1^degree minus the bbt boundary sum, for any degree; the boundary
     terms carry -weight(g, g2) (-1)^a."""
     ambient = AmbientSpace(g, 1)
-    boundary = _boundary_sum(ambient, range(1, g), degree - 1, frozenset({1}),
-                             lambda g2, sign: -weight(g, g2) * sign)
+    boundary = boundary_terms(ambient, degree, [(g1, -weight(g, g - g1)) for g1 in range(1, g)],
+                              frozenset({1}))
     return ClassExpr.make(ambient, degree, [(1, InteriorTerm((degree,)))] + boundary)
 
 
@@ -140,11 +154,11 @@ def test_bbt_coefficient_swap_fails_once_the_genera_differ(engine):
 
 
 def vpe_expression(g: int, r: int) -> ClassExpr:
-    """The vpe expression for any r >= 0, built as build_vpe builds it."""
+    """The vpe expression for any r >= 0, term by term."""
     ambient = AmbientSpace(g + 1, 0)
     degree = 2 * g + r
-    boundary = _boundary_sum(ambient, range(1, g + 1), degree - 1, frozenset(),
-                             lambda g2, sign: Fraction(sign, 2))
+    boundary = boundary_terms(ambient, degree, [(g1, Fraction(1, 2)) for g1 in range(1, g + 1)],
+                              frozenset())
     return ClassExpr.make(ambient, degree, [(1, InteriorTerm((), (degree,)))] + boundary)
 
 
