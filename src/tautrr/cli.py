@@ -322,6 +322,11 @@ def _error(message, code: int = 1) -> int:
     return code
 
 
+def _file_error(where: str, exc: Exception) -> int:
+    """``_error`` of ``WHERE: REASON``: an OSError's strerror alone, else the message."""
+    return _error(f"{where}: {getattr(exc, 'strerror', None) or exc}")
+
+
 def _run_cached(body, args) -> int:
     """Run ``body(args, engine)`` on an engine warmed from the ``--cache`` file.
 
@@ -335,9 +340,9 @@ def _run_cached(body, args) -> int:
     input whose recursion overruns the stack (exit 2).  A quarantined file
     is rewritten only once the run has computed every entry in it;
     otherwise it is left as it is, because the rewrite would drop the
-    entries the run never checked.  A cache fault at load, lookup or save
-    (an unreadable file, a line the per-line checks reject, a value no
-    integral can take) writes nothing: one ``error: cache PATH`` line, exit 1.
+    entries the run never checked.  A cache fault writes nothing and exits 1
+    with one line: ``error: PATH: STRERROR`` if the OS refuses a save, else
+    ``error: cache PATH: REASON`` (unreadable file, bad line, impossible value).
     """
     engine = CorrelatorEngine()
     path = args.cache or os.environ.get(CACHE_ENV_VAR)
@@ -346,11 +351,11 @@ def _run_cached(body, args) -> int:
         try:
             loaded = load_engine_cache(engine, path)
         except (OSError, ValueError) as exc:
-            return _error(f"cache {path}: {exc}")
+            return _file_error(f"cache {path}", exc)
     try:
         code = body(args, engine)
     except ImpossibleEntryError as exc:
-        return _error(f"cache {path}: {exc}")
+        return _file_error(f"cache {path}", exc)
     except RecursionError:
         code = _error("the recursion for this input runs deeper than the Python stack allows", 2)
     # a quarantined file is checked against the listing that replaces it,
@@ -363,9 +368,9 @@ def _run_cached(body, args) -> int:
         try:
             cache_save(CacheStore(engine.entries() if listing is None else listing), path)
         except CacheFormatError as exc:
-            return _error(f"cache {path}: {exc}")
+            return _file_error(f"cache {path}", exc)
         except OSError as exc:
-            return _error(f"{path}: {exc.strerror or exc}")
+            return _file_error(path, exc)
     return code
 
 
@@ -395,7 +400,7 @@ def _verify(args, engine) -> int:
         else:
             sys.stdout.write(text)
     except OSError as exc:
-        return _error(f"{args.out}: {exc.strerror or exc}")
+        return _file_error(args.out, exc)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -404,7 +409,7 @@ def cmd_cache(args) -> int:
         try:
             cache_save(CacheStore(), args.path)
         except OSError as exc:
-            return _error(f"{args.path}: {exc.strerror or exc}")
+            return _file_error(args.path, exc)
         print(f"wrote empty cache to {args.path}")
         return 0
     try:
@@ -416,7 +421,7 @@ def cmd_cache(args) -> int:
     except FileNotFoundError:
         return _error(f"no such cache file: {args.path}")
     except (OSError, ValueError) as exc:
-        return _error(f"cache {args.path}: {exc}")
+        return _file_error(f"cache {args.path}", exc)
     print(summary)
     return 0
 

@@ -4,11 +4,8 @@ All values are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator); no floating point is used anywhere.  Correlators
 are computed by the DVV (Virasoro/KdV) recursion with string/dilaton fast
 paths and one memo table per engine.  Integrals with kappa classes reduce to
-pure psi integrals by trading one kappa index at a time for an extra
-marked point carrying one descendent; each remaining kappa index may
-merge into the new insertion, so one trade is a signed sum over
-sub-multisets of the other indices.  Each engine builds a trade's terms
-once per kappa multiset and inserts the new level in place.
+pure psi integrals by trading the last kappa index for an extra marking,
+into which any sub-multiset of the other indices merges, with a sign.
 Pairing reads an integral from the memo, and `_psi_kappa` on a miss; a
 memoized key has passed the dimension gate, so a hit is one dict lookup.
 
@@ -44,7 +41,11 @@ Conventions:
     neither factor of a split that meets the dimension constraint is
     unstable: with a >= 0, a genus-0 factor on at most two points would
     need its exponents to sum to a negative number.
-  * A computed psi value is kept only as its integer I.  Division
+  * A kappa value is kept as K(g, d, b) = 8^g g! prod (2d_i+1)!! M(b) <tau_d kappa_b>_g,
+    M(()) = 1 and M(b) the lcm of (2 level+1)!! M(kept) over b's trade terms
+    (level, kept).  So K(g, d, ()) = I(g, d), and a trade sums only integers:
+    K(g, d, b) = sum c K(g, d + (level,), kept), c = +-weight M(b) / ((2 level+1)!! M(kept)).
+  * A computed value is kept only as its integer, I or K.  Division
     happens once per key, when the value is first read: the Fraction is
     built then and memoized, and a later hit returns it.  So a value that
     only the recursion uses is divided only when entries() lists it, as a
@@ -52,11 +53,12 @@ Conventions:
     can tell whether it added an entry without listing any.  Trusted
     entries adopted from outside wait undecoded in a pending table, a
     mapping the engine looks keys up in and never changes; from a cache
-    file, a checksum-matched file's text, which finds a key's line on
-    lookup.  A pending entry is decoded on first use, on a memo miss, by
-    `_parts`, which refuses text that is not -?digits[/digits] with a
-    nonzero denominator; a psi entry goes straight to I, which must be a
-    positive integer (as every I is).  Either fault raises
+    file, a checksum-matched file's text, which finds a key's line on lookup.
+    A pending entry is decoded on first use, on a memo miss, by `_parts`,
+    which refuses text that is not -?digits[/digits] with a nonzero
+    denominator; a psi entry goes straight to I, which must be a positive
+    integer (as every I is), and a kappa entry a trade reads to K, which
+    must be an integer.  Either fault raises
     ImpossibleEntryError, whether the recursion needs the entry or a caller
     asked for it.  With nothing adopted, the pending table is an empty dict.
   * Inner recursion derives the split genus from the dimension gate: in a
@@ -292,8 +294,8 @@ def two_point_value(g: int, a: int) -> Fraction:
 
 class ImpossibleEntryError(ArithmeticError):
     """Raised when a trusted adopted entry (say from a cache file) is first
-    read and no integral can equal it: its text is not canonical, or a psi
-    value times 8^g g! prod (2d_i+1)!! is not a positive integer."""
+    read and no integral can equal it: its text is not canonical, or it does
+    not give an integer I > 0 (psi) or K (kappa, when a trade reads it)."""
 
 
 def _submultisets(parts: tuple[int, ...], half: bool = False):
@@ -370,7 +372,7 @@ class CorrelatorEngine:
     """
 
     def __init__(self):
-        # psi values read so far and kappa values, as Fractions
+        # values read so far, as Fractions
         self._memo: dict[CorrelatorKey, Fraction] = {}
         # trusted adopted entries, never changed here
         self._pending: Mapping[CorrelatorKey, Rational] = {}
@@ -379,8 +381,10 @@ class CorrelatorEngine:
         self._ints: dict[tuple[int, ...], int] = dict(_BASE_INTS)
         # how many values were computed: recursion steps and kappa trades
         self.computed = 0
-        # each kappa trade's terms (new level, kept kappa parts, sign) by b
-        self._trades: dict[tuple[int, ...], list] = {}
+        # every computed kappa value as its integer K(g, d, b), by (g, d, b)
+        self._kints: dict[tuple, int] = {}
+        # each kappa trade's M(b) and terms (new level, kept parts, c), by b
+        self._trades: dict[tuple[int, ...], tuple[int, list]] = {(): (1, [])}
         # DVV split factors by marking multiset, indexed by genus (_cell)
         self._cols: dict[tuple[int, ...], list[int]] = {}
 
@@ -418,6 +422,9 @@ class CorrelatorEngine:
         for d, val in islice(self._ints.items(), len(_BASE_INTS), None):
             g = (sum(d) - len(d)) // 3 + 1
             listed[key_from_tuple((g, d, ()))] = Fraction(val, _normalization(g, d))
+        for (g, d, b), val in self._kints.items():
+            norm = _normalization(g, d) * self._trades[b][0]
+            listed[key_from_tuple((g, d, b))] = Fraction(val, norm)
         return Entries(_Listing({**listed, **self._memo}, self._pending))
 
     def adopt(self, entries: Mapping[CorrelatorKey, Rational]) -> None:
@@ -587,27 +594,50 @@ class CorrelatorEngine:
             return ZERO
         if not b:
             return self._psi(g, d)
+        key = (g, d, b)
+        value = self._pending.get(key)
+        if value is not None:
+            value = _fraction(key, value)
+        else:
+            val = self._kints.get(key)
+            value = Fraction(self._kint(g, d, b) if val is None else val,
+                             _normalization(g, d) * self._trade(b)[0])
+        self._memo[key_from_tuple(key)] = value
+        return value
+
+    def _kint(self, g: int, d: tuple[int, ...], b: tuple[int, ...]) -> int:
+        """K(g, d, b) on a miss in ``_kints``: a pending entry converted exactly, or traded."""
+        scale, terms = self._trade(b)
         value = self._pending.get((g, d, b))
         if value is not None:
-            value = self._memo[key_from_tuple((g, d, b))] = _fraction((g, d, b), value)
-            return value
-        # trade the last kappa index for one extra marking; any sub-multiset
-        # of the remaining indices may merge into the new insertion, with
-        # sign (-1)^size, once per index subset giving it; the terms are
-        # summed as integer numerators per denominator and divided once
-        trades = self._trades.get(b)
-        if trades is None:
-            trades = self._trades[b] = [
-                (b[-1] + 1 + sum(merged), kept, -weight if len(merged) % 2 else weight)
-                for merged, kept, weight in _submultisets(b[:-1])]
-        sums = {}
-        for level, kept, sign in trades:
-            i = bisect(d, level)
-            term = self._psi_kappa(g, d[:i] + (level,) + d[i:], kept)
-            if num := term.numerator:
-                den = term.denominator
-                sums[den] = sums.get(den, 0) + sign * num
-        value = _sum_by_denominator(sums)
-        self.computed += 1
-        self._memo[key_from_tuple((g, d, b))] = value
-        return value
+            num, den = _parts((g, d, b), value)
+            val, rem = divmod(num * _normalization(g, d) * scale, den)
+            if rem:
+                raise ImpossibleEntryError(
+                    f"impossible value {Fraction(num, den)} for {_label(g, d, b)}: "
+                    "times 8^g g! prod (2d_i+1)!! M(b) it is not an integer")
+        else:
+            ints, kints, val = self._ints, self._kints, 0
+            for level, kept, c in terms:
+                i = bisect(d, level)
+                merged = d[:i] + (level,) + d[i:]
+                if kept:
+                    term = kints.get((g, merged, kept))
+                    val += c * (self._kint(g, merged, kept) if term is None else term)
+                else:
+                    val += c * (ints.get(merged) or self._int(g, merged))
+            self.computed += 1
+        self._kints[g, d, b] = val
+        return val
+
+    def _trade(self, b: tuple[int, ...]) -> tuple[int, list]:
+        """M(b) and the trade's terms (level, kept parts, c), built once per b."""
+        trade = self._trades.get(b)
+        if trade is None:
+            terms = [(b[-1] + 1 + sum(merged), kept, -weight if len(merged) % 2 else weight)
+                     for merged, kept, weight in _submultisets(b[:-1])]
+            scales = [odd_double_factorial(level) * self._trade(kept)[0]
+                      for level, kept, _ in terms]
+            trade = self._trades[b] = (scale := lcm(*scales), [
+                (level, kept, w * (scale // s)) for (level, kept, w), s in zip(terms, scales)])
+        return trade

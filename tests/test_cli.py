@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, report schema, cache flows."""
 
+import errno
 import hashlib
 import json
 import os
@@ -266,6 +267,22 @@ def test_impossible_cached_value_is_one_error_line(capsys, tmp_path):
     assert bad.read_bytes() == before
 
 
+def test_impossible_kappa_term_of_a_trade_is_one_error_line(capsys, tmp_path):
+    # the trade of <tau_2 kappa_1 kappa_1>_2 reads <tau_2 tau_2 kappa_1>_2,
+    # raised here from 7/240 by 1/7: times 8^2 2! (5!!)^2 M((1,)) = 432000 it
+    # is not an integer, so the run stops and the file is kept
+    bad = tmp_path / "impossible.txt"
+    _write_matched(bad, "2;2,2;1;289/1680")
+    before = _bytes_and_mtime(bad)
+    code, out, err = run(capsys, "integral", "-g", "2", "-d", "2", "--kappa", "1,1",
+                         "--cache", str(bad))
+    assert (code, out) == (1, "")
+    assert err == (f"error: cache {bad}: impossible value 289/1680 for "
+                   "<tau_2 tau_2 kappa_1>_2: times 8^g g! prod (2d_i+1)!! M(b) "
+                   "it is not an integer\n")
+    assert _bytes_and_mtime(bad) == before
+
+
 @pytest.mark.parametrize("line, argv, label", [
     ("2;4;;1/0", ("-d", "4"), "<tau_4>_2"),
     ("2;4;;0.5", ("-d", "4"), "<tau_4>_2"),
@@ -380,6 +397,16 @@ def test_cache_directory_is_one_error_line(capsys, tmp_path):
         code, out, err = run(capsys, "cache", action, str(tmp_path))
         assert code == 1 and out == ""
         assert err.startswith(f"error: cache {tmp_path}: ") and err.count("\n") == 1
+
+
+def test_os_errors_print_the_path_and_the_reason_alone(capsys, tmp_path):
+    # a read names the cache, a write only the path; either way the OS's
+    # reason follows once, without its errno or a second copy of the path
+    code, _, err = run(capsys, "integral", "-g", "1", "-d", "1", "--cache", str(tmp_path))
+    assert (code, err) == (1, f"error: cache {tmp_path}: {os.strerror(errno.EISDIR)}\n")
+    missing = tmp_path / "no-such-dir" / "cache.txt"
+    code, _, err = run(capsys, "cache", "save", str(missing))
+    assert (code, err) == (1, f"error: {missing}: {os.strerror(errno.ENOENT)}\n")
 
 
 def test_cache_undecodable_file_is_one_error_line(capsys, tmp_path):

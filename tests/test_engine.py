@@ -22,6 +22,7 @@ from tautrr.engine import (
     _binomial_row,
     _label,
     _submultisets,
+    _sum_by_denominator,
     genus0_closed_form,
     is_stable,
     moduli_dim,
@@ -768,6 +769,124 @@ def test_kappa_trade_matches_mask_loop():
     for g, d, b in KAPPA_CASES:
         assert engine.psi_kappa_integral(g, d, b) == reference.value(g, d, b), (g, d, b)
     assert {k: v for k, v in engine.entries().items() if k.kappa_parts} == reference.memo
+
+
+class FractionKappaTrade(CorrelatorEngine):
+    """The engine with the kappa trade written on Fractions: each term read
+    through ``_psi_kappa``, so every psi term and every intermediate kappa
+    key is memoized as a Fraction, and the terms summed per denominator.
+    The reference for the engine's integer K; cold engines only (no
+    adopted entries)."""
+
+    def _psi_kappa(self, g, d, b):
+        hit = self._memo.get((g, d, b))
+        if hit is not None:
+            return hit
+        if sum(d) + sum(b) != 3 * g - 3 + len(d):
+            return Fraction(0)
+        if not b:
+            return self._psi(g, d)
+        sums = {}
+        for merged, kept, weight in _submultisets(b[:-1]):
+            level = b[-1] + 1 + sum(merged)
+            i = bisect(d, level)
+            term = self._psi_kappa(g, d[:i] + (level,) + d[i:], kept)
+            if term:
+                sign = -weight if len(merged) % 2 else weight
+                sums[term.denominator] = sums.get(term.denominator, 0) + sign * term.numerator
+        value = _sum_by_denominator(sums)
+        self.computed += 1
+        self._memo[CorrelatorKey(g, d, b)] = value
+        return value
+
+
+def _kappa_g4_n3_cases():
+    """Every (g, d, b) of the dimension with g <= 4, n <= 3 and 1 <= |b| <= 4."""
+    return [(g, d, b) for g in range(5) for n in range(4) if is_stable(g, n)
+            for k in range(1, 5) for kappa_sum in range(k, moduli_dim(g, n) + 1)
+            for b in _multisets(kappa_sum, k) if min(b) >= 1
+            for d in _multisets(moduli_dim(g, n) - kappa_sum, n)]
+
+
+TRADE_PARITY_FILLS = [
+    ("kappa_cases", lambda engine: [engine.psi_kappa_integral(*case) for case in KAPPA_CASES]),
+    ("kappa_mix", lambda engine: _kappa_mix(engine)),
+    ("kappa_g4_n3", lambda engine: [engine.psi_kappa_integral(*case)
+                                    for case in _kappa_g4_n3_cases()]),
+]
+
+
+@pytest.mark.parametrize("fill", [fill for _, fill in TRADE_PARITY_FILLS],
+                         ids=[name for name, _ in TRADE_PARITY_FILLS])
+def test_integer_trade_matches_fraction_trade(fill):
+    engine, reference = CorrelatorEngine(), FractionKappaTrade()
+    assert fill(engine) == fill(reference)
+    # the same keys listed, with the same values, and the same computes
+    assert engine.entries() == reference.entries()
+    assert engine.computed == reference.computed
+    assert any(key.kappa_parts for key in engine.entries())
+
+
+def test_trade_coefficients_are_integers():
+    # c (2 level + 1)!! M(kept) == (-1)^|merged| weight M(b), where M(b) is
+    # the lcm of (2 level + 1)!! M(kept) over the terms, counted here over
+    # the index subsets of every index but the last
+    engine = CorrelatorEngine()
+    scales = {(): 1}
+    for size in range(1, 7):
+        for b in itertools.combinations_with_replacement(range(1, 7), size):
+            signed = Counter()
+            for size_merged in range(size):
+                for merged in itertools.combinations(range(size - 1), size_merged):
+                    kept = tuple(b[i] for i in range(size - 1) if i not in merged)
+                    level = b[-1] + 1 + sum(b[i] for i in merged)
+                    signed[level, kept] += (-1) ** size_merged
+            scale, terms = engine._trade(b)
+            assert scale == math.lcm(*(_odd_dfact(level) * scales[kept] for level, kept in signed))
+            assert len(terms) == len(signed), b
+            for level, kept, c in terms:
+                assert type(c) is int and c, b
+                assert c * _odd_dfact(level) * scales[kept] == signed[level, kept] * scale, b
+            scales[b] = scale
+    assert len(scales) == 1 + 923
+
+
+def test_unread_kappa_values_stay_integers():
+    engine = CorrelatorEngine()
+    key = (3, (), (1, 1, 1, 1, 2))
+    value = engine.psi_kappa_integral(*key)
+    # only the value read is divided; the trade's kappa and psi terms stay integers
+    assert engine._memo == {key: value}
+    assert all(type(v) is int for v in engine._kints.values())
+    listed = {k: v for k, v in engine.entries().items() if k.kappa_parts}
+    assert len(listed) == len(engine._kints) > 1 and listed[key] == value
+    # listing divides but memoizes nothing
+    assert engine._memo == {key: value}
+    # reading an intermediate memoizes its Fraction, equal to the listed one
+    inner = (3, (2, 3), (1, 1, 1))
+    assert engine.psi_kappa_integral(*inner) == listed[inner]
+    assert engine._memo == {key: value, inner: listed[inner]}
+
+
+def test_impossible_kappa_entry_raises_when_a_trade_reads_it():
+    # <tau_2 tau_2 kappa_1>_2 is a term of the trade of <tau_2 kappa_1 kappa_1>_2;
+    # 8^2 2! (5!!)^2 M((1,)) == 432000, so 1/1000 on top keeps K an integer
+    # and 1/7 does not
+    key, target = CorrelatorKey(2, (2, 2), (1,)), (2, [2], [1, 1])
+    true = CorrelatorEngine().psi_kappa_integral(*key)
+    for raise_by, fails in ((Fraction(1, 1000), False), (Fraction(1, 7), True),
+                            (Fraction(1, 1001), True)):
+        engine = CorrelatorEngine()
+        engine.adopt({key: true + raise_by})
+        if fails:
+            with pytest.raises(ImpossibleEntryError,
+                               match=rf"{true + raise_by} for <tau_2 tau_2 kappa_1>_2: .* M\(b\)"):
+                engine.psi_kappa_integral(*target)
+        else:
+            assert engine.psi_kappa_integral(*target) != CorrelatorEngine().psi_kappa_integral(
+                *target)
+        # a direct read decodes the value as it is written
+        assert engine.psi_kappa_integral(*key) == true + raise_by
 
 
 # ----------------------------------------------------------------------
