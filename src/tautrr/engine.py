@@ -435,8 +435,8 @@ class CorrelatorEngine:
         only keys a save wrote).  The entries wait in the pending table; the
         engine keeps the mapping given, when it is the first, and never
         changes it.  A value is decoded when first needed, and text that is
-        not canonical, or a psi value that is not a positive integer once
-        normalized, raises :class:`ImpossibleEntryError`.
+        not canonical, or a value that does not normalize to a positive I or
+        (in a trade) an integer K, raises :class:`ImpossibleEntryError`.
         """
         self._pending = {**self._pending, **entries} if self._pending else entries
 
