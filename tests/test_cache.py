@@ -204,13 +204,33 @@ def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "cache.txt"
     cache_save(CacheStore({CorrelatorKey.make(1, [1]): Fraction(1, 24)}), path)
     before = path.read_bytes()
+    open_file = Path.open
 
-    def write_half_then_fail(self, data, encoding=None, errors=None, newline=None):
-        with open(self, "w", encoding=encoding) as handle:
-            handle.write(data[: len(data) // 2])
-        raise OSError(28, "No space left on device")
+    class DiskFills:
+        """A file that takes the first write, then half of the next, and fails."""
 
-    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        def __init__(self, handle):
+            self.handle, self.writes = handle, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 1:
+                return self.handle.write(data)
+            self.handle.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+    def open_to_fill(self, mode="r", *args, **kwargs):
+        handle = open_file(self, mode, *args, **kwargs)
+        return DiskFills(handle) if "w" in mode else handle
+
+    # the save streams its text, so the disk fills part way through it
+    monkeypatch.setattr(Path, "open", open_to_fill)
     bigger = CacheStore({CorrelatorKey.make(1, [1]): Fraction(1, 24),
                          CorrelatorKey.make(2, [4]): Fraction(1, 1152)})
     with pytest.raises(OSError):
@@ -669,12 +689,19 @@ def test_matched_file_lookups_search_then_index(seed_bytes):
     keys = list(saved)
     assert len(keys) == len(saved) == 1393 and keys == sorted(keys)
     assert saved.max_genus() == 10 and cache.SavedLines("#taut-rr-cache v2\n").max_genus() == 0
-    # one absent key, then present ones from the end of the file
-    lookups = [(10, (1, 5, 24), ())] + keys[::-1][:cache._SEARCHES + 1]
-    for i, key in enumerate(lookups):
+    # one absent key, then present ones from the end of the file: a lookup
+    # searches while the searches have read less than _SCAN_TEXTS texts (a
+    # hit reads up to its line, a miss the whole text), then builds the index
+    lookups = [(10, (1, 5, 24), ())] + keys[::-1][:cache._SCAN_TEXTS + 1]
+    budget, read = cache._SCAN_TEXTS * len(saved.text), 0
+    for key in lookups:
+        at = saved.text.find(f"\n{cache._format_key(key)};")
         line = text.split(f"\n{cache._format_key(key)};")
         assert saved.get(key) == (line[1].split("\n")[0] if len(line) == 2 else None)
-        assert (saved._index is None) == (i < cache._SEARCHES)
+        assert (saved._index is None) == (read < budget)
+        if read < budget:
+            read += len(saved.text) if at < 0 else at
+    assert saved._index is not None
 
 
 @pytest.mark.parametrize("edit", [
@@ -688,39 +715,142 @@ def test_matched_file_search_and_index_agree(seed_bytes, tmp_path, edit):
     assert text.count(edit[0]) == 1
     path = tmp_path / "edited.txt"
     _write_matched(path, *text.replace(*edit).splitlines()[1:-1])
-    key = (2, (4,), ())
+    key, absent = (2, (4,), ()), (10, (1, 5, 24), ())
     others = [k for k in cache.SavedLines(text[:text.rindex("#crc32")]) if k != key]
     searched = load_engine_cache(CorrelatorEngine(), path).entries.raw.get(key)
     assert searched == edit[1].split(";", 3)[3].split("\n")[0]
     indexed = load_engine_cache(CorrelatorEngine(), path).entries.raw
-    for other in others[:cache._SEARCHES]:
-        assert indexed.get(other) is not None
+    for _ in range(cache._SCAN_TEXTS):  # each miss reads the whole text
+        assert indexed.get(absent) is None
     assert indexed._index is None
     assert indexed.get(key) == searched and indexed._index is not None
     # `in` answers as get does, searched or indexed, and counts as a lookup
     saved = load_engine_cache(CorrelatorEngine(), path).entries.raw
-    for probe in (key, (10, (1, 5, 24), ())) * cache._SEARCHES:
-        searches = saved._searches
+    for probe in (key, absent) * cache._SCAN_TEXTS:
+        unread = saved._unread
         found = probe in saved
-        assert saved._index is not None or saved._searches == searches + 1
+        assert saved._index is not None or saved._unread < unread
         assert found == (saved.get(probe) is not None) == (probe == key)
     assert saved._index is not None
-    # through an engine: the same answer, or the same error, and no compute
+    # through an engine: the same answer, or the same error, and no compute;
+    # hits near the end of the file spend the budget, so the key is indexed
     outcomes = []
-    for lookups in (0, cache._SEARCHES):
+    for lookups in (0, cache._SCAN_TEXTS + 1):
         engine = CorrelatorEngine()
-        load_engine_cache(engine, path)
-        for other in others[:lookups]:
-            engine.psi_integral(other.genus, other.psi_exps)
+        saved = load_engine_cache(engine, path).entries.raw
+        for other in others[::-1][:lookups]:
+            _value(engine, other)
         try:
             outcomes.append(engine.psi_integral(2, [4]))
         except ImpossibleEntryError as exc:
             outcomes.append(str(exc))
         assert engine.computed == 0
+        assert (saved._index is None) == (lookups == 0)
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] == Fraction(1, 1152) if "\n2;4;;7" in edit[1] else (
         "impossible value '1/1152;x' for <tau_4>_2: "
         "not -?digits[/digits] with a nonzero denominator")
+
+
+def test_warm_verify_searches_and_misses_spend_the_budget(seed_bytes, tmp_path, monkeypatch):
+    from tautrr.cli import main
+
+    path = tmp_path / "seed.txt"
+    path.write_bytes(seed_bytes)
+    answers, held = [], []
+    get = cache.SavedLines.get
+
+    def recorded(self, key, default=None):
+        held[:] = [self]
+        answers.append((key, get(self, key, default)))
+        return answers[-1][1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cache.SavedLines, "get", recorded)
+        assert main(["verify", "bbt", "--cache", str(path)]) == 0
+    # the 75 hits of a warm default verify lie near the top of the file
+    saved = held[0]
+    assert len(answers) == 75 and None not in dict(answers).values()
+    assert saved._index is None and saved._unread > 0
+    assert path.read_bytes() == seed_bytes
+    # misses read the whole text each: the index comes once 8 texts are read
+    text = saved.text
+    misses = cache.SavedLines(text)
+    for _ in range(cache._SCAN_TEXTS):
+        assert misses.get((10, (1, 5, 24), ())) is None and misses._index is None
+    assert misses._unread == 0 and cache._SCAN_TEXTS == 8
+    assert misses.get((10, (1, 5, 24), ())) is None and misses._index is not None
+    # every answer is the same searched and indexed: the verify's, and each
+    # line's (by a fresh, unspent text) together with two absent keys
+    assert all(misses.get(key) == answer for key, answer in answers)
+    for key in [*cache.SavedLines(text), (2, (4,), (1,)), (0, (0, 0, 0), ())]:
+        assert cache.SavedLines(text).get(key) == misses.get(key)
+
+
+def _whole_text(entries) -> bytes:
+    """The bytes of a cache file of ``entries`` built whole: every line
+    formatted and joined, then checksummed as one text."""
+    text = "#taut-rr-cache v2\n" + "".join(
+        f"{key.genus};{','.join(map(str, key.psi_exps))};{','.join(map(str, key.kappa_parts))};"
+        f"{format_rational(entries[key])}\n" for key in sorted(entries))
+    return f"{text}#crc32 {zlib.crc32(text.encode()):08x}\n".encode()
+
+
+@pytest.mark.parametrize("batch", [4096, 1, 3])
+def test_streamed_save_writes_the_whole_text_bytes(tmp_path, monkeypatch, batch):
+    monkeypatch.setattr(cache, "_BATCH", batch)
+    path = tmp_path / "c.txt"
+    cache_save(CacheStore(), path)
+    assert path.read_bytes() == _whole_text({})
+    fresh = CorrelatorEngine()
+    fresh.psi_integral(4, [3, 8])
+    fresh.psi_kappa_integral(3, [], [2, 2, 1, 1])
+    save_engine_cache(fresh, path)
+    assert path.read_bytes() == _whole_text(dict(fresh.entries()))
+    # a checksum-matched base of genus 2 and 4 lines, grown by new lines
+    # before, between and after them
+    reference = CorrelatorEngine()
+    cache_save(CacheStore({key_from_tuple((g, d, ())): reference.psi_integral(g, d)
+                           for g, d in [(2, (4,)), (4, (2, 9)), (4, (11,))]}), path)
+    base_lines = path.read_text().splitlines()[1:-1]
+    engine = CorrelatorEngine()
+    assert load_engine_cache(engine, path).trusted
+    engine.psi_integral(1, [1, 1])
+    engine.psi_integral(3, [7])
+    engine.psi_integral(5, [13])
+    save_engine_cache(engine, path)
+    data = path.read_bytes()
+    assert data == _whole_text(dict(engine.entries()))
+    lines = data.decode().splitlines()[1:-1]
+    at = [lines.index(line) for line in base_lines]
+    assert at == sorted(at) and len(set(at)) == len(at)
+    assert at[0] > 0 and at[-1] < len(lines) - 1
+    assert any(j - i > 1 for i, j in zip(at, at[1:]))
+
+
+def test_refused_save_leaves_the_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "target.txt"
+    cache_save(CacheStore({CorrelatorKey.make(1, [1]): Fraction(1, 24)}), target)
+    before = target.read_bytes()
+    old = tmp_path / "old.txt"
+    old.write_text("#taut-rr-cache v0\n2;4;;1/9999\n")
+    with pytest.raises(ValueError, match="quarantined"):
+        cache_save(cache_load(old), target)
+    # the lookup never finds '2;04;', so the run computes <tau_4>_2; the save
+    # has begun to write when its merge meets that line
+    bad = tmp_path / "respelled.txt"
+    _write_matched(bad, "1;1;;1/24", "2;04;;1/1152")
+    bad_bytes = bad.read_bytes()
+    engine = CorrelatorEngine()
+    load_engine_cache(engine, bad)
+    engine.psi_integral(1, [1, 1])
+    engine.psi_integral(2, [4])
+    for path in (bad, target):
+        with pytest.raises(CacheFormatError, match="line 3: key '2;04;' is not written"):
+            save_engine_cache(engine, path)
+    assert (bad.read_bytes(), target.read_bytes()) == (bad_bytes, before)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt", "respelled.txt",
+                                                          "target.txt"]
 
 
 def test_cut_short_file_is_quarantined(seed_bytes, tmp_path, capsys):
